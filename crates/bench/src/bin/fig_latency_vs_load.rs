@@ -40,15 +40,17 @@ fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The offered-load grid: ×4 steps from 4 M req/s to ~4 G req/s, spanning
-/// every device's saturation knee (2D DRAM ~37 M, COSMOS ~0.2 G, COMET
-/// ~0.8 G lines/s). The grid deliberately starts above the near-idle
-/// regime: below a few M req/s, isolated arrivals take DRAM refresh
-/// blackouts head-on (the engine's speculative scheduler polls otherwise
-/// absorb them once queues form), so ultra-light load shows a *higher*
-/// p99 than light load — a refresh artifact, not queueing.
+/// The offered-load grid: ×4 steps from 0.25 M req/s to ~4 G req/s,
+/// spanning the near-idle regime and every device's saturation knee (2D
+/// DRAM ~37 M, COSMOS ~0.2 G, COMET ~0.8 G lines/s). Below its knee the
+/// 2D_DDR4 tail is set by refresh, not queueing: every bank is blocked for
+/// tRFC = 350 ns of each tREFI = 7.8 µs (4.5 % of the time), so more than
+/// 1 % of requests wait out part of a refresh and p99 stays near tRFC at
+/// every sub-knee load — measured 334 / 354 / 353 / 380 ns at 0.25 / 1 / 4
+/// / 16 M req/s (`--requests 2000`, seed 42), monotone within the
+/// check's tolerance.
 pub fn load_grid() -> Vec<f64> {
-    (0..6).map(|i| 4.0e6 * 4f64.powi(i)).collect()
+    (0..8).map(|i| 0.25e6 * 4f64.powi(i)).collect()
 }
 
 fn main() -> ExitCode {

@@ -284,20 +284,39 @@ mod tests {
 
     #[test]
     fn accounting_is_insensitive_to_probe_order() {
-        // Two managers seeing the same access set, one with a redundant
-        // advance in between (as bank_available probes would cause).
-        let mut a = mgr(1000.0);
-        let mut b = mgr(1000.0);
+        // A COMET device under the windowed policy, probed between its
+        // accesses the way the scheduler probes candidates it may never
+        // issue, accounts exactly like one that is never probed.
+        use crate::{CometConfig, CometDevice};
+        use memsim::{DecodedAddress, MemOp, MemoryDevice};
+        let policy = LaserPolicy::Windowed(WindowedPolicy::default_1us());
+        let mut probed = CometDevice::with_policy(CometConfig::comet_4b(), policy);
+        let mut plain = CometDevice::with_policy(CometConfig::comet_4b(), policy);
+        let loc = |bank: u64, row: u64| DecodedAddress {
+            channel: bank,
+            bank: 0,
+            row,
+            column: 0,
+        };
         let times = [0.0, 300.0, 2500.0, 2600.0, 9000.0];
-        for &t in &times {
-            let _ = a.on_access(Time::from_nanos(t));
+        for (k, &t) in times.iter().enumerate() {
+            let at = Time::from_nanos(t);
+            for ahead in [0.0, 1.0e3, 5.0e4] {
+                let _ =
+                    probed.bank_available(&loc(k as u64 % 3 + 1, 7), at + Time::from_nanos(ahead));
+                let _ = probed.bank_available(&loc(0, k as u64), at + Time::from_nanos(ahead));
+                let _ = probed.row_hit(&loc(0, 7));
+            }
+            let a = probed.access(&loc(0, k as u64), MemOp::Write, at);
+            let b = plain.access(&loc(0, k as u64), MemOp::Write, at);
+            assert_eq!(a, b);
         }
-        for &t in &times {
-            let _ = b.on_access(Time::from_nanos(t));
-        }
-        let ea = a.finish(Time::from_micros(20.0));
-        let eb = b.finish(Time::from_micros(20.0));
-        assert_eq!(ea, eb);
+        assert!(plain.laser_wakeups() > 0, "the accesses cross idle windows");
+        assert_eq!(probed.laser_wakeups(), plain.laser_wakeups());
+        assert_eq!(
+            probed.drain_accumulated_energy(),
+            plain.drain_accumulated_energy()
+        );
     }
 
     #[test]

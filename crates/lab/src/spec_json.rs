@@ -347,9 +347,14 @@ fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SpecError> {
 fn scheduler_from_json(j: &Json) -> Result<Scheduler, SpecError> {
     match str_field(j, "kind")?.as_str() {
         "fcfs" => Ok(Scheduler::Fcfs),
-        "frfcfs" => Ok(Scheduler::FrFcfs {
-            window: u64_field(j, "window")? as usize,
-        }),
+        "frfcfs" => match u64_field(j, "window")? {
+            // A zero window looks at no queue entry, so nothing would
+            // ever issue.
+            0 => Err(schema("FR-FCFS 'window' must be at least 1")),
+            window => Ok(Scheduler::FrFcfs {
+                window: window as usize,
+            }),
+        },
         other => Err(schema(format!("unknown scheduler kind '{other}'"))),
     }
 }
@@ -633,6 +638,17 @@ mod tests {
         let bad = text.replace("\"clients\": 4", "\"clients\": 0");
         assert_ne!(bad, text);
         assert!(matches!(spec_from_json(&bad), Err(SpecError::Schema(_))));
+    }
+
+    #[test]
+    fn zero_frfcfs_window_is_rejected_with_a_message() {
+        let text = spec_to_json(&sample_spec()).unwrap();
+        let bad = text.replace("\"window\": 8", "\"window\": 0");
+        assert_ne!(bad, text, "the sample spec has an FR-FCFS scheduler");
+        match spec_from_json(&bad) {
+            Err(SpecError::Schema(m)) => assert!(m.contains("'window' must be at least 1"), "{m}"),
+            other => panic!("a zero window must be a schema error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -58,6 +58,18 @@ pub struct AccessTiming {
 /// refresh deadlines and erase state internally. `access` is always called
 /// with a monotonically non-decreasing `issue` time per bank.
 ///
+/// # The probe contract
+///
+/// [`MemoryDevice::bank_available`] and [`MemoryDevice::row_hit`] are
+/// *probes*: the scheduler asks them about candidates it may never issue,
+/// in any order and any number of times. A probe changes no state (no
+/// energy, no row closure, no bookkeeping), and the answers for a bank
+/// (a `(channel, bank)` pair) change only through an `access` to that
+/// bank. [`BankQueues`](crate::BankQueues) relies on both halves: it
+/// caches each bank's choice and re-probes a bank only after its own
+/// issue. (`bank_available` keeps its `&mut self` receiver so that
+/// wrappers may count or time calls; the model itself must not change.)
+///
 /// The `Send` supertrait lets sharded runners (the `comet-lab` campaign
 /// subsystem) move boxed devices onto worker threads; device models are
 /// plain data, so the bound costs implementations nothing.
@@ -70,12 +82,14 @@ pub trait MemoryDevice: Send {
 
     /// Earliest time the bank could accept an access issued at `at`
     /// (accounts for refresh windows and similar blackouts). The default
-    /// is no additional constraint.
+    /// is no additional constraint. A probe: see the probe contract above.
     fn bank_available(&mut self, _loc: &DecodedAddress, at: Time) -> Time {
         at
     }
 
-    /// Services one access at time `issue`, updating internal state.
+    /// Services one access at time `issue`, updating internal state —
+    /// including deferred bookkeeping due by `issue`, such as DRAM refresh
+    /// windows that start before it.
     fn access(&mut self, loc: &DecodedAddress, op: MemOp, issue: Time) -> AccessTiming;
 
     /// [`MemoryDevice::access`] with the request's line payload attached.
@@ -94,8 +108,9 @@ pub trait MemoryDevice: Send {
         self.access(loc, op, issue)
     }
 
-    /// Whether an access to `loc` would hit an open row buffer — used by
-    /// FR-FCFS scheduling. Devices without row buffers return `false`.
+    /// Whether an access to `loc` would hit the row buffer the bank's last
+    /// access left open — used by FR-FCFS scheduling. Devices without row
+    /// buffers return `false`. A probe: see the probe contract above.
     fn row_hit(&self, _loc: &DecodedAddress) -> bool {
         false
     }

@@ -278,6 +278,16 @@ impl DramDevice {
         (loc.channel * self.config.topology.banks + loc.bank) as usize
     }
 
+    /// Performs the refresh windows of bank `idx` that started by `at`:
+    /// each costs one refresh operation and closes the open row.
+    fn catch_up_refresh(&mut self, idx: usize, at: Time) {
+        while self.next_refresh[idx] <= at {
+            self.refresh_energy += self.config.energy.refresh_op;
+            self.open_rows[idx] = None;
+            self.next_refresh[idx] += self.config.timings.t_refi;
+        }
+    }
+
     /// Takes (and clears) refresh energy accumulated since the last call.
     pub fn drain_refresh_energy(&mut self) -> Energy {
         std::mem::replace(&mut self.refresh_energy, Energy::ZERO)
@@ -308,22 +318,22 @@ impl MemoryDevice for DramDevice {
     }
 
     fn bank_available(&mut self, loc: &DecodedAddress, at: Time) -> Time {
-        let idx = self.bank_index(loc);
+        // A pure query: walk the refresh windows due by `at` without
+        // consuming them (`access` does that), pushing past any window
+        // that still blocks the bank.
+        let t = &self.config.timings;
+        let mut next = self.next_refresh[self.bank_index(loc)];
         let mut avail = at;
-        // Catch up on any refresh windows that started before `avail`.
-        while self.next_refresh[idx] <= avail {
-            let refresh_start = self.next_refresh[idx];
-            let refresh_end = refresh_start + self.config.timings.t_rfc;
-            self.refresh_energy += self.config.energy.refresh_op;
-            self.open_rows[idx] = None; // refresh closes the row
-            self.next_refresh[idx] = refresh_start + self.config.timings.t_refi;
-            avail = avail.max(refresh_end);
+        while next <= avail {
+            avail = avail.max(next + t.t_rfc);
+            next += t.t_refi;
         }
         avail
     }
 
     fn access(&mut self, loc: &DecodedAddress, op: MemOp, issue: Time) -> AccessTiming {
         let idx = self.bank_index(loc);
+        self.catch_up_refresh(idx, issue);
         let t = &self.config.timings;
         let e = &self.config.energy;
 
@@ -359,6 +369,8 @@ impl MemoryDevice for DramDevice {
     }
 
     fn row_hit(&self, loc: &DecodedAddress) -> bool {
+        // The row the last access left open: a refresh due since then
+        // closes it only when the next access performs that refresh.
         self.open_rows[(loc.channel * self.config.topology.banks + loc.bank) as usize]
             == Some(loc.row)
     }
@@ -435,10 +447,15 @@ mod tests {
         let mut dev = DramDevice::new(DramConfig::ddr3_1600_2d());
         let t_refi = dev.config().timings.t_refi;
         let t_rfc = dev.config().timings.t_rfc;
+        let row_open = dev.access(&loc(0, 0), MemOp::Read, Time::ZERO);
         // Just past the first refresh deadline: bank blocked until rfc done.
         let avail = dev.bank_available(&loc(0, 0), t_refi + Time::from_nanos(1.0));
         assert!(avail >= t_refi + t_rfc);
-        assert!(dev.drain_refresh_energy() > Energy::ZERO);
+        // The access performs the refresh: it costs one refresh op and
+        // closes the row the first access left open.
+        let after = dev.access(&loc(0, 0), MemOp::Read, avail);
+        assert_eq!(dev.drain_refresh_energy(), dev.config().energy.refresh_op);
+        assert_eq!(after.energy, row_open.energy, "the row was re-activated");
         // Drained: second call returns zero.
         assert_eq!(dev.drain_refresh_energy(), Energy::ZERO);
     }
@@ -448,7 +465,7 @@ mod tests {
         let mut dev = DramDevice::new(DramConfig::ddr3_1600_2d());
         let t_refi = dev.config().timings.t_refi;
         // Jump 10 intervals ahead: all missed refreshes charged.
-        let _ = dev.bank_available(&loc(0, 0), t_refi * 10.5);
+        let _ = dev.access(&loc(0, 0), MemOp::Read, t_refi * 10.5);
         let e = dev.drain_refresh_energy();
         let per_op = dev.config().energy.refresh_op;
         assert!((e.as_joules() / per_op.as_joules() - 10.0).abs() < 0.5);

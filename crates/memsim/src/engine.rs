@@ -5,13 +5,13 @@
 //! per-channel data-bus contention — the same pipeline the paper's modified
 //! NVMain 2.0 provides. Produces [`SimStats`] (latency, bandwidth, EPB).
 
-use crate::addr::{AddressMap, Interleave};
+use crate::addr::{AddressMap, DecodedAddress, Interleave};
 use crate::device::MemoryDevice;
+use crate::queues::{BankQueues, Pending};
 use crate::request::{CompletedRequest, MemRequest};
 use crate::stats::SimStats;
 use comet_units::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Request scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,7 +21,7 @@ pub enum Scheduler {
     /// First-ready FCFS: row-buffer hits within a lookahead window bypass
     /// older misses (the standard high-performance DRAM policy).
     FrFcfs {
-        /// Lookahead window (queue entries examined).
+        /// Lookahead window (queue entries examined); at least 1.
         window: usize,
     },
 }
@@ -74,12 +74,35 @@ impl SimConfig {
     }
 }
 
+/// A trace request waiting in its bank queue.
+struct Queued {
+    /// Index into the trace.
+    idx: usize,
+    /// Arrival as the replay mode sees it.
+    arrival: Time,
+    loc: DecodedAddress,
+}
+
+impl Pending for Queued {
+    fn loc(&self) -> &DecodedAddress {
+        &self.loc
+    }
+
+    fn ready(&self) -> Time {
+        self.arrival
+    }
+}
+
 /// Runs `requests` against `device` and returns aggregate statistics.
 ///
-/// Requests are queued per (channel, bank); at every step the bank that can
-/// issue earliest fires. Data transfers contend on each channel's bus;
-/// reads additionally pay the device's interface delay before the requester
-/// sees the data.
+/// Requests are queued per (channel, bank) in [`BankQueues`]; at every
+/// step the bank that can issue earliest fires. Data transfers contend on
+/// each channel's bus; reads additionally pay the device's interface delay
+/// before the requester sees the data.
+///
+/// # Panics
+///
+/// If `config.scheduler` is FR-FCFS with a zero window.
 ///
 /// # Examples
 ///
@@ -114,71 +137,36 @@ pub fn run_simulation(
     )
     .expect("device topology dimensions must be powers of two");
 
-    let nbanks = (topo.channels * topo.banks) as usize;
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); nbanks];
-    let decoded: Vec<_> = requests.iter().map(|r| map.decode(r.address)).collect();
-    let arrivals: Vec<Time> = requests
-        .iter()
-        .map(|r| match config.replay {
-            ReplayMode::Paced => r.arrival,
-            ReplayMode::Saturation => Time::ZERO,
-        })
-        .collect();
-
-    for (i, d) in decoded.iter().enumerate() {
-        queues[(d.channel * topo.banks + d.bank) as usize].push_back(i);
+    let mut queues = BankQueues::new(topo, config.scheduler);
+    // Exact queue capacities: the whole trace is queued up front, and
+    // doubling growth would hold up to twice its entries.
+    let mut per_bank = vec![0usize; topo.total_banks() as usize];
+    for r in requests {
+        per_bank[queues.bank_of(&map.decode(r.address))] += 1;
+    }
+    for (bank, &n) in per_bank.iter().enumerate() {
+        queues.reserve(bank, n);
+    }
+    for (idx, r) in requests.iter().enumerate() {
+        queues.push(Queued {
+            idx,
+            arrival: match config.replay {
+                ReplayMode::Paced => r.arrival,
+                ReplayMode::Saturation => Time::ZERO,
+            },
+            loc: map.decode(r.address),
+        });
     }
 
-    let mut bank_free = vec![Time::ZERO; nbanks];
     let mut bus_free = vec![Time::ZERO; topo.channels as usize];
     let mut stats = SimStats::new(device.name(), config.workload.clone());
     let mut latencies: Vec<Time> = Vec::with_capacity(requests.len());
-    let mut remaining: usize = requests.len();
 
-    while remaining > 0 {
-        // Choose the bank that can issue earliest.
-        let mut best: Option<(Time, usize, usize)> = None; // (issue, bank, queue pos)
-        for (b, queue) in queues.iter().enumerate() {
-            if queue.is_empty() {
-                continue;
-            }
-            // Scheduling: pick position within the window.
-            let (pos, ready) = match config.scheduler {
-                Scheduler::Fcfs => {
-                    let idx = queue[0];
-                    let ready = bank_free[b].max(arrivals[idx]);
-                    (0, device.bank_available(&decoded[idx], ready))
-                }
-                Scheduler::FrFcfs { window } => {
-                    // First-ready: among the window, take the request that
-                    // can actually issue earliest (skips entries whose
-                    // subarray/row resource is still busy); row-buffer hits
-                    // win ties so open rows are drained first.
-                    let mut chosen = (0usize, Time::from_seconds(f64::INFINITY), false);
-                    for (p, &idx) in queue.iter().take(window).enumerate() {
-                        let base = bank_free[b].max(arrivals[idx]);
-                        let ready = device.bank_available(&decoded[idx], base);
-                        let hit = device.row_hit(&decoded[idx]);
-                        let better = ready < chosen.1 || (ready == chosen.1 && hit && !chosen.2);
-                        if better {
-                            chosen = (p, ready, hit);
-                        }
-                    }
-                    (chosen.0, chosen.1)
-                }
-            };
-            match best {
-                Some((t, _, _)) if ready >= t => {}
-                _ => best = Some((ready, b, pos)),
-            }
-        }
-
-        let (issue, bank, pos) = best.expect("remaining > 0 implies a nonempty queue");
-        let idx = queues[bank].remove(pos).expect("position was validated");
+    while let Some((issue, bank)) = queues.earliest(&mut [&mut *device]) {
+        let Queued { idx, arrival, loc } = queues.take(bank);
         let req = &requests[idx];
-        let loc = &decoded[idx];
 
-        let timing = device.access_line(loc, req.op, issue, req.payload.as_ref());
+        let timing = device.access_line(&loc, req.op, issue, req.payload.as_ref());
         let ch = loc.channel as usize;
         let transfer_start = timing.data_ready_at.max(bus_free[ch]);
         let transfer_end = transfer_start + timing.bus_occupancy;
@@ -187,21 +175,17 @@ pub fn run_simulation(
         // (devices include transfer time where the array can't pipeline);
         // extending it to transfer_end here would serialize access latency
         // into occupancy and forbid command pipelining.
-        bank_free[bank] = timing.bank_free_at;
+        queues.set_bank_free(bank, timing.bank_free_at);
 
         let finished = transfer_end + device.interface_delay();
         let done = CompletedRequest {
-            request: MemRequest {
-                arrival: arrivals[idx],
-                ..*req
-            },
+            request: MemRequest { arrival, ..*req },
             issued: issue,
             finished,
         };
         stats.record(&done);
         latencies.push(done.latency());
         stats.energy.access += timing.energy;
-        remaining -= 1;
     }
 
     stats.energy.refresh = device.drain_accumulated_energy();

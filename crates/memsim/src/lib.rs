@@ -37,6 +37,7 @@ mod device;
 mod dram;
 mod engine;
 mod pcm;
+mod queues;
 mod request;
 mod stats;
 mod synth;
@@ -48,6 +49,7 @@ pub use device::{AccessTiming, DeviceFactory, FnFactory, MemoryDevice, Topology}
 pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings, RowPolicy};
 pub use engine::{run_simulation, ReplayMode, Scheduler, SimConfig};
 pub use pcm::{EpcmConfig, EpcmDevice};
+pub use queues::{BankQueues, Pending};
 pub use request::{CompletedRequest, MemOp, MemRequest};
 pub use stats::{percentile_of_sorted, EnergyBreakdown, LatencyHistogram, SimStats};
 pub use synth::{spec_like_suite, AccessPattern, WorkloadProfile};

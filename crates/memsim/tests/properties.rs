@@ -2,16 +2,18 @@
 //!
 //! Invariants: address maps are bijective over their capacity for every
 //! interleaving, the engine conserves requests and bytes for arbitrary
-//! traces on every device model, and synthetic trace generation respects
-//! its profile parameters for any seed.
+//! traces on every device model, synthetic trace generation respects its
+//! profile parameters for any seed, device probes change nothing, and the
+//! cached per-bank scheduler picks exactly what a full rescan picks.
 
 use comet_units::{ByteCount, Time};
 use memsim::{
-    read_trace, run_simulation, write_trace, AccessPattern, AddressMap, DramConfig, DramDevice,
-    EpcmConfig, EpcmDevice, Interleave, MemOp, MemRequest, MemoryDevice, ReplayMode, Scheduler,
-    SimConfig, TraceClock, WorkloadProfile,
+    read_trace, run_simulation, write_trace, AccessPattern, AddressMap, BankQueues, DecodedAddress,
+    DramConfig, DramDevice, EpcmConfig, EpcmDevice, Interleave, MemOp, MemRequest, MemoryDevice,
+    Pending, ReplayMode, Scheduler, SimConfig, Topology, TraceClock, WorkloadProfile,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn any_interleave() -> impl Strategy<Value = Interleave> {
     prop_oneof![
@@ -33,6 +35,124 @@ fn any_pattern() -> impl Strategy<Value = AccessPattern> {
         Just(AccessPattern::Random),
         (0.0..1.0f64).prop_map(|locality| AccessPattern::Clustered { locality }),
     ]
+}
+
+/// The device families the engines drive: 2D DDR4, EPCM-MM, COMET (with
+/// the static and the windowed laser policy) and corrected COSMOS.
+fn device_family(which: u8) -> Box<dyn MemoryDevice> {
+    match which {
+        0 => Box::new(DramDevice::new(DramConfig::ddr4_2400_2d())),
+        1 => Box::new(EpcmDevice::new(EpcmConfig::epcm_mm())),
+        2 => Box::new(comet::CometDevice::new(comet::CometConfig::comet_4b())),
+        3 => Box::new(comet::CometDevice::with_policy(
+            comet::CometConfig::comet_4b(),
+            comet::LaserPolicy::Windowed(comet::WindowedPolicy::aggressive()),
+        )),
+        _ => Box::new(cosmos::CosmosDevice::new(cosmos::CosmosConfig::corrected())),
+    }
+}
+
+/// SplitMix64: structured random inputs drawn from one generated seed.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// A whole-nanosecond time below `ns`, so equal times (ties) occur.
+    fn time(&mut self, ns: u64) -> Time {
+        Time::from_nanos(self.below(ns) as f64)
+    }
+}
+
+/// A queued request for the scheduler properties.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Entry {
+    id: u64,
+    loc: DecodedAddress,
+    ready: Time,
+    op: MemOp,
+}
+
+impl Pending for Entry {
+    fn loc(&self) -> &DecodedAddress {
+        &self.loc
+    }
+
+    fn ready(&self) -> Time {
+        self.ready
+    }
+}
+
+/// A random request to one of `hot` banks spread over the topology, on a
+/// few rows (so row hits and ties on shared rows occur).
+fn random_entry(rng: &mut SplitMix, id: u64, topo: Topology, hot: u64) -> Entry {
+    let flat = rng.below(hot) * (topo.total_banks() / hot);
+    let shift = rng.below(12);
+    Entry {
+        id,
+        loc: DecodedAddress {
+            channel: flat / topo.banks,
+            bank: flat % topo.banks,
+            row: (rng.below(8) << shift) % topo.rows,
+            column: rng.below(topo.columns.min(4)),
+        },
+        ready: if rng.below(3) == 0 {
+            Time::ZERO
+        } else {
+            rng.time(40_000)
+        },
+        op: if rng.below(3) == 0 {
+            MemOp::Write
+        } else {
+            MemOp::Read
+        },
+    }
+}
+
+/// The scan the engines ran before caching per-bank choices: every bank's
+/// FCFS head or FR-FCFS window probed afresh, row hits winning ties within
+/// a bank and the lowest bank winning ties across banks. Returns
+/// `(issue time, bank, queue position)`.
+fn brute_force_scan(
+    queues: &[VecDeque<Entry>],
+    free: &[Time],
+    device: &mut dyn MemoryDevice,
+    scheduler: Scheduler,
+) -> Option<(Time, usize, usize)> {
+    let mut best: Option<(Time, usize, usize)> = None;
+    for (b, queue) in queues.iter().enumerate() {
+        if queue.is_empty() {
+            continue;
+        }
+        let (pos, ready) = match scheduler {
+            Scheduler::Fcfs => (
+                0,
+                device.bank_available(&queue[0].loc, free[b].max(queue[0].ready)),
+            ),
+            Scheduler::FrFcfs { window } => {
+                let mut chosen = (0usize, Time::from_seconds(f64::INFINITY), false);
+                for (p, e) in queue.iter().take(window).enumerate() {
+                    let ready = device.bank_available(&e.loc, free[b].max(e.ready));
+                    let hit = device.row_hit(&e.loc);
+                    if ready < chosen.1 || (ready == chosen.1 && hit && !chosen.2) {
+                        chosen = (p, ready, hit);
+                    }
+                }
+                (chosen.0, chosen.1)
+            }
+        };
+        match best {
+            Some((t, _, _)) if ready >= t => {}
+            _ => best = Some((ready, b, pos)),
+        }
+    }
+    best
 }
 
 proptest! {
@@ -358,5 +478,83 @@ proptest! {
         prop_assert!(t.bank_free_at >= avail);
         prop_assert!(t.bus_occupancy > Time::ZERO);
         prop_assert!(t.energy.as_joules() > 0.0);
+    }
+
+    // --- probes and the cached scheduler --------------------------------------------
+
+    #[test]
+    fn probes_change_nothing(family in 0u8..5, probes in 0usize..12, seed in any::<u64>()) {
+        // Probing any bank any number of times, at any time, leaves every
+        // later answer, access timing and drained energy as they would be
+        // without the probes.
+        let mut probed = device_family(family);
+        let mut plain = device_family(family);
+        let topo = plain.topology();
+        let mut rng = SplitMix(seed);
+        let hot = 1 + rng.below(topo.total_banks().min(4));
+        let mut now = Time::ZERO;
+        for id in 0..40 {
+            let target = random_entry(&mut rng, id, topo, hot);
+            now += rng.time(3_000);
+            for _ in 0..probes {
+                let other = random_entry(&mut rng, id, topo, hot);
+                let _ = probed.bank_available(&other.loc, rng.time(80_000));
+                let _ = probed.row_hit(&other.loc);
+            }
+            let issue = plain.bank_available(&target.loc, now);
+            prop_assert_eq!(probed.bank_available(&target.loc, now), issue);
+            prop_assert_eq!(probed.row_hit(&target.loc), plain.row_hit(&target.loc));
+            let a = probed.access(&target.loc, target.op, issue);
+            let b = plain.access(&target.loc, target.op, issue);
+            prop_assert_eq!(a, b);
+        }
+        prop_assert_eq!(probed.drain_accumulated_energy(), plain.drain_accumulated_energy());
+    }
+
+    #[test]
+    fn cached_choice_matches_brute_force_scan(
+        family in 0u8..5,
+        window in 0usize..17,
+        seed in any::<u64>(),
+    ) {
+        // Window 0 stands for FCFS.
+        let scheduler = match window {
+            0 => Scheduler::Fcfs,
+            window => Scheduler::FrFcfs { window },
+        };
+        let mut device = device_family(family);
+        let topo = device.topology();
+        let mut rng = SplitMix(seed);
+        let hot = 1 + rng.below(topo.total_banks().min(6));
+        let mut queues = BankQueues::new(topo, scheduler);
+        let mut shadow = vec![VecDeque::new(); topo.total_banks() as usize];
+        let mut free: Vec<Time> = (0..shadow.len()).map(|_| rng.time(5_000)).collect();
+        for (bank, &at) in free.iter().enumerate() {
+            queues.set_bank_free(bank, at);
+        }
+        let mut ids = 0..;
+        let mut push = |rng: &mut SplitMix, queues: &mut BankQueues<Entry>, shadow: &mut Vec<VecDeque<Entry>>| {
+            let e = random_entry(rng, ids.next().expect("unbounded"), topo, hot);
+            queues.push(e);
+            shadow[queues.bank_of(&e.loc)].push_back(e);
+        };
+        for _ in 0..=rng.below(40) {
+            push(&mut rng, &mut queues, &mut shadow);
+        }
+        loop {
+            // Arrivals interleave with issues, as in the service engine.
+            if rng.below(4) == 0 {
+                push(&mut rng, &mut queues, &mut shadow);
+            }
+            let cached = queues.earliest(&mut [device.as_mut()]);
+            let scanned = brute_force_scan(&shadow, &free, device.as_mut(), scheduler);
+            prop_assert_eq!(cached, scanned.map(|(at, bank, _)| (at, bank)));
+            let Some((at, bank, pos)) = scanned else { break };
+            let e = queues.take(bank);
+            prop_assert_eq!(Some(e), shadow[bank].remove(pos));
+            let timing = device.access(&e.loc, e.op, at);
+            free[bank] = timing.bank_free_at;
+            queues.set_bank_free(bank, timing.bank_free_at);
+        }
     }
 }

@@ -6,6 +6,12 @@
 //! sits in front of the per-bank command queues, and one logical device is
 //! partitioned across several backend instances by channel.
 //!
+//! The per-bank command queues and the choice of the next issue are
+//! [`memsim::BankQueues`], the scheduler trace replay uses too. It caches
+//! each bank's FCFS / FR-FCFS choice and re-probes a bank only after its
+//! own issue or an enqueue into its window, which is sound because device
+//! probes are pure queries (the [`memsim::MemoryDevice`] probe contract).
+//!
 //! # Event order and determinism
 //!
 //! The core is a single discrete-event loop. At every step it knows four
@@ -36,11 +42,11 @@ use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
 use crate::stats::{ChannelStats, DepthSeries, ServeReport, TailHistogram, TenantStats};
 use comet_units::{ByteCount, Energy, Time};
 use memsim::{
-    AddressMap, CompletedRequest, DecodedAddress, DeviceFactory, Interleave, LineData, MemOp,
-    MemRequest, MemoryDevice, Scheduler, SimStats, WorkloadProfile,
+    AddressMap, BankQueues, CompletedRequest, DecodedAddress, DeviceFactory, Interleave, LineData,
+    MemOp, MemRequest, MemoryDevice, Pending, Scheduler, SimStats, WorkloadProfile,
 };
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A queued (admitted but not yet issued) request.
 #[derive(Debug, Clone)]
@@ -60,6 +66,16 @@ pub(crate) struct Queued {
     pub(crate) payload: Option<LineData>,
     /// Same-line writes coalesced into this one: `(id, tenant, arrival)`.
     pub(crate) absorbed: Vec<(u64, usize, Time)>,
+}
+
+impl Pending for Queued {
+    fn loc(&self) -> &DecodedAddress {
+        &self.loc
+    }
+
+    fn ready(&self) -> Time {
+        self.ready
+    }
 }
 
 /// A scheduled completion event.
@@ -222,10 +238,11 @@ pub fn run_service_with_sources(
     )
     .expect("device topology dimensions must be powers of two");
 
-    let nbanks = (topo.channels * topo.banks) as usize;
-    let mut queues: Vec<VecDeque<Queued>> = Vec::new();
-    queues.resize_with(nbanks, VecDeque::new);
-    let mut bank_free = vec![Time::ZERO; nbanks];
+    let mut queues = BankQueues::new(topo, spec.scheduler);
+    let mut devices: Vec<&mut dyn MemoryDevice> = shards
+        .iter_mut()
+        .map(|d| d.as_mut() as &mut dyn MemoryDevice)
+        .collect();
     let mut bus_free = vec![Time::ZERO; topo.channels as usize];
 
     let mut mux = TenantMux::new(sources);
@@ -243,12 +260,6 @@ pub fn run_service_with_sources(
     let mut in_system: u64 = 0;
     let mut batched_writes: u64 = 0;
 
-    // Enqueues a (possibly released) request at its bank queue.
-    let enqueue = |queues: &mut Vec<VecDeque<Queued>>, q: Queued| {
-        let bank = (q.loc.channel * topo.banks + q.loc.bank) as usize;
-        queues[bank].push_back(q);
-    };
-
     loop {
         let t_complete = completions.peek().map(|Reverse(c)| c.finished);
         let t_release = batcher.as_ref().and_then(WriteBatcher::next_release);
@@ -257,15 +268,8 @@ pub fn run_service_with_sources(
             MuxPoll::Ready { at, .. } => Some(at),
             _ => None,
         };
-        let issue = scan_issue(
-            &queues,
-            &mut shards,
-            shard_count,
-            topo.banks,
-            &bank_free,
-            spec.scheduler,
-        );
-        let t_issue = issue.map(|(t, _, _)| t);
+        let issue = queues.earliest(&mut devices);
+        let t_issue = issue.map(|(t, _)| t);
 
         // Pick the earliest candidate; iteration order is the tie-break
         // priority (completion, release, arrival, issue).
@@ -330,7 +334,7 @@ pub fn run_service_with_sources(
                     .release_due(now);
                 for mut w in released {
                     w.ready = now;
-                    enqueue(&mut queues, w);
+                    queues.push(w);
                 }
             }
             Some((now, 2)) => {
@@ -362,7 +366,7 @@ pub fn run_service_with_sources(
                         batched_writes += 1;
                         for mut w in b.admit(q, now) {
                             w.ready = now;
-                            enqueue(&mut queues, w);
+                            queues.push(w);
                         }
                     }
                     (Some(b), MemOp::Read) => {
@@ -370,24 +374,24 @@ pub fn run_service_with_sources(
                         // ahead of the read.
                         for mut w in b.flush_row(loc.channel, loc.bank, loc.row) {
                             w.ready = now;
-                            enqueue(&mut queues, w);
+                            queues.push(w);
                         }
-                        enqueue(&mut queues, q);
+                        queues.push(q);
                     }
-                    (None, _) => enqueue(&mut queues, q),
+                    (None, _) => queues.push(q),
                 }
             }
             Some((now, _)) => {
                 // Issue.
-                let (_, bank, pos) = issue.expect("issue candidate present");
-                let q = queues[bank].remove(pos).expect("position was validated");
-                let shard = shards[(q.loc.channel as usize) % shard_count].as_mut();
-                let timing = shard.access_line(&q.loc, q.op, now, q.payload.as_ref());
+                let (_, bank) = issue.expect("issue candidate present");
+                let q = queues.take(bank);
                 let ch = q.loc.channel as usize;
+                let timing =
+                    devices[ch % shard_count].access_line(&q.loc, q.op, now, q.payload.as_ref());
                 let transfer_start = timing.data_ready_at.max(bus_free[ch]);
                 let transfer_end = transfer_start + timing.bus_occupancy;
                 bus_free[ch] = transfer_end;
-                bank_free[bank] = timing.bank_free_at;
+                queues.set_bank_free(bank, timing.bank_free_at);
                 stats.energy.access += timing.energy;
                 channels[ch].busy += timing.bus_occupancy;
                 completions.push(Reverse(Completion {
@@ -413,7 +417,7 @@ pub fn run_service_with_sources(
     // below model fidelity) makes the total independent of how banks were
     // partitioned, which the shard-invariance guarantee requires exactly.
     let mut drained_fj: f64 = 0.0;
-    for shard in &mut shards {
+    for shard in &mut devices {
         drained_fj += (shard.drain_accumulated_energy().as_joules() * 1e15).round();
     }
     stats.energy.refresh = Energy::from_joules(drained_fj * 1e-15);
@@ -432,52 +436,6 @@ pub fn run_service_with_sources(
         coalesced_writes: batcher.as_ref().map_or(0, WriteBatcher::coalesced),
         shards: shard_count,
     }
-}
-
-/// Finds the earliest-issuable queued request: `(issue time, bank index,
-/// queue position)`. Mirrors `run_simulation`'s scheduling (FCFS head, or
-/// FR-FCFS best-of-window with row hits winning ties).
-fn scan_issue(
-    queues: &[VecDeque<Queued>],
-    shards: &mut [Box<dyn MemoryDevice>],
-    shard_count: usize,
-    banks: u64,
-    bank_free: &[Time],
-    scheduler: Scheduler,
-) -> Option<(Time, usize, usize)> {
-    let mut best: Option<(Time, usize, usize)> = None;
-    for (b, queue) in queues.iter().enumerate() {
-        if queue.is_empty() {
-            continue;
-        }
-        let ch = b / banks as usize;
-        let dev = shards[ch % shard_count].as_mut();
-        let (pos, ready) = match scheduler {
-            Scheduler::Fcfs => {
-                let q = &queue[0];
-                let base = bank_free[b].max(q.ready);
-                (0, dev.bank_available(&q.loc, base))
-            }
-            Scheduler::FrFcfs { window } => {
-                let mut chosen = (0usize, Time::from_seconds(f64::INFINITY), false);
-                for (p, q) in queue.iter().take(window).enumerate() {
-                    let base = bank_free[b].max(q.ready);
-                    let ready = dev.bank_available(&q.loc, base);
-                    let hit = dev.row_hit(&q.loc);
-                    let better = ready < chosen.1 || (ready == chosen.1 && hit && !chosen.2);
-                    if better {
-                        chosen = (p, ready, hit);
-                    }
-                }
-                (chosen.0, chosen.1)
-            }
-        };
-        match best {
-            Some((t, _, _)) if ready >= t => {}
-            _ => best = Some((ready, b, pos)),
-        }
-    }
-    best
 }
 
 #[cfg(test)]
