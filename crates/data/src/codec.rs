@@ -12,6 +12,11 @@
 //! (the [`opcm_phys::ProgramTable`] range), including non-divisors of 8:
 //! the final partial chunk is zero-padded on encode and the pad is
 //! discarded on decode.
+//!
+//! Encoding is on the write pricer's hot path, so it runs as one shift
+//! register over the bytes (no per-bit indexing), and
+//! [`LineCodec::encode_into`] writes straight into a caller's buffer —
+//! the pricer encodes into the very image it returns.
 
 /// Binary-reflected Gray code of `v` (within `bits` bits).
 fn gray(v: u8) -> u8 {
@@ -74,25 +79,41 @@ impl LineCodec {
 
     /// Encodes bytes into one Gray-coded level per cell.
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let b = self.bits as usize;
-        let total_bits = data.len() * 8;
         let mut levels = Vec::with_capacity(self.cells_for(data.len()));
-        let mut bit = 0usize;
-        while bit < total_bits {
-            let mut chunk = 0u8;
-            for k in 0..b {
-                chunk <<= 1;
-                let i = bit + k;
-                if i < total_bits {
-                    let byte = data[i / 8];
-                    chunk |= (byte >> (7 - i % 8)) & 1;
-                }
-                // Past the end: zero pad (the shift already inserted 0).
-            }
-            levels.push(gray(chunk));
-            bit += b;
-        }
+        self.encode_into(data, &mut levels);
         levels
+    }
+
+    /// Appends the levels of `data` to `out` (the allocation-free form of
+    /// [`LineCodec::encode`]: a caller that sized `out` for the cells
+    /// never reallocates).
+    pub fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.cells_for(data.len()), 0);
+        self.encode_to(data, &mut out[start..]);
+    }
+
+    /// Writes the levels of `data` into `out`, which holds exactly
+    /// [`LineCodec::cells_for`]`(data.len())` cells.
+    ///
+    /// One shift register, MSB-first: `bits` bytes hold exactly eight
+    /// `bits`-wide chunks, so each group of `bits` bytes is appended to
+    /// the register and emits eight levels; a short final group is
+    /// zero-padded and emits only the cells its bits reach.
+    pub(crate) fn encode_to(&self, data: &[u8], out: &mut [u8]) {
+        debug_assert_eq!(out.len(), self.cells_for(data.len()));
+        let b = self.bits as usize;
+        let mask = (1u64 << b) - 1;
+        for (group, cells) in data.chunks(b).zip(out.chunks_mut(8)) {
+            let mut register = 0u64;
+            for &byte in group {
+                register = register << 8 | u64::from(byte);
+            }
+            register <<= 8 * (b - group.len());
+            for (k, cell) in cells.iter_mut().enumerate() {
+                *cell = gray(((register >> (b * (7 - k))) & mask) as u8);
+            }
+        }
     }
 
     /// Decodes levels back into `len` bytes (the inverse of

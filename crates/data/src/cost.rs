@@ -20,6 +20,12 @@
 //! the device cannot skip the erase without reading first — which is what
 //! makes DCW's read-modify-compare a strict win: a conserved cell costs
 //! one read probe instead of a full reset+program.
+//!
+//! The model is table-driven: construction evaluates
+//! [`TransitionCostModel::transition`] for every level pair (16 × 16 at
+//! 4 bits) and [`TransitionCostModel::oblivious`] for every level, and the
+//! write policies price cells by indexing those tables. The functions stay
+//! the single definition of each price; the tables only cache them.
 
 use comet_units::{Energy, Time};
 use opcm_phys::{CellThermalModel, ProgramMode, ProgramTable};
@@ -78,6 +84,10 @@ pub struct TransitionCostModel {
     /// Per-cell read probe price (the RMW overhead DCW-class policies pay
     /// on every cell of every write).
     read: Price,
+    /// `transition(old, new)` at index `old * levels + new`.
+    transitions: Vec<Price>,
+    /// `oblivious(level)` at index `level`.
+    obliviouses: Vec<Price>,
 }
 
 impl TransitionCostModel {
@@ -96,7 +106,7 @@ impl TransitionCostModel {
             ProgramMode::AmorphousReset => 0,
             ProgramMode::CrystallineReset => (table.levels.len() - 1) as u8,
         };
-        TransitionCostModel {
+        let mut model = TransitionCostModel {
             bits: table.bits,
             program,
             reset: Price {
@@ -108,7 +118,16 @@ impl TransitionCostModel {
                 energy: Energy::from_picojoules(1.0),
                 latency: Time::from_nanos(10.0),
             },
-        }
+            transitions: Vec::new(),
+            obliviouses: Vec::new(),
+        };
+        let levels = model.levels();
+        model.transitions = (0..levels)
+            .flat_map(|old| (0..levels).map(move |new| (old, new)))
+            .map(|(old, new)| model.transition(old, new))
+            .collect();
+        model.obliviouses = (0..levels).map(|l| model.oblivious(l)).collect();
+        model
     }
 
     /// The workspace's reference model: the COMET GST cell programmed in
@@ -188,6 +207,17 @@ impl TransitionCostModel {
             }
         }
         via_reset
+    }
+
+    /// The precomputed [`TransitionCostModel::transition`] matrix,
+    /// row-major: `transition(old, new)` sits at `old * levels + new`.
+    pub(crate) fn transition_table(&self) -> &[Price] {
+        &self.transitions
+    }
+
+    /// The precomputed [`TransitionCostModel::oblivious`] price per level.
+    pub(crate) fn oblivious_table(&self) -> &[Price] {
+        &self.obliviouses
     }
 
     /// The content-oblivious per-cell price: erase, then program the
@@ -285,6 +315,59 @@ mod tests {
         let direct = m.transition(0, 9).energy;
         let stepped = m.transition(0, 4).energy + m.transition(4, 9).energy;
         assert!((direct.as_picojoules() - stepped.as_picojoules()).abs() < 1e-6);
+    }
+
+    /// Both caches equal, bit for bit, the functions they cache.
+    fn assert_tables_pin(m: &TransitionCostModel) {
+        let n = m.levels();
+        let same = |a: Price, b: Price| {
+            a.energy.as_joules().to_bits() == b.energy.as_joules().to_bits()
+                && a.latency.as_seconds().to_bits() == b.latency.as_seconds().to_bits()
+        };
+        assert_eq!(m.transition_table().len(), n as usize * n as usize);
+        assert_eq!(m.oblivious_table().len(), n as usize);
+        for old in 0..n {
+            for new in 0..n {
+                let cached = m.transition_table()[old as usize * n as usize + new as usize];
+                assert!(same(cached, m.transition(old, new)), "{old}->{new} in {m}");
+            }
+            assert!(same(m.oblivious_table()[old as usize], m.oblivious(old)));
+        }
+    }
+
+    #[test]
+    fn tables_pin_the_functions_for_every_gst_width() {
+        for bits in 1..=4 {
+            assert_tables_pin(&TransitionCostModel::gst(bits));
+        }
+    }
+
+    #[test]
+    fn tables_pin_the_functions_for_a_crystalline_reset_table() {
+        for bits in 1..=4 {
+            let table = ProgramTable::generate(
+                &CellThermalModel::comet_gst(),
+                ProgramMode::CrystallineReset,
+                bits,
+            )
+            .expect("generates");
+            let m = TransitionCostModel::from_program_table(&table);
+            assert_eq!(m.reset_level(), m.levels() - 1);
+            assert_tables_pin(&m);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bits per cell must be in 1..=6")]
+    fn building_past_the_table_range_still_panics() {
+        let _ = TransitionCostModel::gst(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "level range")]
+    fn transition_still_checks_its_range() {
+        let m = model();
+        let _ = m.transition(m.levels(), 0);
     }
 
     #[test]

@@ -11,15 +11,23 @@
 //!   DOTA transformer-weight distribution (fp16, DeiT init scale via
 //!   [`PayloadSpec::transformer`]), and complement-heavy toggling;
 //! * [`LineCodec`] — bytes ↔ Gray-coded MLC levels, `bits`-aware, exact
-//!   round trip for every width the programming tables support;
+//!   round trip for every width the programming tables support, encoded
+//!   by one shift register ([`LineCodec::encode_into`] writes into a
+//!   caller's buffer);
 //! * [`TransitionCostModel`] — level→level write prices derived from the
 //!   physics layer's [`opcm_phys::ProgramTable`] (cumulative pulses along
 //!   the programming direction, erase-and-rewrite against it), replacing
-//!   the flat constant;
+//!   the flat constant, and cached as a level × level table when built;
 //! * [`DataWriteModel`] — the [`memsim::WritePricer`] implementing the
 //!   write-reduction policies of the DCW/Flip-N-Write literature
 //!   ([`DataPolicy::Oblivious`] | [`DataPolicy::Dcw`] |
 //!   [`DataPolicy::DcwFnw`]).
+//!
+//! The per-write path is table-driven and allocates only the image it
+//! returns: cells are priced by indexing the cost tables, each
+//! Flip-N-Write word takes one pass, and every price stays bit-equal to
+//! the per-transition definitions (proptested against a reference
+//! implementation in `tests/properties.rs`).
 //!
 //! Integration: `memsim` requests carry an optional [`memsim::LineData`]
 //! and the EPCM device dispatches to a pricer over a backing line store;

@@ -26,6 +26,16 @@
 //! First touch prices from the all-reset state (an erased array), which
 //! keeps runs deterministic.
 //!
+//! **The per-write path is table-driven and allocates once.** The codec
+//! encodes straight into the returned image (sized at exactly one level
+//! per cell plus one flip byte per word), every cell's price is an index
+//! into the [`TransitionCostModel`]'s precomputed matrix, and each word
+//! takes one pass that sums the keep and toggle options side by side —
+//! in cell order, flip cell last, so every energy sum is bit-equal to
+//! pricing the two options one after the other with
+//! [`TransitionCostModel::transition`]. A chosen flip complements the
+//! word's levels in place.
+//!
 //! **What the FNW ≤ DCW ordering does and does not guarantee.** From
 //! equal stored state, FNW's keep option *is* the DCW write, so each
 //! decision is never worse than DCW on programmed cells or energy — a
@@ -47,6 +57,10 @@ use std::fmt;
 
 /// Data bits per Flip-N-Write word (the classic granularity).
 const WORD_BITS: usize = 32;
+
+/// Cells in the longest line (one-bit cells): the size of the stack
+/// buffers the pricer uses instead of allocating.
+const MAX_CELLS: usize = memsim::MAX_LINE_BYTES * 8;
 
 /// How a [`DataWriteModel`] prices writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -161,52 +175,36 @@ impl DataWriteModel {
     fn flip_mask(&self) -> u8 {
         (1u16 << self.codec.bits()) as u8 - 1
     }
+}
 
-    /// Splits a stored image into (cell levels, flip bytes). Images are
-    /// written by this model, so the split is by construction; a missing
-    /// image means an erased line (all cells at the reset level, flips 0).
-    fn split_image<'i>(&self, image: &'i [u8], cells: usize) -> (&'i [u8], &'i [u8]) {
-        image.split_at(cells.min(image.len()))
+/// One option's running totals: programmed cells, summed energy and the
+/// slowest pulse.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    cells: u64,
+    energy: Energy,
+    /// The slowest pulse's duration in seconds, as `f64` bits. Prices are
+    /// finite and non-negative, and for such floats the bit patterns order
+    /// like the values, so an integer max picks exactly the pulse
+    /// `Time::max` would — without the NaN handling that makes a float max
+    /// the longest dependency chain in the per-cell loop.
+    slowest: u64,
+}
+
+impl Tally {
+    /// Adds one cell's price; `programs` is false for a conserved cell,
+    /// whose zero price leaves the (non-negative) sums bit-equal.
+    fn add(&mut self, programs: bool, p: Price) {
+        let pulse = p.latency.as_seconds();
+        debug_assert!(pulse.is_finite() && pulse.is_sign_positive());
+        self.cells += u64::from(programs);
+        self.energy += p.energy;
+        self.slowest = self.slowest.max(pulse.to_bits());
     }
 
-    /// Prices one word under a fixed flip state. `old` holds physical
-    /// levels, `logical` the target data chunks (pre-Gray values are not
-    /// needed: flipping complements the chunk, and the codec's Gray map is
-    /// applied per cell here).
-    fn word_price(
-        &self,
-        old: &[u8],
-        target_plain: &[u8],
-        flip: bool,
-        old_flip: bool,
-    ) -> (u64, Price) {
-        let mask = self.flip_mask();
-        let mut cells = 0u64;
-        let mut energy = Energy::ZERO;
-        let mut latency = Time::ZERO;
-        for (&o, &t) in old.iter().zip(target_plain) {
-            let target = if flip { flip_level(t, mask) } else { t };
-            if o != target {
-                let p = self.costs.transition(o, target);
-                cells += 1;
-                energy += p.energy;
-                latency = latency.max(p.latency);
-            }
-        }
-        if flip != old_flip {
-            // The flip cell toggles between the reset level and the
-            // deepest level — one more transition on the same array.
-            let (from, to) = if old_flip {
-                (self.costs.levels() - 1, 0)
-            } else {
-                (0, self.costs.levels() - 1)
-            };
-            let p = self.costs.transition(from, to);
-            cells += 1;
-            energy += p.energy;
-            latency = latency.max(p.latency);
-        }
-        (cells, Price { energy, latency })
+    /// The slowest pulse.
+    fn latency(&self) -> Time {
+        Time::from_seconds(f64::from_bits(self.slowest))
     }
 }
 
@@ -220,22 +218,21 @@ fn flip_level(level: u8, mask: u8) -> u8 {
 
 impl WritePricer for DataWriteModel {
     fn price_write(&self, stored: Option<&[u8]>, data: &LineData) -> PricedWrite {
-        let new_levels = self.codec.encode(data.bytes());
-        let cells = new_levels.len();
+        let cells = self.codec.cells_for(data.len());
 
         if self.policy == DataPolicy::Oblivious {
             // Erase + program every cell; no state kept.
-            let mut energy = Energy::ZERO;
-            let mut latency = Time::ZERO;
-            for &l in &new_levels {
-                let p = self.costs.oblivious(l);
-                energy += p.energy;
-                latency = latency.max(p.latency);
+            let mut levels = [0u8; MAX_CELLS];
+            self.codec.encode_to(data.bytes(), &mut levels[..cells]);
+            let table = self.costs.oblivious_table();
+            let mut total = Tally::default();
+            for &l in &levels[..cells] {
+                total.add(true, table[l as usize]);
             }
             return PricedWrite {
                 cost: WriteCost {
-                    energy,
-                    latency,
+                    energy: total.energy,
+                    latency: total.latency(),
                     cells_written: cells as u64,
                     cells_total: cells as u64,
                 },
@@ -250,71 +247,94 @@ impl WritePricer for DataWriteModel {
         let mut pulse = Time::ZERO;
         let mut written = 0u64;
 
-        let reset_level = self.costs.reset_level(); // 0: enforced by `new`
-        let empty: &[u8] = &[];
-        let (old_levels, old_flips) = match stored {
-            Some(image) => self.split_image(image, cells),
-            None => (empty, empty),
+        // A missing image is an erased line: every cell at the reset
+        // level (0, enforced by `new`) and every flip state off. Images
+        // are written by this model, so the split is by construction; a
+        // truncated one reads as erased past its end.
+        let image = stored.unwrap_or(&[]);
+        let (old_levels, old_flips) = image.split_at(cells.min(image.len()));
+        let erased: [u8; MAX_CELLS];
+        let old_levels = if old_levels.len() == cells {
+            old_levels
+        } else {
+            erased = {
+                let mut padded = [0u8; MAX_CELLS];
+                padded[..old_levels.len()].copy_from_slice(old_levels);
+                padded
+            };
+            &erased[..cells]
         };
-        let old_at = |c: usize| old_levels.get(c).copied().unwrap_or(reset_level);
 
         let word = self.word_cells();
-        let words = cells.div_ceil(word.max(1));
+        let words = cells.div_ceil(word);
+        // The returned image, allocated once at its final size: the new
+        // levels (flipped in place per word), then one flip byte per word.
+        let mut levels = Vec::with_capacity(cells + words);
+        self.codec.encode_into(data.bytes(), &mut levels);
+
+        let fnw = self.policy == DataPolicy::DcwFnw;
+        let table = self.costs.transition_table();
+        let n = self.costs.levels() as usize;
+        let mask = self.flip_mask();
+        // The flip cell toggles between the reset level and the deepest
+        // level — one more transition on the same array.
+        let flip_on = table[n - 1];
+        let flip_off = table[(n - 1) * n];
         let flip_margin = self.costs.reset_price().energy;
-        let mut image_levels = vec![0u8; cells];
-        let mut image_flips = vec![0u8; words];
 
-        for (w, flip_slot) in image_flips.iter_mut().enumerate() {
-            let span = (w * word)..((w * word + word).min(cells));
-            let old: Vec<u8> = span.clone().map(old_at).collect();
-            let target = &new_levels[span.clone()];
-            let old_flip = old_flips.get(w).copied().unwrap_or(0) != 0;
+        for (w, start) in (0..cells).step_by(word).enumerate() {
+            let span = start..(start + word).min(cells);
+            let target = &mut levels[span.clone()];
+            let old_flip = old_flips.get(w).is_some_and(|&f| f != 0);
 
-            let (keep_cells, keep_price) = self.word_price(&old, target, old_flip, old_flip);
-            let (cells_chosen, price, flip) = if self.policy == DataPolicy::DcwFnw {
-                let (toggle_cells, toggle_price) =
-                    self.word_price(&old, target, !old_flip, old_flip);
-                // Toggle only on a Pareto win with margin: no more
-                // programmed cells AND at least one erase's worth of
-                // energy saved. The keep option *is* the plain DCW write,
-                // so from equal stored state Flip-N-Write is never worse
-                // than DCW on either axis. (Classic count-only FNW would
-                // flip whenever it writes fewer cells; with per-transition
-                // costs that can buy fewer-but-deeper pulses, so energy
-                // gates the flip too. The margin drops *marginal* flips —
-                // the ones whose banked saving could be dwarfed by a later
-                // write's cost of being in the flipped domain; only
-                // high-yield flips like full complements survive. The
-                // greedy decision still cannot bound cumulative regret
-                // structurally — see the module docs — which is why the
-                // swept ordering is asserted as a pinned-seed regression
-                // gate, not claimed as a theorem.)
-                let improves = toggle_cells <= keep_cells
-                    && toggle_price.energy + flip_margin <= keep_price.energy;
-                if improves {
-                    (toggle_cells, toggle_price, !old_flip)
+            // Keep and toggle side by side, cell by cell, then the flip
+            // cell: the order pricing each option alone would sum in.
+            let mut keep = Tally::default();
+            let mut toggle = Tally::default();
+            for (&o, &t) in old_levels[span].iter().zip(target.iter()) {
+                let (same, other) = if old_flip {
+                    (flip_level(t, mask), t)
                 } else {
-                    (keep_cells, keep_price, old_flip)
-                }
-            } else {
-                (keep_cells, keep_price, old_flip)
-            };
-
-            written += cells_chosen;
-            energy += price.energy;
-            pulse = pulse.max(price.latency);
-            let mask = self.flip_mask();
-            for (i, c) in span.enumerate() {
-                image_levels[c] = if flip {
-                    flip_level(target[i], mask)
-                } else {
-                    target[i]
+                    (t, flip_level(t, mask))
                 };
+                let row = o as usize * n;
+                keep.add(o != same, table[row + same as usize]);
+                if fnw {
+                    toggle.add(o != other, table[row + other as usize]);
+                }
             }
-            *flip_slot = flip as u8;
+
+            // Toggle only on a Pareto win with margin: no more programmed
+            // cells AND at least one erase's worth of energy saved. The
+            // keep option *is* the plain DCW write, so from equal stored
+            // state Flip-N-Write is never worse than DCW on either axis.
+            // (Classic count-only FNW would flip whenever it writes fewer
+            // cells; with per-transition costs that can buy
+            // fewer-but-deeper pulses, so energy gates the flip too. The
+            // margin drops *marginal* flips — the ones whose banked saving
+            // could be dwarfed by a later write's cost of being in the
+            // flipped domain; only high-yield flips like full complements
+            // survive. The greedy decision still cannot bound cumulative
+            // regret structurally — see the module docs — which is why the
+            // swept ordering is asserted as a pinned-seed regression gate,
+            // not claimed as a theorem.)
+            let toggled = fnw && {
+                toggle.add(true, if old_flip { flip_off } else { flip_on });
+                toggle.cells <= keep.cells && toggle.energy + flip_margin <= keep.energy
+            };
+            let chosen = if toggled { toggle } else { keep };
+            written += chosen.cells;
+            energy += chosen.energy;
+            pulse = pulse.max(chosen.latency());
+            let flip = old_flip != toggled;
+            if flip {
+                for t in target.iter_mut() {
+                    *t = flip_level(*t, mask);
+                }
+            }
+            levels.push(flip as u8);
         }
 
-        image_levels.extend_from_slice(&image_flips);
         PricedWrite {
             cost: WriteCost {
                 energy,
@@ -323,7 +343,7 @@ impl WritePricer for DataWriteModel {
                 cells_written: written,
                 cells_total: cells as u64,
             },
-            image: Some(image_levels),
+            image: Some(levels),
         }
     }
 

@@ -5,10 +5,13 @@
 //! more cells than DCW from the same state, and with one-bit cells never
 //! more than half of each word, flip cell included); the per-transition
 //! cost model orders the policies DCW+FNW ≤ DCW ≤ oblivious on every
-//! write from a shared state.
+//! write from a shared state; and the table-driven codec and pricer agree
+//! bit for bit with the straightforward per-bit / per-word reference
+//! implementations kept below.
 
-use comet_data::{DataPolicy, DataWriteModel, LineCodec, PayloadSpec, TransitionCostModel};
-use memsim::{LineData, WritePricer};
+use comet_data::{DataPolicy, DataWriteModel, LineCodec, PayloadSpec, Price, TransitionCostModel};
+use comet_units::{Energy, Time};
+use memsim::{LineData, PricedWrite, WriteCost, WritePricer};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -60,6 +63,204 @@ fn symmetric_slc_table() -> opcm_phys::ProgramTable {
     }
 }
 
+// --- reference implementations --------------------------------------------
+//
+// The original, obviously-correct forms of the codec and the pricer: a
+// bit-at-a-time encoder and a pricer that prices each Flip-N-Write option
+// in its own pass of `transition()` calls. The shipped code must match
+// them exactly, including every f64 sum's bits.
+
+fn reference_encode(bits: u8, data: &[u8]) -> Vec<u8> {
+    let b = bits as usize;
+    let total_bits = data.len() * 8;
+    let mut levels = Vec::new();
+    let mut bit = 0usize;
+    while bit < total_bits {
+        let mut chunk = 0u8;
+        for k in 0..b {
+            chunk <<= 1;
+            let i = bit + k;
+            if i < total_bits {
+                chunk |= (data[i / 8] >> (7 - i % 8)) & 1;
+            }
+        }
+        levels.push(chunk ^ (chunk >> 1));
+        bit += b;
+    }
+    levels
+}
+
+fn reference_flip_level(level: u8, mask: u8) -> u8 {
+    level ^ (mask & !(mask >> 1))
+}
+
+fn reference_word_price(
+    costs: &TransitionCostModel,
+    mask: u8,
+    old: &[u8],
+    target_plain: &[u8],
+    flip: bool,
+    old_flip: bool,
+) -> (u64, Price) {
+    let mut cells = 0u64;
+    let mut energy = Energy::ZERO;
+    let mut latency = Time::ZERO;
+    for (&o, &t) in old.iter().zip(target_plain) {
+        let target = if flip {
+            reference_flip_level(t, mask)
+        } else {
+            t
+        };
+        if o != target {
+            let p = costs.transition(o, target);
+            cells += 1;
+            energy += p.energy;
+            latency = latency.max(p.latency);
+        }
+    }
+    if flip != old_flip {
+        let (from, to) = if old_flip {
+            (costs.levels() - 1, 0)
+        } else {
+            (0, costs.levels() - 1)
+        };
+        let p = costs.transition(from, to);
+        cells += 1;
+        energy += p.energy;
+        latency = latency.max(p.latency);
+    }
+    (cells, Price { energy, latency })
+}
+
+fn reference_price_write(
+    model: &DataWriteModel,
+    stored: Option<&[u8]>,
+    data: &LineData,
+) -> PricedWrite {
+    let costs = model.costs();
+    let bits = model.codec().bits();
+    let new_levels = reference_encode(bits, data.bytes());
+    let cells = new_levels.len();
+
+    if model.policy() == DataPolicy::Oblivious {
+        let mut energy = Energy::ZERO;
+        let mut latency = Time::ZERO;
+        for &l in &new_levels {
+            let p = costs.oblivious(l);
+            energy += p.energy;
+            latency = latency.max(p.latency);
+        }
+        return PricedWrite {
+            cost: WriteCost {
+                energy,
+                latency,
+                cells_written: cells as u64,
+                cells_total: cells as u64,
+            },
+            image: None,
+        };
+    }
+
+    let probe = costs.read_probe();
+    let mut energy = probe.energy * cells as f64;
+    let mut pulse = Time::ZERO;
+    let mut written = 0u64;
+
+    let reset_level = costs.reset_level();
+    let empty: &[u8] = &[];
+    let (old_levels, old_flips) = match stored {
+        Some(image) => image.split_at(cells.min(image.len())),
+        None => (empty, empty),
+    };
+    let old_at = |c: usize| old_levels.get(c).copied().unwrap_or(reset_level);
+
+    let word = model.word_cells();
+    let words = cells.div_ceil(word.max(1));
+    let flip_margin = costs.reset_price().energy;
+    let mask = (1u16 << bits) as u8 - 1;
+    let mut image_levels = vec![0u8; cells];
+    let mut image_flips = vec![0u8; words];
+
+    for (w, flip_slot) in image_flips.iter_mut().enumerate() {
+        let span = (w * word)..((w * word + word).min(cells));
+        let old: Vec<u8> = span.clone().map(old_at).collect();
+        let target = &new_levels[span.clone()];
+        let old_flip = old_flips.get(w).copied().unwrap_or(0) != 0;
+
+        let (keep_cells, keep_price) =
+            reference_word_price(costs, mask, &old, target, old_flip, old_flip);
+        let (cells_chosen, price, flip) = if model.policy() == DataPolicy::DcwFnw {
+            let (toggle_cells, toggle_price) =
+                reference_word_price(costs, mask, &old, target, !old_flip, old_flip);
+            let improves = toggle_cells <= keep_cells
+                && toggle_price.energy + flip_margin <= keep_price.energy;
+            if improves {
+                (toggle_cells, toggle_price, !old_flip)
+            } else {
+                (keep_cells, keep_price, old_flip)
+            }
+        } else {
+            (keep_cells, keep_price, old_flip)
+        };
+
+        written += cells_chosen;
+        energy += price.energy;
+        pulse = pulse.max(price.latency);
+        for (i, c) in span.enumerate() {
+            image_levels[c] = if flip {
+                reference_flip_level(target[i], mask)
+            } else {
+                target[i]
+            };
+        }
+        *flip_slot = flip as u8;
+    }
+
+    image_levels.extend_from_slice(&image_flips);
+    PricedWrite {
+        cost: WriteCost {
+            energy,
+            latency: probe.latency + pulse,
+            cells_written: written,
+            cells_total: cells as u64,
+        },
+        image: Some(image_levels),
+    }
+}
+
+/// `PricedWrite` equality with the floats compared by bit pattern, so a
+/// reassociated sum that happens to round the same still has to match
+/// exactly (and -0.0 cannot pass for 0.0).
+fn same_bits(a: &PricedWrite, b: &PricedWrite) -> bool {
+    a == b
+        && a.cost.energy.as_joules().to_bits() == b.cost.energy.as_joules().to_bits()
+        && a.cost.latency.as_seconds().to_bits() == b.cost.latency.as_seconds().to_bits()
+}
+
+/// The next payload of a write sequence: fresh bytes, the complement of
+/// the previous payload (Flip-N-Write's best case), the previous payload
+/// with a few bytes changed (a sparse in-place update), or a complement
+/// with a few bytes changed (flips whose toggled words still program
+/// cells, so the order of the toggle sum matters).
+fn next_payload(previous: &[u8], kind: u8, fresh: &[u8]) -> Vec<u8> {
+    let complement = || previous.iter().map(|b| !b).collect::<Vec<u8>>();
+    let touch = |mut line: Vec<u8>| {
+        for (i, &f) in fresh.iter().enumerate().take(4) {
+            if !line.is_empty() {
+                let at = (f as usize * 31 + i) % line.len();
+                line[at] ^= f | 1;
+            }
+        }
+        line
+    };
+    match kind % 4 {
+        0 => fresh.to_vec(),
+        1 => complement(),
+        2 => touch(previous.to_vec()),
+        _ => touch(complement()),
+    }
+}
+
 proptest! {
     // --- codec ---------------------------------------------------------------
 
@@ -75,6 +276,67 @@ proptest! {
             prop_assert!(l < codec.levels());
         }
         prop_assert_eq!(codec.decode(&levels, data.len()), data);
+    }
+
+    #[test]
+    fn codec_matches_the_bit_walk_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..=128),
+        prefix in proptest::collection::vec(any::<u8>(), 0..4),
+        bits in 1u8..=6,
+    ) {
+        let codec = LineCodec::new(bits);
+        let reference = reference_encode(bits, &data);
+        prop_assert_eq!(codec.encode(&data), reference.clone());
+        // `encode_into` appends after whatever the buffer already holds.
+        let mut out = prefix.clone();
+        codec.encode_into(&data, &mut out);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &reference[..]);
+    }
+
+    // --- table-driven pricer vs the per-word reference ------------------------
+
+    #[test]
+    fn pricer_matches_the_per_word_reference(
+        writes in proptest::collection::vec(
+            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..=128), 0usize..=200),
+            1..6,
+        ),
+        bits in 1u8..=4,
+        slc in any::<bool>(),
+    ) {
+        // Each write prices from the image the previous one left (first:
+        // None). A `cut` of at most 100 truncates that image to `cut` % of
+        // its length; fresh payloads change length between writes, so
+        // whole images are also longer or shorter than the new line.
+        for policy in DataPolicy::ALL {
+            let model = if slc {
+                DataWriteModel::new(
+                    LineCodec::new(1),
+                    TransitionCostModel::from_program_table(&symmetric_slc_table()),
+                    policy,
+                )
+            } else {
+                model(bits, policy)
+            };
+            let mut image: Option<Vec<u8>> = None;
+            let mut payload: Vec<u8> = Vec::new();
+            for (kind, fresh, cut) in &writes {
+                payload = next_payload(&payload, *kind, fresh);
+                let line = LineData::from_bytes(&payload);
+                let stored = image
+                    .as_deref()
+                    .map(|i| if *cut <= 100 { &i[..i.len() * cut / 100] } else { i });
+                let got = model.price_write(stored, &line);
+                let want = reference_price_write(&model, stored, &line);
+                prop_assert!(
+                    same_bits(&got, &want),
+                    "{} at {} bits: {:?} != reference {:?}",
+                    policy, model.codec().bits(), got, want
+                );
+                image = got.image;
+            }
+        }
     }
 
     // --- Flip-N-Write conservation -------------------------------------------

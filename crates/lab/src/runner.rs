@@ -93,16 +93,42 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignReport {
     }
 }
 
-/// Resizes a profile to a device-native cache line, preserving total
-/// bytes (the Fig. 9 equal-bytes methodology). Rounded division, floored
-/// at one request: a non-divisible count lands within half a line of the
-/// target bytes instead of silently truncating to an empty cell.
+/// Rescales a budget of `requests` lines of `from` bytes to lines of `to`
+/// bytes, preserving total bytes (the Fig. 9 equal-bytes methodology).
+/// Rounded division, floored at one request: a non-divisible count lands
+/// within half a line of the target bytes instead of silently truncating
+/// to an empty cell.
+fn rescale_requests(requests: usize, from: u64, to: u64) -> usize {
+    ((requests as u64 * from + to / 2) / to).max(1) as usize
+}
+
+/// Resizes a profile to a device-native cache line (see
+/// [`rescale_requests`]).
 fn normalize_profile(profile: &memsim::WorkloadProfile, line: u64) -> memsim::WorkloadProfile {
     let mut profile = profile.clone();
-    let total_bytes = profile.requests as u64 * profile.line_bytes;
-    profile.requests = ((total_bytes + line / 2) / line).max(1) as usize;
+    profile.requests = rescale_requests(profile.requests, profile.line_bytes, line);
     profile.line_bytes = line;
     profile
+}
+
+/// Resizes a service scenario to a device-native cache line: each
+/// tenant's budget keeps its bytes, counted in lines of the profile that
+/// shapes the tenant (its own, else `fallback`), and any profile a tenant
+/// carries is resized like the cell's.
+fn normalize_serve(
+    serve: &comet_serve::ServeSpec,
+    fallback: &memsim::WorkloadProfile,
+    line: u64,
+) -> comet_serve::ServeSpec {
+    let mut serve = serve.clone();
+    for tenant in &mut serve.tenants {
+        let from = tenant.profile.as_ref().unwrap_or(fallback).line_bytes;
+        tenant.requests = rescale_requests(tenant.requests, from, line);
+        if let Some(profile) = &mut tenant.profile {
+            *profile = normalize_profile(profile, line);
+        }
+    }
+    serve
 }
 
 /// Runs one cell: private device(s), seeded trace or service scenario,
@@ -125,13 +151,17 @@ fn run_cell(spec: &CampaignSpec, index: usize) -> CellReport {
                 engine.label
             ),
         };
-        let profile = if spec.normalize_lines {
-            normalize_profile(profile, factory.device_topology().line_bytes)
+        let (profile, serve) = if spec.normalize_lines {
+            let line = factory.device_topology().line_bytes;
+            (
+                normalize_profile(profile, line),
+                normalize_serve(serve, profile, line),
+            )
         } else {
-            profile.clone()
+            (profile.clone(), serve.clone())
         };
         let report =
-            comet_serve::run_service(factory.as_ref(), serve, &profile, seed, workload.name());
+            comet_serve::run_service(factory.as_ref(), &serve, &profile, seed, workload.name());
         let tenants = report
             .tenants
             .iter()
@@ -336,6 +366,48 @@ mod tests {
         {
             assert!(cell.tenants.is_empty());
         }
+    }
+
+    #[test]
+    fn normalize_lines_rescales_serve_tenant_budgets() {
+        // A profile-less tenant counts its budget in lines of the cell's
+        // profile, a tenant with its own profile in lines of that one;
+        // both keep their bytes on a 128 B device.
+        let own = match small_profile("own") {
+            WorkloadSource::Profile(p) => p,
+            _ => unreachable!(),
+        };
+        let serve = comet_serve::ServeSpec::closed_loop(4, Time::from_nanos(20.0), 150)
+            .with_tenant(
+                comet_serve::TenantSpec::open(
+                    "open",
+                    comet_serve::ArrivalProcess::poisson(2.0e7),
+                    100,
+                )
+                .with_profile(own),
+            );
+        let mut spec = CampaignSpec::new(
+            "serve-normalize",
+            5,
+            vec![
+                Box::new(EpcmConfig::epcm_mm()),
+                Box::new(comet_config_128()),
+            ],
+            vec![small_profile("alpha")],
+        );
+        spec.engines = vec![EnginePoint::serve("serve", serve)];
+        let report = run_campaign(&spec, 1);
+        let completed =
+            |cell: &CellReport| -> Vec<u64> { cell.tenants.iter().map(|t| t.completed).collect() };
+        assert_eq!(completed(&report.cells[0]), [150, 100]);
+        assert_eq!(completed(&report.cells[1]), [75, 50]);
+        for cell in &report.cells {
+            assert_eq!(cell.stats.bytes.value(), 250 * 64, "{}", cell.device);
+        }
+
+        spec.normalize_lines = false;
+        let raw = run_campaign(&spec, 1);
+        assert_eq!(completed(&raw.cells[1]), [150, 100]);
     }
 
     #[test]

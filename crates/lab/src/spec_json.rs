@@ -302,6 +302,18 @@ fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
     }
 }
 
+/// A request budget, which must be at least 1: an empty budget would run
+/// one request under replay (line normalization floors at one) but none
+/// under serve. (A profile embedded in a tenant keeps its `requests`
+/// unchecked: serve ignores it, so a profile built in code may leave it
+/// at 0 and must still round-trip.)
+fn positive_requests(j: &Json, owner: &str) -> Result<usize, SpecError> {
+    match u64_field(j, "requests")? {
+        0 => Err(schema(format!("{owner}: 'requests' must be at least 1"))),
+        n => Ok(n as usize),
+    }
+}
+
 fn pattern_from_json(j: &Json) -> Result<AccessPattern, SpecError> {
     match str_field(j, "kind")?.as_str() {
         "stream" => Ok(AccessPattern::Stream),
@@ -424,11 +436,13 @@ fn tenant_from_json(j: &Json) -> Result<TenantSpec, SpecError> {
         None | Some(Json::Null) => None,
         Some(p) => Some(payload_from_json(p)?),
     };
+    let name = str_field(j, "name")?;
+    let requests = positive_requests(j, &format!("tenant '{name}'"))?;
     Ok(TenantSpec {
-        name: str_field(j, "name")?,
+        name,
         profile,
         load,
-        requests: u64_field(j, "requests")? as usize,
+        requests,
         payload,
     })
 }
@@ -526,8 +540,12 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         .as_array()
         .ok_or_else(|| schema("'workloads' is not an array"))?
         .iter()
-        .map(|w| profile_from_json(w).map(WorkloadSource::Profile))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|w| {
+            let profile = profile_from_json(w)?;
+            positive_requests(w, &format!("workload '{}'", profile.name))?;
+            Ok(WorkloadSource::Profile(profile))
+        })
+        .collect::<Result<Vec<_>, SpecError>>()?;
     let engines = field(&doc, "engines")?
         .as_array()
         .ok_or_else(|| schema("'engines' is not an array"))?
@@ -554,7 +572,8 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 mod tests {
     use super::*;
     use crate::registry::{
-        payload_entropy_axis, serve_concurrency_axis, serve_load_axis, serve_mix_axis,
+        device_names, payload_entropy_axis, serve_concurrency_axis, serve_load_axis,
+        serve_mix_axis, workloads_by_name,
     };
     use crate::runner::run_campaign;
 
@@ -649,6 +668,91 @@ mod tests {
             Err(SpecError::Schema(m)) => assert!(m.contains("'window' must be at least 1"), "{m}"),
             other => panic!("a zero window must be a schema error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn zero_request_budgets_are_rejected_with_a_message() {
+        let text = spec_to_json(&sample_spec()).unwrap();
+        // Workload entries carry 120, the load-axis tenant 100.
+        for (from, owner) in [
+            ("\"requests\": 120", "workload 'mcf-like'"),
+            ("\"requests\": 100", "tenant 'open'"),
+        ] {
+            let bad = text.replace(from, "\"requests\": 0");
+            assert_ne!(bad, text, "substitution '{from}' must apply");
+            match spec_from_json(&bad) {
+                Err(SpecError::Schema(m)) => assert_eq!(
+                    m,
+                    format!("{owner}: 'requests' must be at least 1"),
+                    "{from}"
+                ),
+                other => panic!("a zero budget must be a schema error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn tenant_profiles_keep_a_zero_request_count() {
+        // Serve ignores a tenant profile's own `requests`, so a profile
+        // built in code may leave it at 0; such specs must round-trip.
+        let mut spec = sample_spec();
+        let tenant = spec
+            .engines
+            .iter_mut()
+            .filter_map(|e| e.serve.as_mut())
+            .flat_map(|s| s.tenants.iter_mut())
+            .find(|t| t.profile.is_some())
+            .expect("the mix axis carries a DOTA tenant profile");
+        tenant.profile.as_mut().unwrap().requests = 0;
+        let text = spec_to_json(&spec).unwrap();
+        let back = spec_from_json(&text).expect("a zero profile count parses");
+        assert_eq!(spec_to_json(&back).unwrap(), text);
+    }
+
+    #[test]
+    fn every_registered_spec_roundtrips() {
+        // Every registered device and workload under every registry axis.
+        let mut spec = CampaignSpec::new(
+            "registered",
+            3,
+            device_names()
+                .into_iter()
+                .map(|name| device_by_name(name).unwrap())
+                .collect(),
+            workloads_by_name("all", 50),
+        );
+        spec.engines = vec![EnginePoint::paced(), EnginePoint::saturation()];
+        spec.engines.extend(serve_load_axis(&[1.0e7, 2.0e7], 30));
+        spec.engines
+            .extend(serve_concurrency_axis(&[1, 8], Time::from_nanos(25.0), 30));
+        spec.engines
+            .extend(serve_mix_axis(ArrivalProcess::poisson(1.0e7), 30));
+        spec.engines
+            .extend(payload_entropy_axis(ArrivalProcess::poisson(1.0e7), 30));
+        let text = spec_to_json(&spec).expect("serializes");
+        let back = spec_from_json(&text).expect("parses");
+        assert_eq!(spec_to_json(&back).unwrap(), text);
+
+        // And every committed spec file.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).expect("the specs directory exists") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let spec =
+                    spec_from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                let emitted = spec_to_json(&spec).unwrap();
+                assert_eq!(
+                    spec_to_json(&spec_from_json(&emitted).unwrap()).unwrap(),
+                    emitted,
+                    "{}",
+                    path.display()
+                );
+                files += 1;
+            }
+        }
+        assert!(files > 0, "no spec files under {dir}");
     }
 
     #[test]
