@@ -9,17 +9,9 @@
 //! `--seed S` for a different trace instantiation and `--threads T` to
 //! control sharding (the results are identical for any thread count).
 
-use comet_bench::{header, ratio, Table};
+use comet_bench::{header, parse_flag, ratio, Table};
 use comet_lab::{default_threads, fig9_device_axis, run_campaign, CampaignSpec, WorkloadSource};
 use memsim::spec_like_suite;
-
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -25,20 +25,12 @@
 //! itself rises by two orders of magnitude, far beyond any tolerance).
 //! The binary exits non-zero if any device violates it.
 
-use comet_bench::{header, Table};
+use comet_bench::{header, parse_flag, Table};
 use comet_lab::{
     default_threads, run_campaign, serve_device_axis, serve_load_axis, CampaignSpec, WorkloadSource,
 };
 use memsim::spec_like_suite;
 use std::process::ExitCode;
-
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The offered-load grid: ×4 steps from 0.25 M req/s to ~4 G req/s,
 /// spanning the near-idle regime and every device's saturation knee (2D

@@ -27,7 +27,7 @@
 //! Pass `--requests N` (default 1500) for stores per cell, `--seed S`,
 //! `--threads T` (report is thread-count invariant).
 
-use comet_bench::{header, ratio, Table};
+use comet_bench::{header, parse_flag, ratio, Table};
 use comet_lab::{
     data_policy_axis, default_threads, device_by_name, payload_entropy_axis, run_campaign,
     CampaignSpec, WorkloadSource,
@@ -36,14 +36,6 @@ use comet_serve::ArrivalProcess;
 use comet_units::{ByteCount, Time};
 use memsim::{AccessPattern, WorkloadProfile};
 use std::process::ExitCode;
-
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The policy ordering chain checked at every entropy point, cheapest
 /// last.

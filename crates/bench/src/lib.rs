@@ -73,6 +73,29 @@ pub fn ratio(a: f64, b: f64) -> String {
     }
 }
 
+/// The unsigned value following `flag` in `args`, or `default` when the
+/// flag is absent. A present flag whose value is missing or not an
+/// unsigned integer prints a message naming the flag and exits with
+/// status 2, instead of silently running the default.
+pub fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
+    try_parse_flag(args, flag, default).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+fn try_parse_flag(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: '{value}' is not an unsigned integer"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +113,23 @@ mod tests {
     fn table_validates_width() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec![1]);
+    }
+
+    #[test]
+    fn flags_parse_or_fail_loudly() {
+        let args: Vec<String> = ["bin", "--requests", "2000", "--seed", "2k", "--threads"]
+            .map(String::from)
+            .into();
+        assert_eq!(try_parse_flag(&args, "--requests", 6000), Ok(2000));
+        assert_eq!(try_parse_flag(&args, "--shards", 1), Ok(1));
+        assert_eq!(
+            try_parse_flag(&args, "--seed", 42),
+            Err("--seed: '2k' is not an unsigned integer".to_string())
+        );
+        assert_eq!(
+            try_parse_flag(&args, "--threads", 2),
+            Err("--threads needs a value".to_string())
+        );
     }
 
     #[test]

@@ -262,6 +262,39 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A document that parsed but lacks an expected field or value; the
+/// report and spec readers wrap it in their own error types.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SchemaError(pub(crate) String);
+
+pub(crate) fn schema(m: impl Into<String>) -> SchemaError {
+    SchemaError(m.into())
+}
+
+pub(crate) fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, SchemaError> {
+    obj.get(key)
+        .ok_or_else(|| schema(format!("missing '{key}'")))
+}
+
+pub(crate) fn u64_field(obj: &Json, key: &str) -> Result<u64, SchemaError> {
+    field(obj, key)?
+        .as_u64()
+        .ok_or_else(|| schema(format!("'{key}' is not an integer")))
+}
+
+pub(crate) fn f64_field(obj: &Json, key: &str) -> Result<f64, SchemaError> {
+    field(obj, key)?
+        .as_f64()
+        .ok_or_else(|| schema(format!("'{key}' is not a number")))
+}
+
+pub(crate) fn str_field(obj: &Json, key: &str) -> Result<String, SchemaError> {
+    Ok(field(obj, key)?
+        .as_str()
+        .ok_or_else(|| schema(format!("'{key}' is not a string")))?
+        .to_string())
+}
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],

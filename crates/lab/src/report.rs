@@ -8,7 +8,7 @@
 //! report (floats are serialized in their native units at
 //! shortest-round-trip precision).
 
-use crate::json::{Json, JsonError};
+use crate::json::{f64_field, field, schema, str_field, u64_field, Json, JsonError, SchemaError};
 use comet_serve::TenantStats;
 use comet_units::{ByteCount, Energy, Time};
 use memsim::{EnergyBreakdown, LatencyHistogram, SimStats};
@@ -157,32 +157,10 @@ impl From<JsonError> for ReportParseError {
     }
 }
 
-fn schema(m: impl Into<String>) -> ReportParseError {
-    ReportParseError::Schema(m.into())
-}
-
-fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, ReportParseError> {
-    obj.get(key)
-        .ok_or_else(|| schema(format!("missing '{key}'")))
-}
-
-fn u64_field(obj: &Json, key: &str) -> Result<u64, ReportParseError> {
-    field(obj, key)?
-        .as_u64()
-        .ok_or_else(|| schema(format!("'{key}' is not an integer")))
-}
-
-fn f64_field(obj: &Json, key: &str) -> Result<f64, ReportParseError> {
-    field(obj, key)?
-        .as_f64()
-        .ok_or_else(|| schema(format!("'{key}' is not a number")))
-}
-
-fn str_field(obj: &Json, key: &str) -> Result<String, ReportParseError> {
-    Ok(field(obj, key)?
-        .as_str()
-        .ok_or_else(|| schema(format!("'{key}' is not a string")))?
-        .to_string())
+impl From<SchemaError> for ReportParseError {
+    fn from(e: SchemaError) -> Self {
+        ReportParseError::Schema(e.0)
+    }
 }
 
 fn tenant_to_json(t: &TenantSummary) -> Json {
@@ -293,10 +271,7 @@ impl CellReport {
             .as_array()
             .ok_or_else(|| schema("'histogram' is not an array"))?;
         if hist.len() != 10 {
-            return Err(schema(format!(
-                "histogram has {} buckets, want 10",
-                hist.len()
-            )));
+            return Err(schema(format!("histogram has {} buckets, want 10", hist.len())).into());
         }
         let mut counts = [0u64; 10];
         for (i, c) in hist.iter().enumerate() {

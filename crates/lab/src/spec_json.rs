@@ -17,7 +17,7 @@
 //! Round trips are exact: `spec_to_json(&spec_from_json(text)?)`
 //! re-emits `text` byte-for-byte for any emitted spec (pinned by tests).
 
-use crate::json::{Json, JsonError};
+use crate::json::{f64_field, field, schema, str_field, u64_field, Json, JsonError, SchemaError};
 use crate::registry::{device_by_name, device_names};
 use crate::spec::{CampaignSpec, EnginePoint, WorkloadSource};
 use comet_data::PayloadSpec;
@@ -64,32 +64,10 @@ impl From<JsonError> for SpecError {
     }
 }
 
-fn schema(m: impl Into<String>) -> SpecError {
-    SpecError::Schema(m.into())
-}
-
-fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, SpecError> {
-    obj.get(key)
-        .ok_or_else(|| schema(format!("missing '{key}'")))
-}
-
-fn u64_field(obj: &Json, key: &str) -> Result<u64, SpecError> {
-    field(obj, key)?
-        .as_u64()
-        .ok_or_else(|| schema(format!("'{key}' is not an integer")))
-}
-
-fn f64_field(obj: &Json, key: &str) -> Result<f64, SpecError> {
-    field(obj, key)?
-        .as_f64()
-        .ok_or_else(|| schema(format!("'{key}' is not a number")))
-}
-
-fn str_field(obj: &Json, key: &str) -> Result<String, SpecError> {
-    Ok(field(obj, key)?
-        .as_str()
-        .ok_or_else(|| schema(format!("'{key}' is not a string")))?
-        .to_string())
+impl From<SchemaError> for SpecError {
+    fn from(e: SchemaError) -> Self {
+        SpecError::Schema(e.0)
+    }
 }
 
 // --- emission ---------------------------------------------------------------
@@ -285,9 +263,7 @@ fn positive_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
     if v > 0.0 && v.is_finite() {
         Ok(v)
     } else {
-        Err(schema(format!(
-            "'{key}' must be positive and finite, got {v}"
-        )))
+        Err(schema(format!("'{key}' must be positive and finite, got {v}")).into())
     }
 }
 
@@ -296,9 +272,7 @@ fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
     if v >= 0.0 && v.is_finite() {
         Ok(v)
     } else {
-        Err(schema(format!(
-            "'{key}' must be non-negative and finite, got {v}"
-        )))
+        Err(schema(format!("'{key}' must be non-negative and finite, got {v}")).into())
     }
 }
 
@@ -309,7 +283,7 @@ fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
 /// at 0 and must still round-trip.)
 fn positive_requests(j: &Json, owner: &str) -> Result<usize, SpecError> {
     match u64_field(j, "requests")? {
-        0 => Err(schema(format!("{owner}: 'requests' must be at least 1"))),
+        0 => Err(schema(format!("{owner}: 'requests' must be at least 1")).into()),
         n => Ok(n as usize),
     }
 }
@@ -324,7 +298,7 @@ fn pattern_from_json(j: &Json) -> Result<AccessPattern, SpecError> {
         "clustered" => Ok(AccessPattern::Clustered {
             locality: f64_field(j, "locality")?,
         }),
-        other => Err(schema(format!("unknown pattern kind '{other}'"))),
+        other => Err(schema(format!("unknown pattern kind '{other}'")).into()),
     }
 }
 
@@ -333,17 +307,19 @@ fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SpecError> {
     if !(0.0..=1.0).contains(&read_fraction) {
         return Err(schema(format!(
             "'read_fraction' must be in [0, 1], got {read_fraction}"
-        )));
+        ))
+        .into());
     }
     let line_bytes = u64_field(j, "line_bytes")?;
     if line_bytes == 0 {
-        return Err(schema("'line_bytes' must be at least 1"));
+        return Err(schema("'line_bytes' must be at least 1").into());
     }
     let footprint = u64_field(j, "footprint_bytes")?;
     if footprint < line_bytes {
         return Err(schema(format!(
             "'footprint_bytes' ({footprint}) smaller than one line ({line_bytes})"
-        )));
+        ))
+        .into());
     }
     Ok(WorkloadProfile {
         name: str_field(j, "name")?,
@@ -362,12 +338,12 @@ fn scheduler_from_json(j: &Json) -> Result<Scheduler, SpecError> {
         "frfcfs" => match u64_field(j, "window")? {
             // A zero window looks at no queue entry, so nothing would
             // ever issue.
-            0 => Err(schema("FR-FCFS 'window' must be at least 1")),
+            0 => Err(schema("FR-FCFS 'window' must be at least 1").into()),
             window => Ok(Scheduler::FrFcfs {
                 window: window as usize,
             }),
         },
-        other => Err(schema(format!("unknown scheduler kind '{other}'"))),
+        other => Err(schema(format!("unknown scheduler kind '{other}'")).into()),
     }
 }
 
@@ -383,7 +359,7 @@ fn process_from_json(j: &Json) -> Result<ArrivalProcess, SpecError> {
             Time::from_seconds(positive_f64(j, "on_s")?),
             Time::from_seconds(non_negative_f64(j, "off_s")?),
         )),
-        other => Err(schema(format!("unknown arrival process kind '{other}'"))),
+        other => Err(schema(format!("unknown arrival process kind '{other}'")).into()),
     }
 }
 
@@ -397,7 +373,8 @@ fn payload_from_json(j: &Json) -> Result<PayloadSpec, SpecError> {
             if flip_fraction > 1.0 {
                 return Err(schema(format!(
                     "'flip_fraction' must be in (0, 1], got {flip_fraction}"
-                )));
+                ))
+                .into());
             }
             Ok(PayloadSpec::SparseUpdate { flip_fraction })
         }
@@ -406,7 +383,8 @@ fn payload_from_json(j: &Json) -> Result<PayloadSpec, SpecError> {
         }),
         other => Err(schema(format!(
             "unknown payload kind '{other}' (zero|uniform|toggle|sparse|weights)"
-        ))),
+        ))
+        .into()),
     }
 }
 
@@ -417,7 +395,7 @@ fn tenant_from_json(j: &Json) -> Result<TenantSpec, SpecError> {
         "closed" => {
             let clients = u64_field(load_json, "clients")? as usize;
             if clients == 0 {
-                return Err(schema("'clients' must be at least 1"));
+                return Err(schema("'clients' must be at least 1").into());
             }
             TenantLoad::Closed {
                 clients,
@@ -453,7 +431,7 @@ fn serve_from_json(j: &Json) -> Result<ServeSpec, SpecError> {
         b => {
             let max_writes = u64_field(b, "max_writes")? as usize;
             if max_writes == 0 {
-                return Err(schema("'max_writes' must be at least 1"));
+                return Err(schema("'max_writes' must be at least 1").into());
             }
             Some(BatchConfig::new(
                 Time::from_seconds(positive_f64(b, "window_s")?),
@@ -468,7 +446,7 @@ fn serve_from_json(j: &Json) -> Result<ServeSpec, SpecError> {
         .map(tenant_from_json)
         .collect::<Result<Vec<_>, _>>()?;
     if tenants.is_empty() {
-        return Err(schema("a serve engine point needs at least one tenant"));
+        return Err(schema("a serve engine point needs at least one tenant").into());
     }
     Ok(ServeSpec {
         tenants,
@@ -486,7 +464,7 @@ fn engine_from_json(j: &Json) -> Result<EnginePoint, SpecError> {
     let replay = match str_field(j, "replay")?.as_str() {
         "paced" => ReplayMode::Paced,
         "saturation" => ReplayMode::Saturation,
-        other => return Err(schema(format!("unknown replay mode '{other}'"))),
+        other => return Err(schema(format!("unknown replay mode '{other}'")).into()),
     };
     Ok(EnginePoint::new(
         label,
@@ -553,9 +531,9 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         .map(engine_from_json)
         .collect::<Result<Vec<_>, _>>()?;
     if devices.is_empty() || workloads.is_empty() || engines.is_empty() {
-        return Err(schema("devices, workloads and engines must be non-empty"));
+        return Err(schema("devices, workloads and engines must be non-empty").into());
     }
-    Ok(CampaignSpec {
+    let spec = CampaignSpec {
         name: str_field(&doc, "campaign")?,
         seed: u64_field(&doc, "seed")?,
         replicates: u64_field(&doc, "replicates")? as usize,
@@ -565,7 +543,48 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         devices,
         workloads,
         engines,
-    })
+    };
+    if spec.normalize_lines {
+        check_footprints_hold_a_line(&spec)?;
+    }
+    Ok(spec)
+}
+
+/// Line normalization resizes every profile to each device's line, so a
+/// profile must hold at least one line of the widest-line device.
+fn check_footprints_hold_a_line(spec: &CampaignSpec) -> Result<(), SpecError> {
+    // The first of the widest-line devices (`max_by_key` keeps the last).
+    let Some((line, device)) = spec
+        .devices
+        .iter()
+        .rev()
+        .map(|d| (d.device_topology().line_bytes, d.device_name()))
+        .max_by_key(|&(line, _)| line)
+    else {
+        return Ok(());
+    };
+    let workload_profiles = spec.workloads.iter().filter_map(|w| match w {
+        WorkloadSource::Profile(p) => Some(("workload", p)),
+        WorkloadSource::Trace { .. } => None,
+    });
+    let tenant_profiles = spec
+        .engines
+        .iter()
+        .filter_map(|e| e.serve.as_ref())
+        .flat_map(|s| &s.tenants)
+        .filter_map(|t| t.profile.as_ref().map(|p| ("tenant profile", p)));
+    for (owner, p) in workload_profiles.chain(tenant_profiles) {
+        let footprint = p.footprint.value();
+        if footprint < line {
+            return Err(schema(format!(
+                "{owner} '{}': 'footprint_bytes' ({footprint}) is smaller than one {line}-byte \
+                 line of device '{device}', the line normalize_lines resizes it to",
+                p.name
+            ))
+            .into());
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -688,6 +707,53 @@ mod tests {
                 ),
                 other => panic!("a zero budget must be a schema error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn sub_line_footprints_are_rejected_under_line_normalization() {
+        // 2D_DDR3 has 64-byte lines and COMET 128-byte ones, so with line
+        // normalization every profile must hold a 128-byte line.
+        let shrink_workload = |spec: &mut CampaignSpec| match &mut spec.workloads[0] {
+            WorkloadSource::Profile(p) => {
+                p.footprint = ByteCount::new(100);
+                "workload 'mcf-like': 'footprint_bytes' (100)".to_string()
+            }
+            WorkloadSource::Trace { .. } => unreachable!("sample workloads are profiles"),
+        };
+        let shrink_tenant = |spec: &mut CampaignSpec| {
+            let p = spec
+                .engines
+                .iter_mut()
+                .filter_map(|e| e.serve.as_mut())
+                .flat_map(|s| s.tenants.iter_mut())
+                .find_map(|t| t.profile.as_mut())
+                .expect("the mix axis carries a DOTA tenant profile");
+            p.line_bytes = 64;
+            p.footprint = ByteCount::new(64);
+            format!("tenant profile '{}': 'footprint_bytes' (64)", p.name)
+        };
+        for shrink in [
+            &shrink_workload as &dyn Fn(&mut CampaignSpec) -> String,
+            &shrink_tenant,
+        ] {
+            let mut spec = sample_spec();
+            assert!(spec.normalize_lines);
+            let owner = shrink(&mut spec);
+            match spec_from_json(&spec_to_json(&spec).unwrap()) {
+                Err(SpecError::Schema(m)) => assert_eq!(
+                    m,
+                    format!(
+                        "{owner} is smaller than one 128-byte line of device 'COMET', \
+                         the line normalize_lines resizes it to"
+                    )
+                ),
+                other => panic!("a sub-line footprint must be a schema error, got {other:?}"),
+            }
+            // Without normalization each profile keeps its own line.
+            spec.normalize_lines = false;
+            let text = spec_to_json(&spec).unwrap();
+            assert_eq!(spec_to_json(&spec_from_json(&text).unwrap()).unwrap(), text);
         }
     }
 

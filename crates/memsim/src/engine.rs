@@ -1,13 +1,14 @@
 //! The trace-replay simulation engine.
 //!
-//! Plays a request stream against a [`MemoryDevice`] through a memory
-//! controller with per-bank queues, FCFS or FR-FCFS scheduling, and
-//! per-channel data-bus contention — the same pipeline the paper's modified
+//! Plays a request stream against a [`MemoryDevice`] through the shared
+//! memory [`Controller`] — per-bank queues, FCFS or FR-FCFS scheduling, and
+//! per-channel data-bus contention, the same pipeline the paper's modified
 //! NVMain 2.0 provides. Produces [`SimStats`] (latency, bandwidth, EPB).
 
-use crate::addr::{AddressMap, DecodedAddress, Interleave};
+use crate::addr::DecodedAddress;
+use crate::controller::Controller;
 use crate::device::MemoryDevice;
-use crate::queues::{BankQueues, Pending};
+use crate::queues::Pending;
 use crate::request::{CompletedRequest, MemRequest};
 use crate::stats::SimStats;
 use comet_units::Time;
@@ -95,10 +96,11 @@ impl Pending for Queued {
 
 /// Runs `requests` against `device` and returns aggregate statistics.
 ///
-/// Requests are queued per (channel, bank) in [`BankQueues`]; at every
-/// step the bank that can issue earliest fires. Data transfers contend on
-/// each channel's bus; reads additionally pay the device's interface delay
-/// before the requester sees the data.
+/// The whole trace is queued up front in a [`Controller`]; at every step
+/// the bank that can issue earliest fires, and each request is recorded
+/// as it issues. Data transfers contend on each channel's bus; reads
+/// additionally pay the device's interface delay before the requester
+/// sees the data.
 ///
 /// # Panics
 ///
@@ -123,75 +125,33 @@ pub fn run_simulation(
     requests: &[MemRequest],
     config: &SimConfig,
 ) -> SimStats {
-    let topo = device.topology();
-    let map = AddressMap::new(
-        topo.channels,
-        topo.banks,
-        topo.rows,
-        topo.columns,
-        topo.line_bytes,
-        // XOR-folded channel selection: strides that are multiples of the
-        // channel count still spread across channels, as real controllers
-        // arrange with permutation-based interleaving.
-        Interleave::RowBankColumnChannelXor,
-    )
-    .expect("device topology dimensions must be powers of two");
-
-    let mut queues = BankQueues::new(topo, config.scheduler);
-    // Exact queue capacities: the whole trace is queued up front, and
-    // doubling growth would hold up to twice its entries.
-    let mut per_bank = vec![0usize; topo.total_banks() as usize];
-    for r in requests {
-        per_bank[queues.bank_of(&map.decode(r.address))] += 1;
-    }
-    for (bank, &n) in per_bank.iter().enumerate() {
-        queues.reserve(bank, n);
-    }
+    let mut ctl = Controller::new(&*device, config.scheduler, &config.workload);
+    ctl.reserve(requests.iter().map(|r| r.address));
     for (idx, r) in requests.iter().enumerate() {
-        queues.push(Queued {
+        let loc = ctl.decode(r.address);
+        ctl.push(Queued {
             idx,
             arrival: match config.replay {
                 ReplayMode::Paced => r.arrival,
                 ReplayMode::Saturation => Time::ZERO,
             },
-            loc: map.decode(r.address),
+            loc,
         });
     }
 
-    let mut bus_free = vec![Time::ZERO; topo.channels as usize];
-    let mut stats = SimStats::new(device.name(), config.workload.clone());
-    let mut latencies: Vec<Time> = Vec::with_capacity(requests.len());
-
-    while let Some((issue, bank)) = queues.earliest(&mut [&mut *device]) {
-        let Queued { idx, arrival, loc } = queues.take(bank);
+    while let Some((issued, bank)) = ctl.next_issue(&mut [&mut *device]) {
+        let Queued { idx, arrival, loc } = ctl.take(bank);
         let req = &requests[idx];
-
-        let timing = device.access_line(&loc, req.op, issue, req.payload.as_ref());
-        let ch = loc.channel as usize;
-        let transfer_start = timing.data_ready_at.max(bus_free[ch]);
-        let transfer_end = transfer_start + timing.bus_occupancy;
-        bus_free[ch] = transfer_end;
-        // The device's bank_free_at is authoritative for bank occupancy
-        // (devices include transfer time where the array can't pipeline);
-        // extending it to transfer_end here would serialize access latency
-        // into occupancy and forbid command pipelining.
-        queues.set_bank_free(bank, timing.bank_free_at);
-
-        let finished = transfer_end + device.interface_delay();
-        let done = CompletedRequest {
+        let (finished, _) = ctl.access(device, &loc, req.op, issued, req.payload.as_ref());
+        ctl.record(&CompletedRequest {
             request: MemRequest { arrival, ..*req },
-            issued: issue,
+            issued,
             finished,
-        };
-        stats.record(&done);
-        latencies.push(done.latency());
-        stats.energy.access += timing.energy;
+        });
     }
 
-    stats.energy.refresh = device.drain_accumulated_energy();
-    stats.finalize_background(device.background_power());
-    stats.finalize_percentiles(&mut latencies);
-    stats
+    let refresh = device.drain_accumulated_energy();
+    ctl.finish(refresh, device.background_power())
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@
 #![warn(missing_debug_implementations)]
 
 mod addr;
+mod controller;
 mod data;
 mod device;
 mod dram;
@@ -44,6 +45,7 @@ mod synth;
 mod trace;
 
 pub use addr::{AddressMap, AddressMapError, DecodedAddress, Interleave};
+pub use controller::Controller;
 pub use data::{LineData, PricedWrite, WriteCost, WritePricer, MAX_LINE_BYTES};
 pub use device::{AccessTiming, DeviceFactory, FnFactory, MemoryDevice, Topology};
 pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings, RowPolicy};
@@ -52,5 +54,5 @@ pub use pcm::{EpcmConfig, EpcmDevice};
 pub use queues::{BankQueues, Pending};
 pub use request::{CompletedRequest, MemOp, MemRequest};
 pub use stats::{percentile_of_sorted, EnergyBreakdown, LatencyHistogram, SimStats};
-pub use synth::{spec_like_suite, AccessPattern, WorkloadProfile};
+pub use synth::{hash_name, spec_like_suite, AccessPattern, StreamShape, WorkloadProfile};
 pub use trace::{read_trace, write_trace, ParseTraceError, TraceClock};

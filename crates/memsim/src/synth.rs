@@ -5,7 +5,10 @@
 //! comparisons — footprint, row locality, read:write mix, spatial pattern
 //! and demand intensity — with per-benchmark parameter sets named after the
 //! SPEC CPU2006 workloads whose memory behaviour they mimic (see each
-//! constructor). Generation is deterministic given a seed.
+//! constructor). Generation is deterministic given a seed: a
+//! [`StreamShape`] yields a profile's accesses one at a time (the service
+//! engine's sources draw from it online), and
+//! [`WorkloadProfile::generate`] times them into a whole trace.
 
 use crate::request::{MemOp, MemRequest};
 use comet_units::{ByteCount, Time};
@@ -54,76 +57,137 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Generates the request stream (deterministic for a given seed).
+    /// Generates the request stream (deterministic for a given seed): each
+    /// access comes from the profile's [`StreamShape`], then the arrival
+    /// gap is drawn from the same random stream.
     ///
     /// # Panics
     ///
     /// Panics if `read_fraction` is outside `[0, 1]` or the footprint is
     /// smaller than one line.
     pub fn generate(&self, seed: u64) -> Vec<MemRequest> {
-        assert!(
-            (0.0..=1.0).contains(&self.read_fraction),
-            "read fraction must be in [0,1]"
-        );
-        let lines = self.footprint.value() / self.line_bytes;
-        assert!(lines >= 1, "footprint smaller than one line");
-        let mut rng = StdRng::seed_from_u64(seed ^ hash_name(&self.name));
+        let mut shape = StreamShape::from_profile(self, seed);
         let mut out = Vec::with_capacity(self.requests);
         let mut now = 0.0f64;
-        let mut cursor: u64 = rng.gen_range(0..lines);
-        // Row span used by the Clustered pattern (typical 8 KiB row).
-        let row_lines = (8192 / self.line_bytes).max(1);
-
         for i in 0..self.requests {
-            let line = match self.pattern {
-                AccessPattern::Stream => {
-                    cursor = (cursor + 1) % lines;
-                    cursor
-                }
-                AccessPattern::Strided { stride } => {
-                    cursor = (cursor + stride / self.line_bytes) % lines;
-                    cursor
-                }
-                AccessPattern::Random => rng.gen_range(0..lines),
-                AccessPattern::Clustered { locality } => {
-                    if rng.gen_bool(locality.clamp(0.0, 1.0)) {
-                        let row_base = cursor / row_lines * row_lines;
-                        row_base + rng.gen_range(0..row_lines.min(lines))
-                    } else {
-                        cursor = rng.gen_range(0..lines);
-                        cursor
-                    }
-                }
-            };
-            let op = if rng.gen_bool(self.read_fraction) {
-                MemOp::Read
-            } else {
-                MemOp::Write
-            };
+            let (op, address, size) = shape.next_access();
             // Exponential-ish inter-arrival (two-uniform average keeps it
             // simple and deterministic in distribution shape).
-            let jitter = rng.gen_range(0.0..2.0);
+            let jitter = shape.rng.gen_range(0.0..2.0);
             now += self.interarrival.as_seconds() * jitter;
             out.push(MemRequest::new(
                 i as u64,
                 Time::from_seconds(now),
                 op,
-                line * self.line_bytes,
-                ByteCount::new(self.line_bytes),
+                address,
+                size,
             ));
         }
         out
     }
 }
 
-fn hash_name(name: &str) -> u64 {
-    // FNV-1a, so each profile gets decorrelated randomness for equal seeds.
+/// FNV-1a over a name. Folded into seeds so that profiles (and serve
+/// tenants) with equal seeds but different names draw decorrelated
+/// randomness.
+pub fn hash_name(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.as_bytes() {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// A deterministic, incremental (op, address) generator: the *what* of a
+/// profile's request stream — operation mix and address pattern — one
+/// access at a time, without the profile's inter-arrival model.
+/// [`WorkloadProfile::generate`] times its accesses with that model;
+/// event-driven sources take arrival times from an arrival process or
+/// from closed-loop client feedback instead, and never materialize a
+/// whole trace.
+///
+/// # Examples
+///
+/// ```
+/// use memsim::{spec_like_suite, StreamShape};
+///
+/// let profile = &spec_like_suite(100)[0];
+/// let mut shape = StreamShape::from_profile(profile, 42);
+/// let (_op, address, size) = shape.next_access();
+/// assert!(address < profile.footprint.value());
+/// assert_eq!(size.value(), profile.line_bytes);
+/// ```
+#[derive(Debug, Clone)]
+pub struct StreamShape {
+    pattern: AccessPattern,
+    read_fraction: f64,
+    lines: u64,
+    line_bytes: u64,
+    row_lines: u64,
+    cursor: u64,
+    rng: StdRng,
+}
+
+impl StreamShape {
+    /// Builds a shape from a profile's spatial/mix parameters, seeded with
+    /// `seed` and the profile name folded in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile's read fraction is outside `[0, 1]` or its
+    /// footprint is smaller than one line.
+    pub fn from_profile(profile: &WorkloadProfile, seed: u64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&profile.read_fraction),
+            "read fraction must be in [0,1]"
+        );
+        let lines = profile.footprint.value() / profile.line_bytes;
+        assert!(lines >= 1, "footprint smaller than one line");
+        let mut rng = StdRng::seed_from_u64(seed ^ hash_name(&profile.name));
+        let cursor = rng.gen_range(0..lines);
+        StreamShape {
+            pattern: profile.pattern,
+            read_fraction: profile.read_fraction,
+            lines,
+            line_bytes: profile.line_bytes,
+            // Row span used by the Clustered pattern (typical 8 KiB row).
+            row_lines: (8192 / profile.line_bytes).max(1),
+            cursor,
+            rng,
+        }
+    }
+
+    /// The next access: operation, line-aligned byte address, transfer size.
+    #[inline]
+    pub fn next_access(&mut self) -> (MemOp, u64, ByteCount) {
+        let line = match self.pattern {
+            AccessPattern::Stream => {
+                self.cursor = (self.cursor + 1) % self.lines;
+                self.cursor
+            }
+            AccessPattern::Strided { stride } => {
+                self.cursor = (self.cursor + stride / self.line_bytes) % self.lines;
+                self.cursor
+            }
+            AccessPattern::Random => self.rng.gen_range(0..self.lines),
+            AccessPattern::Clustered { locality } => {
+                if self.rng.gen_bool(locality.clamp(0.0, 1.0)) {
+                    let row_base = self.cursor / self.row_lines * self.row_lines;
+                    row_base + self.rng.gen_range(0..self.row_lines.min(self.lines))
+                } else {
+                    self.cursor = self.rng.gen_range(0..self.lines);
+                    self.cursor
+                }
+            }
+        };
+        let op = if self.rng.gen_bool(self.read_fraction) {
+            MemOp::Read
+        } else {
+            MemOp::Write
+        };
+        (op, line * self.line_bytes, ByteCount::new(self.line_bytes))
+    }
 }
 
 /// The SPEC-like suite used for the Fig. 9 evaluation.
@@ -281,5 +345,62 @@ mod tests {
         let mut p = profile(AccessPattern::Random);
         p.read_fraction = 1.5;
         let _ = p.generate(0);
+    }
+
+    fn shape_profile(pattern: AccessPattern) -> WorkloadProfile {
+        WorkloadProfile {
+            name: "shape-test".into(),
+            read_fraction: 0.7,
+            footprint: ByteCount::from_mib(4),
+            pattern,
+            interarrival: Time::from_nanos(1.0),
+            requests: 0,
+            line_bytes: 64,
+        }
+    }
+
+    #[test]
+    fn deterministic_per_seed_and_name() {
+        let p = shape_profile(AccessPattern::Random);
+        let stream = |seed: u64| {
+            let mut s = StreamShape::from_profile(&p, seed);
+            (0..100).map(|_| s.next_access()).collect::<Vec<_>>()
+        };
+        assert_eq!(stream(5), stream(5));
+        assert_ne!(stream(5), stream(6));
+        let mut renamed = p.clone();
+        renamed.name = "other".into();
+        let mut s = StreamShape::from_profile(&renamed, 5);
+        let other: Vec<_> = (0..100).map(|_| s.next_access()).collect();
+        assert_ne!(stream(5), other, "name decorrelates equal seeds");
+    }
+
+    #[test]
+    fn accesses_stay_in_footprint_and_respect_mix() {
+        for pattern in [
+            AccessPattern::Stream,
+            AccessPattern::Random,
+            AccessPattern::Strided { stride: 4096 },
+            AccessPattern::Clustered { locality: 0.6 },
+        ] {
+            let p = shape_profile(pattern);
+            let mut shape = StreamShape::from_profile(&p, 9);
+            let mut reads = 0usize;
+            let n = 4000;
+            for _ in 0..n {
+                let (op, addr, size) = shape.next_access();
+                assert!(addr < p.footprint.value(), "{pattern:?}");
+                assert_eq!(addr % 64, 0);
+                assert_eq!(size.value(), 64);
+                if op.is_read() {
+                    reads += 1;
+                }
+            }
+            let frac = reads as f64 / n as f64;
+            assert!(
+                (frac - 0.7).abs() < 0.05,
+                "{pattern:?}: read fraction {frac}"
+            );
+        }
     }
 }

@@ -5,14 +5,21 @@
 //! traces on every device model, synthetic trace generation respects its
 //! profile parameters for any seed, device probes change nothing, and the
 //! cached per-bank scheduler picks exactly what a full rescan picks.
+//!
+//! Two references pin refactors of the hot paths bit for bit: the trace
+//! generator loop and the replay engine loop as they were written before
+//! `StreamShape` and `Controller` were shared with the service engine.
 
 use comet_units::{ByteCount, Time};
 use memsim::{
-    read_trace, run_simulation, write_trace, AccessPattern, AddressMap, BankQueues, DecodedAddress,
-    DramConfig, DramDevice, EpcmConfig, EpcmDevice, Interleave, MemOp, MemRequest, MemoryDevice,
-    Pending, ReplayMode, Scheduler, SimConfig, Topology, TraceClock, WorkloadProfile,
+    hash_name, read_trace, run_simulation, write_trace, AccessPattern, AddressMap, BankQueues,
+    CompletedRequest, DecodedAddress, DramConfig, DramDevice, EpcmConfig, EpcmDevice, Interleave,
+    MemOp, MemRequest, MemoryDevice, Pending, ReplayMode, Scheduler, SimConfig, SimStats, Topology,
+    TraceClock, WorkloadProfile,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 fn any_interleave() -> impl Strategy<Value = Interleave> {
@@ -153,6 +160,160 @@ fn brute_force_scan(
         }
     }
     best
+}
+
+/// `WorkloadProfile::generate` as written before it drew its accesses
+/// from `StreamShape`: address and op first, then the arrival jitter, all
+/// from one RNG.
+fn reference_generate(p: &WorkloadProfile, seed: u64) -> Vec<MemRequest> {
+    let lines = p.footprint.value() / p.line_bytes;
+    let mut rng = StdRng::seed_from_u64(seed ^ hash_name(&p.name));
+    let mut out = Vec::with_capacity(p.requests);
+    let mut now = 0.0f64;
+    let mut cursor: u64 = rng.gen_range(0..lines);
+    let row_lines = (8192 / p.line_bytes).max(1);
+    for i in 0..p.requests {
+        let line = match p.pattern {
+            AccessPattern::Stream => {
+                cursor = (cursor + 1) % lines;
+                cursor
+            }
+            AccessPattern::Strided { stride } => {
+                cursor = (cursor + stride / p.line_bytes) % lines;
+                cursor
+            }
+            AccessPattern::Random => rng.gen_range(0..lines),
+            AccessPattern::Clustered { locality } => {
+                if rng.gen_bool(locality.clamp(0.0, 1.0)) {
+                    let row_base = cursor / row_lines * row_lines;
+                    row_base + rng.gen_range(0..row_lines.min(lines))
+                } else {
+                    cursor = rng.gen_range(0..lines);
+                    cursor
+                }
+            }
+        };
+        let op = if rng.gen_bool(p.read_fraction) {
+            MemOp::Read
+        } else {
+            MemOp::Write
+        };
+        let jitter = rng.gen_range(0.0..2.0);
+        now += p.interarrival.as_seconds() * jitter;
+        out.push(MemRequest::new(
+            i as u64,
+            Time::from_seconds(now),
+            op,
+            line * p.line_bytes,
+            ByteCount::new(p.line_bytes),
+        ));
+    }
+    out
+}
+
+/// A trace request in the reference engine's queues.
+struct RefQueued {
+    idx: usize,
+    arrival: Time,
+    loc: DecodedAddress,
+}
+
+impl Pending for RefQueued {
+    fn loc(&self) -> &DecodedAddress {
+        &self.loc
+    }
+
+    fn ready(&self) -> Time {
+        self.arrival
+    }
+}
+
+/// `run_simulation` as written before it drove the shared `Controller`:
+/// its own address map, bus arithmetic and finalize, built on the public
+/// `AddressMap` and `BankQueues`, recording each request as it issues.
+fn reference_run(
+    device: &mut dyn MemoryDevice,
+    requests: &[MemRequest],
+    config: &SimConfig,
+) -> SimStats {
+    let topo = device.topology();
+    let map = AddressMap::new(
+        topo.channels,
+        topo.banks,
+        topo.rows,
+        topo.columns,
+        topo.line_bytes,
+        Interleave::RowBankColumnChannelXor,
+    )
+    .unwrap();
+    let mut queues = BankQueues::new(topo, config.scheduler);
+    for (idx, r) in requests.iter().enumerate() {
+        queues.push(RefQueued {
+            idx,
+            arrival: match config.replay {
+                ReplayMode::Paced => r.arrival,
+                ReplayMode::Saturation => Time::ZERO,
+            },
+            loc: map.decode(r.address),
+        });
+    }
+    let mut bus_free = vec![Time::ZERO; topo.channels as usize];
+    let mut stats = SimStats::new(device.name(), config.workload.clone());
+    let mut latencies = Vec::new();
+    while let Some((issue, bank)) = queues.earliest(&mut [&mut *device]) {
+        let RefQueued { idx, arrival, loc } = queues.take(bank);
+        let req = &requests[idx];
+        let timing = device.access_line(&loc, req.op, issue, req.payload.as_ref());
+        let ch = loc.channel as usize;
+        let transfer_start = timing.data_ready_at.max(bus_free[ch]);
+        let transfer_end = transfer_start + timing.bus_occupancy;
+        bus_free[ch] = transfer_end;
+        queues.set_bank_free(bank, timing.bank_free_at);
+        let done = CompletedRequest {
+            request: MemRequest { arrival, ..*req },
+            issued: issue,
+            finished: transfer_end + device.interface_delay(),
+        };
+        stats.record(&done);
+        latencies.push(done.latency());
+        stats.energy.access += timing.energy;
+    }
+    stats.energy.refresh = device.drain_accumulated_energy();
+    stats.finalize_background(device.background_power());
+    stats.finalize_percentiles(&mut latencies);
+    stats
+}
+
+/// A random trace over a few rows of a few banks (so row hits, bank
+/// conflicts and bus contention all occur), with non-decreasing arrivals
+/// that sometimes tie.
+fn random_trace(rng: &mut SplitMix, topo: Topology, len: u64) -> Vec<MemRequest> {
+    let map = AddressMap::new(
+        topo.channels,
+        topo.banks,
+        topo.rows,
+        topo.columns,
+        topo.line_bytes,
+        Interleave::RowBankColumnChannelXor,
+    )
+    .unwrap();
+    let hot = 1 + rng.below(topo.total_banks().min(8));
+    let mut now = Time::ZERO;
+    (0..len)
+        .map(|id| {
+            let e = random_entry(rng, id, topo, hot);
+            if rng.below(2) == 0 {
+                now += rng.time(200);
+            }
+            MemRequest::new(
+                id,
+                now,
+                e.op,
+                map.encode(e.loc),
+                ByteCount::new(topo.line_bytes),
+            )
+        })
+        .collect()
 }
 
 proptest! {
@@ -556,5 +717,53 @@ proptest! {
             free[bank] = timing.bank_free_at;
             queues.set_bank_free(bank, timing.bank_free_at);
         }
+    }
+
+    // --- reference pins ----------------------------------------------------------
+
+    #[test]
+    fn generate_matches_the_reference_loop(
+        pattern in any_pattern(),
+        read_fraction in 0.0..=1.0f64,
+        line_bytes in 32u64..=256,
+        footprint_lines in 1u64..100_000,
+        interarrival_ns in 0.0..10.0f64,
+        seed in any::<u64>(),
+        requests in 0usize..400,
+    ) {
+        let p = WorkloadProfile {
+            name: format!("ref-{}", seed % 7),
+            read_fraction,
+            footprint: ByteCount::new(footprint_lines * line_bytes + seed % line_bytes),
+            pattern,
+            interarrival: Time::from_nanos(interarrival_ns),
+            requests,
+            line_bytes,
+        };
+        prop_assert_eq!(p.generate(seed), reference_generate(&p, seed));
+    }
+
+    #[test]
+    fn run_simulation_matches_the_reference_loop(
+        family in prop_oneof![Just(0u8), Just(1u8), Just(2u8), Just(4u8)],
+        window in 0usize..17,
+        saturation in any::<bool>(),
+        len in 0u64..300,
+        seed in any::<u64>(),
+    ) {
+        // Window 0 stands for FCFS.
+        let config = SimConfig {
+            scheduler: match window {
+                0 => Scheduler::Fcfs,
+                window => Scheduler::FrFcfs { window },
+            },
+            replay: if saturation { ReplayMode::Saturation } else { ReplayMode::Paced },
+            workload: "ref".into(),
+        };
+        let mut device = device_family(family);
+        let trace = random_trace(&mut SplitMix(seed), device.topology(), len);
+        let stats = run_simulation(device.as_mut(), &trace, &config);
+        let reference = reference_run(device_family(family).as_mut(), &trace, &config);
+        prop_assert_eq!(stats, reference);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! An [`ArrivalProcess`] describes *when* requests of an open-loop tenant
 //! arrive, independently of what they access (that is the
-//! [`StreamShape`](crate::StreamShape)'s job) and of how fast the memory
+//! [`StreamShape`](memsim::StreamShape)'s job) and of how fast the memory
 //! serves them — the defining property of open-loop load generation, and
 //! what makes the saturation hockey-stick measurable: offered load keeps
 //! arriving even when the device falls behind.

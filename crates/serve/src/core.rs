@@ -6,11 +6,15 @@
 //! sits in front of the per-bank command queues, and one logical device is
 //! partitioned across several backend instances by channel.
 //!
-//! The per-bank command queues and the choice of the next issue are
-//! [`memsim::BankQueues`], the scheduler trace replay uses too. It caches
-//! each bank's FCFS / FR-FCFS choice and re-probes a bank only after its
-//! own issue or an enqueue into its window, which is sound because device
-//! probes are pure queries (the [`memsim::MemoryDevice`] probe contract).
+//! Both are drivers over one [`memsim::Controller`]: it decodes addresses,
+//! holds the per-bank queues and their FCFS / FR-FCFS choice (re-probing a
+//! bank only after its own issue or an enqueue into its window, which is
+//! sound because device probes are pure queries — the
+//! [`memsim::MemoryDevice`] probe contract), applies channel-bus
+//! contention, and keeps the aggregate [`memsim::SimStats`]. This core
+//! adds the sources, the mux, the batcher, the completion heap, tenant and
+//! channel accounting, and sharding. It records each request when it
+//! completes, in completion order.
 //!
 //! # Event order and determinism
 //!
@@ -39,11 +43,11 @@
 
 use crate::batch::{BatchConfig, WriteBatcher};
 use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
-use crate::stats::{ChannelStats, DepthSeries, ServeReport, TailHistogram, TenantStats};
+use crate::stats::{ChannelStats, ServeReport, TenantStats};
 use comet_units::{ByteCount, Energy, Time};
 use memsim::{
-    AddressMap, BankQueues, CompletedRequest, DecodedAddress, DeviceFactory, Interleave, LineData,
-    MemOp, MemRequest, MemoryDevice, Pending, Scheduler, SimStats, WorkloadProfile,
+    CompletedRequest, Controller, DecodedAddress, DeviceFactory, LineData, MemOp, MemRequest,
+    MemoryDevice, Pending, Scheduler, WorkloadProfile,
 };
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -218,46 +222,27 @@ pub fn run_service_with_sources(
 ) -> ServeReport {
     let shard0 = factory.build();
     let topo = shard0.topology();
-    let interface_delay = shard0.interface_delay();
     let background = shard0.background_power();
-    let device_name = shard0.name();
+    let mut ctl = Controller::new(shard0.as_ref(), spec.scheduler, workload_label);
 
     let shard_count = spec.shards.clamp(1, topo.channels as usize);
     let mut shards: Vec<Box<dyn MemoryDevice>> = vec![shard0];
     shards.extend((1..shard_count).map(|_| factory.build()));
-
-    let map = AddressMap::new(
-        topo.channels,
-        topo.banks,
-        topo.rows,
-        topo.columns,
-        topo.line_bytes,
-        // Same permutation interleaving run_simulation uses, so strided
-        // streams spread across channels.
-        Interleave::RowBankColumnChannelXor,
-    )
-    .expect("device topology dimensions must be powers of two");
-
-    let mut queues = BankQueues::new(topo, spec.scheduler);
     let mut devices: Vec<&mut dyn MemoryDevice> = shards
         .iter_mut()
         .map(|d| d.as_mut() as &mut dyn MemoryDevice)
         .collect();
-    let mut bus_free = vec![Time::ZERO; topo.channels as usize];
 
     let mut mux = TenantMux::new(sources);
     let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
     let mut channels: Vec<ChannelStats> = (0..topo.channels).map(ChannelStats::new).collect();
-    let mut stats = SimStats::new(device_name, workload_label);
-    let mut tail = TailHistogram::new();
-    let mut depth = DepthSeries::new(512);
-    let mut latencies: Vec<Time> = Vec::new();
     let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
     let mut batcher = spec.batch.map(WriteBatcher::new);
 
     let mut next_id: u64 = 0;
     let mut comp_seq: u64 = 0;
     let mut in_system: u64 = 0;
+    let mut max_depth: u64 = 0;
     let mut batched_writes: u64 = 0;
 
     loop {
@@ -268,7 +253,7 @@ pub fn run_service_with_sources(
             MuxPoll::Ready { at, .. } => Some(at),
             _ => None,
         };
-        let issue = queues.earliest(&mut devices);
+        let issue = ctl.next_issue(&mut devices);
         let t_issue = issue.map(|(t, _)| t);
 
         // Pick the earliest candidate; iteration order is the tie-break
@@ -310,11 +295,8 @@ pub fn run_service_with_sources(
                         issued,
                         finished,
                     };
-                    stats.record(&done);
-                    let lat = done.latency();
-                    latencies.push(lat);
-                    tail.record(lat);
-                    tenants[tenant].record(q.op, q.size, lat);
+                    ctl.record(&done);
+                    tenants[tenant].record(q.op, q.size, done.latency());
                     channels[ch].completed += 1;
                     channels[ch].bytes += q.size;
                     mux.on_complete(tenant, finished);
@@ -324,7 +306,6 @@ pub fn run_service_with_sources(
                 for &(id, tenant, arrival) in &q.absorbed {
                     complete_one(id, tenant, arrival);
                 }
-                depth.record(finished, in_system);
             }
             Some((now, 1)) => {
                 // Batch release: held writes become issuable at `now`.
@@ -334,7 +315,7 @@ pub fn run_service_with_sources(
                     .release_due(now);
                 for mut w in released {
                     w.ready = now;
-                    queues.push(w);
+                    ctl.push(w);
                 }
             }
             Some((now, 2)) => {
@@ -345,7 +326,7 @@ pub fn run_service_with_sources(
                 };
                 let s = mux.take(tenant);
                 debug_assert_eq!(s.arrival, now);
-                let loc = map.decode(s.address);
+                let loc = ctl.decode(s.address);
                 let q = Queued {
                     id: next_id,
                     tenant,
@@ -360,13 +341,13 @@ pub fn run_service_with_sources(
                 };
                 next_id += 1;
                 in_system += 1;
-                depth.record(now, in_system);
+                max_depth = max_depth.max(in_system);
                 match (&mut batcher, s.op) {
                     (Some(b), MemOp::Write) => {
                         batched_writes += 1;
                         for mut w in b.admit(q, now) {
                             w.ready = now;
-                            queues.push(w);
+                            ctl.push(w);
                         }
                     }
                     (Some(b), MemOp::Read) => {
@@ -374,28 +355,24 @@ pub fn run_service_with_sources(
                         // ahead of the read.
                         for mut w in b.flush_row(loc.channel, loc.bank, loc.row) {
                             w.ready = now;
-                            queues.push(w);
+                            ctl.push(w);
                         }
-                        queues.push(q);
+                        ctl.push(q);
                     }
-                    (None, _) => queues.push(q),
+                    (None, _) => ctl.push(q),
                 }
             }
             Some((now, _)) => {
                 // Issue.
                 let (_, bank) = issue.expect("issue candidate present");
-                let q = queues.take(bank);
+                let q = ctl.take(bank);
                 let ch = q.loc.channel as usize;
-                let timing =
-                    devices[ch % shard_count].access_line(&q.loc, q.op, now, q.payload.as_ref());
-                let transfer_start = timing.data_ready_at.max(bus_free[ch]);
-                let transfer_end = transfer_start + timing.bus_occupancy;
-                bus_free[ch] = transfer_end;
-                queues.set_bank_free(bank, timing.bank_free_at);
-                stats.energy.access += timing.energy;
-                channels[ch].busy += timing.bus_occupancy;
+                let device = &mut *devices[ch % shard_count];
+                let (finished, occupancy) =
+                    ctl.access(device, &q.loc, q.op, now, q.payload.as_ref());
+                channels[ch].busy += occupancy;
                 completions.push(Reverse(Completion {
-                    finished: transfer_end + interface_delay,
+                    finished,
                     seq: comp_seq,
                     issued: now,
                     q,
@@ -420,18 +397,15 @@ pub fn run_service_with_sources(
     for shard in &mut devices {
         drained_fj += (shard.drain_accumulated_energy().as_joules() * 1e15).round();
     }
-    stats.energy.refresh = Energy::from_joules(drained_fj * 1e-15);
     // The shard instances partition one device, so its background power
     // burns once, not per shard.
-    stats.finalize_background(background);
-    stats.finalize_percentiles(&mut latencies);
+    let stats = ctl.finish(Energy::from_joules(drained_fj * 1e-15), background);
 
     ServeReport {
         stats,
         tenants,
         channels,
-        depth,
-        tail,
+        max_depth,
         batched_writes,
         coalesced_writes: batcher.as_ref().map_or(0, WriteBatcher::coalesced),
         shards: shard_count,
@@ -472,7 +446,6 @@ mod tests {
         assert!(a.stats.p95_latency >= a.stats.p50_latency);
         assert_eq!(a.tenants.len(), 1);
         assert_eq!(a.tenants[0].completed, 500);
-        assert_eq!(a.depth.events(), 1000, "one sample per arrival+completion");
     }
 
     #[test]
@@ -491,7 +464,7 @@ mod tests {
             oa.stats.p99_latency
         );
         // Closed-loop in-flight never exceeds the client count.
-        assert!(ca.depth.max_depth() <= 4);
+        assert!(ca.max_depth <= 4);
     }
 
     #[test]

@@ -8,23 +8,27 @@
 //!
 //! * **Request sources** ([`RequestSource`]) — open-loop arrival processes
 //!   ([`ArrivalProcess`]: deterministic-rate, Poisson, bursty on/off) and
-//!   closed-loop clients (fixed concurrency with think time), each seeded
-//!   and deterministic, interleaved by a multi-tenant [`TenantMux`] with
-//!   per-tenant accounting; tenants optionally source *line payloads*
+//!   closed-loop clients (fixed concurrency with think time), each seeded,
+//!   deterministic and shaped by a [`memsim::StreamShape`], interleaved by
+//!   a multi-tenant [`TenantMux`] with per-tenant accounting; tenants
+//!   optionally source *line payloads*
 //!   ([`TenantSpec::with_payload`], a `comet_data::PayloadSpec`) so
 //!   content-aware devices price every store from its actual bytes;
-//! * **A channel-sharded service core** ([`run_service`]) — one logical
-//!   simulation partitioned across channel-owned
-//!   [`memsim::MemoryDevice`] backends (address-interleaved through
-//!   [`memsim::AddressMap`]), per-bank command queues reusing
-//!   [`memsim::Scheduler`], and a write-coalescing batch stage
+//! * **A channel-sharded service core** ([`run_service`]) — an
+//!   event-driven driver over [`memsim::Controller`], the controller
+//!   trace replay uses too (address map, per-bank queues and
+//!   [`memsim::Scheduler`], channel-bus contention, statistics). It adds
+//!   the completion heap, a write-coalescing batch stage
 //!   ([`BatchConfig`]) that merges same-row/same-line writes within a
-//!   window — exploiting PCM's read/write asymmetry;
-//! * **Online tail accounting** — streaming p50/p95/p99/max through a
-//!   fixed-bucket [`TailHistogram`], per-tenant throughput, and a
-//!   self-decimating queue-depth [`DepthSeries`], all landing in the same
-//!   [`memsim::SimStats`] shape trace replay reports, so `comet-lab`
-//!   campaigns export serve cells and replay cells uniformly.
+//!   window — exploiting PCM's read/write asymmetry — and the partition
+//!   of one logical device across channel-owned [`memsim::MemoryDevice`]
+//!   backends;
+//! * **Tail accounting** — the aggregate lands in the same
+//!   [`memsim::SimStats`] shape trace replay reports, with exact
+//!   p50/p95/p99, so `comet-lab` campaigns export serve cells and replay
+//!   cells uniformly; each tenant's latencies stream through a
+//!   fixed-bucket [`TailHistogram`], and the report keeps per-tenant
+//!   throughput, per-channel totals and the peak in-system depth.
 //!
 //! # Quick start
 //!
@@ -51,16 +55,14 @@
 mod arrival;
 mod batch;
 mod core;
-mod shape;
 mod source;
 mod stats;
 
 pub use arrival::{ArrivalClock, ArrivalProcess};
 pub use batch::BatchConfig;
 pub use core::{run_service, run_service_with_sources, ServeSpec};
-pub use shape::StreamShape;
 pub use source::{
     ClosedLoopSource, MuxPoll, OpenLoopSource, RequestSource, SourcePoll, Sourced, TenantLoad,
     TenantMux, TenantSpec,
 };
-pub use stats::{ChannelStats, DepthSeries, ServeReport, TailHistogram, TenantStats};
+pub use stats::{ChannelStats, ServeReport, TailHistogram, TenantStats};

@@ -8,10 +8,9 @@
 //! preserving each tenant's own request order.
 
 use crate::arrival::{ArrivalClock, ArrivalProcess};
-use crate::shape::StreamShape;
 use comet_data::{PayloadGen, PayloadSpec};
 use comet_units::{ByteCount, Time};
-use memsim::{LineData, MemOp, WorkloadProfile};
+use memsim::{hash_name, LineData, MemOp, StreamShape, WorkloadProfile};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -345,16 +344,6 @@ impl TenantMux {
 
 /// The golden-ratio stride `comet-lab` also uses for seed derivation.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// FNV-1a over a tenant name (decorelates same-profile tenants).
-fn hash_name(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 /// How a declarative tenant offers load.
 #[derive(Debug, Clone, Copy, PartialEq)]

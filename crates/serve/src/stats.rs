@@ -1,12 +1,12 @@
-//! Online tail-latency and queue-depth accounting.
+//! Per-tenant and per-channel accounting of a service run.
 //!
-//! The service core cannot afford to keep every sample per tenant, so tail
-//! latency streams into a [`TailHistogram`] — a fixed-bucket logarithmic
-//! histogram an order of magnitude finer than `memsim`'s ten-bucket
-//! [`LatencyHistogram`](memsim::LatencyHistogram) (eight buckets per decade
-//! from 1 ns to 1 ms) — and queue depth streams into a [`DepthSeries`]
-//! that decimates itself to a bounded number of samples. Both are
-//! deterministic: equal event streams produce equal accounting.
+//! The service core cannot afford to keep every sample per tenant, so each
+//! tenant's tail latency streams into a [`TailHistogram`] — a fixed-bucket
+//! logarithmic histogram an order of magnitude finer than `memsim`'s
+//! ten-bucket [`LatencyHistogram`](memsim::LatencyHistogram) (eight
+//! buckets per decade from 1 ns to 1 ms). The aggregate's exact
+//! percentiles are `memsim`'s [`SimStats`] fields. Accounting is
+//! deterministic: equal event streams produce equal reports.
 
 use comet_units::{ByteCount, Time};
 use memsim::{MemOp, SimStats};
@@ -132,105 +132,11 @@ impl TailHistogram {
         }
         self.max
     }
-
-    /// Folds another histogram into this one (used to check that tenant
-    /// tails sum to the aggregate).
-    pub fn merge(&mut self, other: &TailHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-    }
 }
 
 impl Default for TailHistogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A self-decimating time series of queue depth.
-///
-/// Every event records `(time, depth)`; when the buffer reaches its
-/// capacity it drops every other retained sample and doubles its sampling
-/// stride, so memory stays bounded while the series keeps covering the
-/// whole run. Decimation depends only on the event sequence, never on
-/// wall-clock state, so equal runs produce equal series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DepthSeries {
-    samples: Vec<(Time, u64)>,
-    capacity: usize,
-    stride: u64,
-    seen: u64,
-    max_depth: u64,
-    /// Time-weighted depth integral (depth · seconds).
-    area: f64,
-    last: Option<(Time, u64)>,
-}
-
-impl DepthSeries {
-    /// A series retaining at most `capacity` samples (at least 2).
-    pub fn new(capacity: usize) -> Self {
-        DepthSeries {
-            samples: Vec::new(),
-            capacity: capacity.max(2),
-            stride: 1,
-            seen: 0,
-            max_depth: 0,
-            area: 0.0,
-            last: None,
-        }
-    }
-
-    /// Records the instantaneous depth after an event at `now` (event
-    /// times must be non-decreasing).
-    pub fn record(&mut self, now: Time, depth: u64) {
-        if let Some((t, d)) = self.last {
-            self.area += d as f64 * (now - t).as_seconds();
-        }
-        self.last = Some((now, depth));
-        self.max_depth = self.max_depth.max(depth);
-        if self.seen % self.stride == 0 {
-            if self.samples.len() >= self.capacity {
-                let mut keep = 0usize;
-                self.samples.retain(|_| {
-                    keep += 1;
-                    (keep - 1) % 2 == 0
-                });
-                self.stride *= 2;
-            }
-            // Re-check the stride after decimation.
-            if self.seen % self.stride == 0 {
-                self.samples.push((now, depth));
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// The retained `(time, depth)` samples in time order.
-    pub fn samples(&self) -> &[(Time, u64)] {
-        &self.samples
-    }
-
-    /// The deepest instantaneous queue observed.
-    pub fn max_depth(&self) -> u64 {
-        self.max_depth
-    }
-
-    /// Time-weighted mean depth over `makespan`.
-    pub fn mean_depth(&self, makespan: Time) -> f64 {
-        if makespan.is_zero() {
-            0.0
-        } else {
-            self.area / makespan.as_seconds()
-        }
-    }
-
-    /// Events recorded (before decimation).
-    pub fn events(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -345,10 +251,9 @@ pub struct ServeReport {
     pub tenants: Vec<TenantStats>,
     /// Per-logical-channel accounting.
     pub channels: Vec<ChannelStats>,
-    /// Queue-depth time series (requests in system).
-    pub depth: DepthSeries,
-    /// Fine-grained aggregate latency distribution.
-    pub tail: TailHistogram,
+    /// The most requests in the system (admitted, not yet completed) at
+    /// any instant.
+    pub max_depth: u64,
     /// Writes that entered the batch stage.
     pub batched_writes: u64,
     /// Same-line writes coalesced away (completed by another access).
@@ -413,52 +318,6 @@ mod tests {
         let p100 = h.percentile(100.0);
         assert!(p100 <= h.max());
         assert!(p100.as_nanos() >= bound_ns(NUM_BOUNDS - 1));
-    }
-
-    #[test]
-    fn merge_sums_counts() {
-        let mut a = TailHistogram::new();
-        let mut b = TailHistogram::new();
-        for ns in 1..100 {
-            a.record(Time::from_nanos(ns as f64));
-            b.record(Time::from_nanos(10.0 * ns as f64));
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.total(), a.total() + b.total());
-        assert_eq!(merged.max(), b.max());
-    }
-
-    #[test]
-    fn depth_series_decimates_deterministically() {
-        let mut s = DepthSeries::new(8);
-        for i in 0..1000u64 {
-            s.record(Time::from_nanos(i as f64), i % 50);
-        }
-        assert!(s.samples().len() <= 8);
-        assert_eq!(s.max_depth(), 49);
-        assert_eq!(s.events(), 1000);
-        // Samples stay in time order.
-        for w in s.samples().windows(2) {
-            assert!(w[1].0 >= w[0].0);
-        }
-        // Determinism.
-        let mut t = DepthSeries::new(8);
-        for i in 0..1000u64 {
-            t.record(Time::from_nanos(i as f64), i % 50);
-        }
-        assert_eq!(s, t);
-    }
-
-    #[test]
-    fn depth_series_mean_is_time_weighted() {
-        let mut s = DepthSeries::new(16);
-        s.record(Time::ZERO, 10);
-        s.record(Time::from_nanos(100.0), 0);
-        s.record(Time::from_nanos(200.0), 0);
-        // Depth 10 for the first half, 0 for the second: mean 5.
-        let mean = s.mean_depth(Time::from_nanos(200.0));
-        assert!((mean - 5.0).abs() < 1e-9, "mean {mean}");
     }
 
     #[test]

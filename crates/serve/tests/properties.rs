@@ -9,11 +9,12 @@
 
 use comet_data::{DataPolicy, DataWriteModel, PayloadSpec};
 use comet_serve::{
-    run_service, ArrivalProcess, BatchConfig, MuxPoll, ServeSpec, SourcePoll, StreamShape,
-    TenantMux, TenantSpec,
+    run_service, ArrivalProcess, BatchConfig, MuxPoll, ServeSpec, SourcePoll, TenantMux, TenantSpec,
 };
 use comet_units::{ByteCount, Time};
-use memsim::{AccessPattern, DramConfig, EpcmConfig, EpcmDevice, FnFactory, WorkloadProfile};
+use memsim::{
+    AccessPattern, DramConfig, EpcmConfig, EpcmDevice, FnFactory, StreamShape, WorkloadProfile,
+};
 use proptest::prelude::*;
 
 fn any_process() -> impl Strategy<Value = ArrivalProcess> {
@@ -232,8 +233,8 @@ proptest! {
         let spec = ServeSpec::closed_loop(clients, Time::from_nanos(think_ns), 200);
         let report = run_service(&EpcmConfig::epcm_mm(), &spec, &p, 5, "depth");
         prop_assert_eq!(report.stats.completed, 200);
-        prop_assert!(report.depth.max_depth() <= clients as u64,
-            "in-flight {} exceeds {clients} clients", report.depth.max_depth());
+        prop_assert!(report.max_depth <= clients as u64,
+            "in-flight {} exceeds {clients} clients", report.max_depth);
     }
 
     #[test]

@@ -1,0 +1,96 @@
+#!/usr/bin/env bash
+# Byte-compares the outputs of the working tree against a base revision.
+#
+# Usage: scripts/compare_outputs.sh <base-rev> [work-dir]
+#
+# Exports <base-rev> with `git archive` into <work-dir>/base-src and builds
+# it there with its own CARGO_TARGET_DIR (<work-dir>/base-target); the
+# working tree builds into its usual target directory ($CARGO_TARGET_DIR,
+# else target/). Both sides then run, with the working tree's
+# spec files as input:
+#   * the 14 figure/table binaries (stdout and exit status);
+#   * `comet-lab run specs/serve_smoke.json` at --shards 1 and 4;
+#   * a 15-device x mcf-like,gcc-like,lbm-like grid at --requests 800.
+# Every output file is compared with `cmp`. Exits non-zero and lists the
+# files that differ, if any do. <work-dir> defaults to a fresh temporary
+# directory and is left in place for inspection.
+set -euo pipefail
+
+if [[ $# -lt 1 || $# -gt 2 ]]; then
+    echo "usage: $0 <base-rev> [work-dir]" >&2
+    exit 2
+fi
+base_rev=$1
+root=$(git rev-parse --show-toplevel)
+work=${2:-$(mktemp -d)}
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+
+bins="ablations fig10_dota fig1b_crosstalk fig2_corruption fig3_materials
+      fig4_geometry fig6_levels fig7_power_comet fig8_power_compare
+      fig9_performance fig_latency_vs_load fig_write_energy_vs_entropy
+      table1_params table2_timing"
+devices=2D_DDR3,3D_DDR3,2D_DDR4,3D_DDR4,EPCM-MM,COSMOS,COMET,COMET-1b,COMET-2b,COMET-4b,COMET-paper,COMET-derived,EPCM-oblivious,EPCM-DCW,EPCM-DCW-FNW
+spec="$root/specs/serve_smoke.json"
+
+build() { # <source dir> <target dir>
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
+        -p comet-bench --bins -p comet-lab)
+}
+
+run_side() { # <target dir> <output dir>
+    local bin=$1/release out=$2
+    rm -rf "$out"
+    mkdir -p "$out"
+    for b in $bins; do
+        local status=0
+        "$bin/$b" >"$out/$b.stdout" || status=$?
+        echo "$status" >"$out/$b.status"
+    done
+    for shards in 1 4; do
+        "$bin/comet-lab" run "$spec" --threads 2 --shards "$shards" \
+            --out "$out/serve-smoke-shards$shards" >/dev/null
+    done
+    "$bin/comet-lab" --devices "$devices" --workloads mcf-like,gcc-like,lbm-like \
+        --requests 800 --threads 2 --name grid --out "$out/grid" >/dev/null
+}
+
+# Re-exporting an unchanged base would reset its mtimes and force a full
+# rebuild, so a work dir already holding this revision is reused.
+base_commit=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
+if [[ "$(cat "$work/base-src.rev" 2>/dev/null)" != "$base_commit" ]]; then
+    echo "exporting $base_rev to $work/base-src"
+    rm -rf "$work/base-src"
+    mkdir -p "$work/base-src"
+    git -C "$root" archive "$base_commit" | tar -x -C "$work/base-src"
+    echo "$base_commit" >"$work/base-src.rev"
+fi
+
+echo "building base and working tree"
+build "$work/base-src" "$work/base-target"
+head_target=${CARGO_TARGET_DIR:-$root/target}
+build "$root" "$head_target"
+
+echo "running both sides"
+run_side "$work/base-target" "$work/base-out"
+run_side "$head_target" "$work/head-out"
+
+differ=()
+compared=0
+while IFS= read -r file; do
+    compared=$((compared + 1))
+    if ! cmp -s "$work/base-out/$file" "$work/head-out/$file"; then
+        differ+=("$file")
+    fi
+done < <(cd "$work/base-out" && find . -type f | sort)
+# Files only the working tree produced.
+while IFS= read -r file; do
+    [[ -e "$work/base-out/$file" ]] || differ+=("$file (only in the working tree)")
+done < <(cd "$work/head-out" && find . -type f | sort)
+
+if [[ ${#differ[@]} -gt 0 ]]; then
+    echo "outputs differ from $base_rev (see $work/base-out and $work/head-out):"
+    printf '  %s\n' "${differ[@]}"
+    exit 1
+fi
+echo "all $compared outputs byte-identical to $base_rev"
