@@ -56,8 +56,8 @@ fn main() {
             format!("{:.3}", stats.bandwidth().as_gigabytes_per_second()),
             format!("{:.2}", stats.energy_per_bit().as_picojoules_per_bit()),
             format!("{:.1}", stats.avg_latency().as_nanos()),
-            format!("{:.0}", stats.histogram.percentile(50.0).as_nanos()),
-            format!("{:.0}", stats.histogram.percentile(99.0).as_nanos()),
+            format!("{:.0}", stats.p50_latency.as_nanos()),
+            format!("{:.0}", stats.p99_latency.as_nanos()),
             format!("{:.4}", stats.bandwidth_per_epb()),
         ]);
     }

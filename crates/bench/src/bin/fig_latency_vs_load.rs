@@ -7,7 +7,8 @@
 //! geometric rate grid — memoryless by design; see the axis docs for why
 //! evenly spaced arrivals would alias into DRAM's refresh period and
 //! wobble the tail), one SPEC-like workload shape. Each cell reports
-//! exact p50/p95/p99; sweeping the arrival rate exposes where every
+//! p50/p95/p99 (each at most 2^-7 below the exact nearest-rank sample);
+//! sweeping the arrival rate exposes where every
 //! device's queue blows up — DRAM first, COSMOS an order of magnitude
 //! later, COMET last.
 //!

@@ -16,8 +16,8 @@ use std::fmt;
 
 /// Per-tenant results of one serve cell, in tenant index order — the
 /// exportable subset of [`comet_serve::TenantStats`] (plain scalars; the
-/// tail percentiles are materialized from the streaming histogram at
-/// capture time so the JSON round trip stays exact).
+/// tail percentiles are read from the tenant's histogram at capture
+/// time, by the rule the cell's own percentiles follow).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSummary {
     /// Tenant name.
@@ -34,11 +34,12 @@ pub struct TenantSummary {
     pub total_latency: Time,
     /// Maximum request latency.
     pub max_latency: Time,
-    /// Median latency (streaming-histogram resolution).
+    /// Median latency: the floor of the histogram bucket holding the
+    /// nearest-rank sample, at most 2^-7 below it.
     pub p50_latency: Time,
-    /// 95th-percentile latency (streaming-histogram resolution).
+    /// 95th-percentile latency (see [`TenantSummary::p50_latency`]).
     pub p95_latency: Time,
-    /// 99th-percentile latency (streaming-histogram resolution).
+    /// 99th-percentile latency (see [`TenantSummary::p50_latency`]).
     pub p99_latency: Time,
 }
 
@@ -193,6 +194,29 @@ fn tenant_from_json(t: &Json) -> Result<TenantSummary, ReportParseError> {
     })
 }
 
+fn histogram_from_json(h: &Json) -> Result<LatencyHistogram, ReportParseError> {
+    if h.as_array().is_some() {
+        return Err(schema(
+            "'histogram' is an array of bucket counts, the 10-bucket format of older \
+             reports; re-run the campaign to export its log-linear histogram",
+        )
+        .into());
+    }
+    let counts = field(h, "counts")?
+        .as_array()
+        .ok_or_else(|| schema("histogram 'counts' is not an array"))?
+        .iter()
+        .map(|c| {
+            c.as_u64()
+                .ok_or_else(|| schema("histogram count is not an integer"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let first_ps = u64_field(h, "first_ps")?;
+    let message = "'histogram' is not canonical: 'first_ps' must be a bucket floor \
+                   and the outer counts non-zero";
+    LatencyHistogram::from_parts(first_ps, counts).ok_or_else(|| schema(message).into())
+}
+
 impl CellReport {
     fn to_json(&self) -> Json {
         let s = &self.stats;
@@ -220,13 +244,19 @@ impl CellReport {
                     ("p99_latency_s", Json::float(s.p99_latency.as_seconds())),
                     (
                         "histogram",
-                        Json::Array(
-                            s.histogram
-                                .counts()
-                                .iter()
-                                .map(|&c| Json::integer(c))
-                                .collect(),
-                        ),
+                        Json::object([
+                            ("first_ps", Json::integer(s.histogram.first_ps())),
+                            (
+                                "counts",
+                                Json::Array(
+                                    s.histogram
+                                        .counts()
+                                        .iter()
+                                        .map(|&c| Json::integer(c))
+                                        .collect(),
+                                ),
+                            ),
+                        ]),
                     ),
                     (
                         "energy_j",
@@ -267,18 +297,7 @@ impl CellReport {
 
     fn from_json(cell: &Json) -> Result<CellReport, ReportParseError> {
         let stats = field(cell, "stats")?;
-        let hist = field(stats, "histogram")?
-            .as_array()
-            .ok_or_else(|| schema("'histogram' is not an array"))?;
-        if hist.len() != 10 {
-            return Err(schema(format!("histogram has {} buckets, want 10", hist.len())).into());
-        }
-        let mut counts = [0u64; 10];
-        for (i, c) in hist.iter().enumerate() {
-            counts[i] = c
-                .as_u64()
-                .ok_or_else(|| schema("histogram bucket is not an integer"))?;
-        }
+        let histogram = histogram_from_json(field(stats, "histogram")?)?;
         let energy = field(stats, "energy_j")?;
         // Absent means a pre-tenant-export report: parse as no tenants.
         let tenants = match cell.get("tenants") {
@@ -311,7 +330,7 @@ impl CellReport {
                 p50_latency: Time::from_seconds(f64_field(stats, "p50_latency_s")?),
                 p95_latency: Time::from_seconds(f64_field(stats, "p95_latency_s")?),
                 p99_latency: Time::from_seconds(f64_field(stats, "p99_latency_s")?),
-                histogram: LatencyHistogram::from_counts(counts),
+                histogram,
                 energy: EnergyBreakdown {
                     access: Energy::from_joules(f64_field(energy, "access")?),
                     background: Energy::from_joules(f64_field(energy, "background")?),
@@ -525,7 +544,9 @@ mod tests {
         s.p50_latency = Time::from_nanos(120.5);
         s.p95_latency = Time::from_nanos(190.25);
         s.p99_latency = Time::from_nanos(200.125);
-        s.histogram = LatencyHistogram::from_counts([0, 1, 0, 2, 0, 0, 0, 0, 0, 0]);
+        for ns in [20.0, 200.0, 200.0] {
+            s.histogram.record(Time::from_nanos(ns));
+        }
         s.energy = EnergyBreakdown {
             access: Energy::from_picojoules(512.5),
             background: Energy::from_picojoules(17.0),
@@ -645,6 +666,34 @@ mod tests {
         let bad = "{\"campaign\":\"x\",\"seed\":1,\"replicates\":1,\
                    \"normalize_lines\":true,\"cells\":[{\"index\":0}]}";
         assert!(CampaignReport::from_json(bad).is_err());
+    }
+
+    #[test]
+    fn ten_bucket_histograms_are_rejected_with_a_message() {
+        let text = sample_report().to_json();
+        let h = &sample_report().cells[0].stats.histogram;
+        let counts: Vec<String> = h.counts().iter().map(u64::to_string).collect();
+        let new_form = format!(
+            "\"histogram\": {{\n          \"first_ps\": {},\n          \"counts\": [{}]\n        }}",
+            h.first_ps(),
+            counts.join(", ")
+        );
+        assert!(text.contains(&new_form), "the export holds {new_form}");
+        for (to, message) in [
+            (
+                "\"histogram\": [0, 1, 0, 2, 0, 0, 0, 0, 0, 0]".to_string(),
+                "10-bucket format",
+            ),
+            (
+                new_form.replace("\"counts\": [", "\"counts\": [0, "),
+                "not canonical",
+            ),
+        ] {
+            match CampaignReport::from_json(&text.replacen(&new_form, &to, 1)) {
+                Err(ReportParseError::Schema(m)) => assert!(m.contains(message), "{m}"),
+                other => panic!("'{to}' must be a schema error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -347,7 +347,7 @@ mod tests {
         assert_eq!(serve_cells.len(), 4);
         for cell in serve_cells {
             // Serve cells complete the scenario budget, not the profile's
-            // request count, and carry exact tail percentiles.
+            // request count, and carry tail percentiles.
             assert_eq!(cell.stats.completed, 150, "{}", cell.device);
             assert!(cell.stats.p99_latency >= cell.stats.p50_latency);
             assert!(cell.stats.p50_latency > Time::ZERO);
@@ -356,7 +356,12 @@ mod tests {
             assert_eq!(cell.tenants.len(), 1);
             assert_eq!(cell.tenants[0].name, "closed");
             assert_eq!(cell.tenants[0].completed, 150);
-            assert!(cell.tenants[0].p99_latency >= cell.tenants[0].p50_latency);
+            // One tenant: its percentiles are the cell's.
+            let (t, s) = (&cell.tenants[0], &cell.stats);
+            assert_eq!(
+                (t.p50_latency, t.p95_latency, t.p99_latency),
+                (s.p50_latency, s.p95_latency, s.p99_latency)
+            );
         }
         // Replay cells carry no tenants.
         for cell in sequential

@@ -25,6 +25,8 @@ use comet_serve::{ArrivalProcess, BatchConfig, ServeSpec, TenantLoad, TenantSpec
 use comet_units::{ByteCount, Time};
 use memsim::{AccessPattern, ReplayMode, Scheduler, WorkloadProfile};
 use std::fmt;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 
 /// A failure to serialize or reconstruct a campaign spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,22 +260,43 @@ pub fn spec_to_json(spec: &CampaignSpec) -> Result<String, SpecError> {
 // for enum variants built directly — silently produce garbage like
 // infinite arrival times from a zero rate).
 
-fn positive_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
-    let v = f64_field(obj, key)?;
-    if v > 0.0 && v.is_finite() {
-        Ok(v)
-    } else {
-        Err(schema(format!("'{key}' must be positive and finite, got {v}")).into())
-    }
-}
+/// The longest duration a spec field may hold: an inter-arrival gap, a
+/// think time, a burst's on or off phase, a batch window. Simulated runs
+/// span micro- to milliseconds. A DRAM device walks its refresh windows
+/// through idle time, so a longer pause costs wall time in proportion (a
+/// 100 s think time runs for ~50 s on 2D_DDR3), and one near `f64::MAX`
+/// yields times the report cannot represent.
+const MAX_DURATION_S: f64 = 1.0;
+/// The slowest arrival rate: one request per [`MAX_DURATION_S`].
+const MIN_RATE_RPS: f64 = 1.0 / MAX_DURATION_S;
 
-fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
+/// A duration that may be zero.
+const DURATION: (Bound<f64>, Bound<f64>) = (Included(0.0), Included(MAX_DURATION_S));
+/// A duration that must not be zero.
+const POSITIVE_DURATION: (Bound<f64>, Bound<f64>) = (Excluded(0.0), Included(MAX_DURATION_S));
+/// An arrival rate in requests per second.
+const RATE: (Bound<f64>, Bound<f64>) = (Included(MIN_RATE_RPS), Excluded(f64::INFINITY));
+/// A fraction that may be zero.
+const FRACTION: (Bound<f64>, Bound<f64>) = (Included(0.0), Included(1.0));
+
+/// Reads the number at `key` and accepts it only in `range`, naming the
+/// field and the range otherwise.
+fn bounded_f64(obj: &Json, key: &str, range: (Bound<f64>, Bound<f64>)) -> Result<f64, SpecError> {
     let v = f64_field(obj, key)?;
-    if v >= 0.0 && v.is_finite() {
-        Ok(v)
-    } else {
-        Err(schema(format!("'{key}' must be non-negative and finite, got {v}")).into())
+    if range.contains(&v) {
+        return Ok(v);
     }
+    let lo = match range.0 {
+        Included(lo) => format!("[{lo:?}"),
+        Excluded(lo) => format!("({lo:?}"),
+        Unbounded => "(-inf".into(),
+    };
+    let hi = match range.1 {
+        Included(hi) => format!("{hi:?}]"),
+        Excluded(hi) => format!("{hi:?})"),
+        Unbounded => "inf)".into(),
+    };
+    Err(schema(format!("'{key}' must be in {lo}, {hi}, got {v:?}")).into())
 }
 
 /// A request budget, which must be at least 1: an empty budget would run
@@ -303,13 +326,7 @@ fn pattern_from_json(j: &Json) -> Result<AccessPattern, SpecError> {
 }
 
 fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SpecError> {
-    let read_fraction = f64_field(j, "read_fraction")?;
-    if !(0.0..=1.0).contains(&read_fraction) {
-        return Err(schema(format!(
-            "'read_fraction' must be in [0, 1], got {read_fraction}"
-        ))
-        .into());
-    }
+    let read_fraction = bounded_f64(j, "read_fraction", FRACTION)?;
     let line_bytes = u64_field(j, "line_bytes")?;
     if line_bytes == 0 {
         return Err(schema("'line_bytes' must be at least 1").into());
@@ -326,7 +343,7 @@ fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SpecError> {
         read_fraction,
         footprint: ByteCount::new(footprint),
         pattern: pattern_from_json(field(j, "pattern")?)?,
-        interarrival: Time::from_seconds(non_negative_f64(j, "interarrival_s")?),
+        interarrival: Time::from_seconds(bounded_f64(j, "interarrival_s", DURATION)?),
         requests: u64_field(j, "requests")? as usize,
         line_bytes,
     })
@@ -351,13 +368,14 @@ fn process_from_json(j: &Json) -> Result<ArrivalProcess, SpecError> {
     // The validating constructors (not raw variants) keep the crate's
     // documented invariants — positive finite rates, positive burst
     // windows — out of reach of malformed files.
+    let rate = || bounded_f64(j, "rate_rps", RATE);
     match str_field(j, "kind")?.as_str() {
-        "deterministic" => Ok(ArrivalProcess::deterministic(positive_f64(j, "rate_rps")?)),
-        "poisson" => Ok(ArrivalProcess::poisson(positive_f64(j, "rate_rps")?)),
+        "deterministic" => Ok(ArrivalProcess::deterministic(rate()?)),
+        "poisson" => Ok(ArrivalProcess::poisson(rate()?)),
         "bursty" => Ok(ArrivalProcess::bursty(
-            positive_f64(j, "rate_rps")?,
-            Time::from_seconds(positive_f64(j, "on_s")?),
-            Time::from_seconds(non_negative_f64(j, "off_s")?),
+            rate()?,
+            Time::from_seconds(bounded_f64(j, "on_s", POSITIVE_DURATION)?),
+            Time::from_seconds(bounded_f64(j, "off_s", DURATION)?),
         )),
         other => Err(schema(format!("unknown arrival process kind '{other}'")).into()),
     }
@@ -368,18 +386,11 @@ fn payload_from_json(j: &Json) -> Result<PayloadSpec, SpecError> {
         "zero" => Ok(PayloadSpec::Zero),
         "uniform" => Ok(PayloadSpec::Uniform),
         "toggle" => Ok(PayloadSpec::ToggleWords),
-        "sparse" => {
-            let flip_fraction = positive_f64(j, "flip_fraction")?;
-            if flip_fraction > 1.0 {
-                return Err(schema(format!(
-                    "'flip_fraction' must be in (0, 1], got {flip_fraction}"
-                ))
-                .into());
-            }
-            Ok(PayloadSpec::SparseUpdate { flip_fraction })
-        }
+        "sparse" => Ok(PayloadSpec::SparseUpdate {
+            flip_fraction: bounded_f64(j, "flip_fraction", (Excluded(0.0), Included(1.0)))?,
+        }),
         "weights" => Ok(PayloadSpec::TransformerWeights {
-            std: positive_f64(j, "std")?,
+            std: bounded_f64(j, "std", (Excluded(0.0), Excluded(f64::INFINITY)))?,
         }),
         other => Err(schema(format!(
             "unknown payload kind '{other}' (zero|uniform|toggle|sparse|weights)"
@@ -399,7 +410,7 @@ fn tenant_from_json(j: &Json) -> Result<TenantSpec, SpecError> {
             }
             TenantLoad::Closed {
                 clients,
-                think: Time::from_seconds(non_negative_f64(load_json, "think_s")?),
+                think: Time::from_seconds(bounded_f64(load_json, "think_s", DURATION)?),
             }
         }
         other => Err(schema(format!("unknown tenant load kind '{other}'")))?,
@@ -434,7 +445,7 @@ fn serve_from_json(j: &Json) -> Result<ServeSpec, SpecError> {
                 return Err(schema("'max_writes' must be at least 1").into());
             }
             Some(BatchConfig::new(
-                Time::from_seconds(positive_f64(b, "window_s")?),
+                Time::from_seconds(bounded_f64(b, "window_s", POSITIVE_DURATION)?),
                 max_writes,
             ))
         }
@@ -676,6 +687,51 @@ mod tests {
         let bad = text.replace("\"clients\": 4", "\"clients\": 0");
         assert_ne!(bad, text);
         assert!(matches!(spec_from_json(&bad), Err(SpecError::Schema(_))));
+        // Durations above MAX_DURATION_S and rates below MIN_RATE_RPS: a
+        // huge think time or gap hangs a DRAM run or overflows the export.
+        let poisson = "\"kind\": \"poisson\",\n                \"rate_rps\": 20000000.0";
+        let bursty = |on: &str, off: &str| {
+            format!("\"kind\": \"bursty\", \"rate_rps\": 2e7, \"on_s\": {on}, \"off_s\": {off}")
+        };
+        for (from, to, key) in [
+            (
+                "\"think_s\": 3.0000000000000004e-8",
+                "\"think_s\": 1e300".into(),
+                "think_s",
+            ),
+            (
+                "\"think_s\": 3.0000000000000004e-8",
+                "\"think_s\": 1.5".into(),
+                "think_s",
+            ),
+            (
+                "\"interarrival_s\": 5e-10",
+                "\"interarrival_s\": 1e300".into(),
+                "interarrival_s",
+            ),
+            (
+                "\"window_s\": 1.5e-7",
+                "\"window_s\": 2.0".into(),
+                "window_s",
+            ),
+            (
+                "\"rate_rps\": 20000000.0",
+                "\"rate_rps\": 0.5".into(),
+                "rate_rps",
+            ),
+            (poisson, bursty("1e300", "0.0"), "on_s"),
+            (poisson, bursty("1e-7", "1e299"), "off_s"),
+        ] {
+            let bad = text.replace(from, &to);
+            assert_ne!(bad, text, "substitution '{from}' must apply");
+            match spec_from_json(&bad) {
+                Err(SpecError::Schema(m)) => assert!(m.contains(&format!("'{key}'")), "{m}"),
+                other => panic!("'{to}' must be rejected as a schema error, got {other:?}"),
+            }
+        }
+        // The ceiling itself is a valid duration.
+        let one = text.replace("\"think_s\": 3.0000000000000004e-8", "\"think_s\": 1.0");
+        assert!(spec_from_json(&one).is_ok());
     }
 
     #[test]

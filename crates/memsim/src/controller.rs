@@ -5,7 +5,7 @@
 //! how a controller treats them. [`Controller`] is that common part: the
 //! address map, the per-bank queues and their FCFS / FR-FCFS choice
 //! ([`BankQueues`]), per-channel data-bus contention, the device's
-//! interface delay, and the statistics with their exact percentiles. An
+//! interface delay, and the statistics with their latency histogram. An
 //! engine decodes and pushes requests, asks for the next issue, performs
 //! it through [`Controller::access`], records each completion in its own
 //! order, and calls [`Controller::finish`] once.
@@ -61,7 +61,6 @@ pub struct Controller<T> {
     bus_free: Vec<Time>,
     interface_delay: Time,
     stats: SimStats,
-    latencies: Vec<Time>,
 }
 
 impl<T: Pending> Controller<T> {
@@ -92,7 +91,6 @@ impl<T: Pending> Controller<T> {
             bus_free: vec![Time::ZERO; topo.channels as usize],
             interface_delay: device.interface_delay(),
             stats: SimStats::new(device.name(), workload),
-            latencies: Vec::new(),
         }
     }
 
@@ -102,9 +100,9 @@ impl<T: Pending> Controller<T> {
         self.map.decode(address)
     }
 
-    /// Reserves exactly enough queue and sample room for requests to
-    /// `addresses`, for an engine that queues a whole trace up front
-    /// (doubling growth would hold up to twice its entries).
+    /// Reserves exactly enough queue room for requests to `addresses`,
+    /// for an engine that queues a whole trace up front (doubling growth
+    /// would hold up to twice its entries).
     pub(crate) fn reserve(&mut self, addresses: impl Iterator<Item = u64>) {
         let mut per_bank = vec![0usize; (self.map.channels() * self.map.banks()) as usize];
         for address in addresses {
@@ -113,7 +111,6 @@ impl<T: Pending> Controller<T> {
         for (bank, &n) in per_bank.iter().enumerate() {
             self.queues.reserve(bank, n);
         }
-        self.latencies.reserve_exact(per_bank.iter().sum());
     }
 
     /// Queues a request at its bank.
@@ -169,16 +166,15 @@ impl<T: Pending> Controller<T> {
     #[inline]
     pub fn record(&mut self, done: &CompletedRequest) {
         self.stats.record(done);
-        self.latencies.push(done.latency());
     }
 
     /// The final statistics: `refresh` is the energy the device drained,
-    /// `background` its standing power over the makespan, and the exact
-    /// p50/p95/p99 come from every recorded latency.
+    /// `background` its standing power over the makespan, and p50/p95/p99
+    /// come from the histogram of every recorded latency.
     pub fn finish(mut self, refresh: Energy, background: Power) -> SimStats {
         self.stats.energy.refresh = refresh;
         self.stats.finalize_background(background);
-        self.stats.finalize_percentiles(&mut self.latencies);
+        self.stats.finalize_percentiles();
         self.stats
     }
 }

@@ -53,6 +53,6 @@ pub use engine::{run_simulation, ReplayMode, Scheduler, SimConfig};
 pub use pcm::{EpcmConfig, EpcmDevice};
 pub use queues::{BankQueues, Pending};
 pub use request::{CompletedRequest, MemOp, MemRequest};
-pub use stats::{percentile_of_sorted, EnergyBreakdown, LatencyHistogram, SimStats};
+pub use stats::{EnergyBreakdown, LatencyHistogram, SimStats};
 pub use synth::{hash_name, spec_like_suite, AccessPattern, StreamShape, WorkloadProfile};
 pub use trace::{read_trace, write_trace, ParseTraceError, TraceClock};

@@ -8,14 +8,17 @@
 //!
 //! Two references pin refactors of the hot paths bit for bit: the trace
 //! generator loop and the replay engine loop as they were written before
-//! `StreamShape` and `Controller` were shared with the service engine.
+//! `StreamShape` and `Controller` were shared with the service engine. A
+//! third, the exact nearest-rank percentile of the sorted samples, pins
+//! the latency histogram's percentile rule: the lower bound of the bucket
+//! holding that sample.
 
 use comet_units::{ByteCount, Time};
 use memsim::{
     hash_name, read_trace, run_simulation, write_trace, AccessPattern, AddressMap, BankQueues,
     CompletedRequest, DecodedAddress, DramConfig, DramDevice, EpcmConfig, EpcmDevice, Interleave,
-    MemOp, MemRequest, MemoryDevice, Pending, ReplayMode, Scheduler, SimConfig, SimStats, Topology,
-    TraceClock, WorkloadProfile,
+    LatencyHistogram, MemOp, MemRequest, MemoryDevice, Pending, ReplayMode, Scheduler, SimConfig,
+    SimStats, Topology, TraceClock, WorkloadProfile,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -231,11 +234,12 @@ impl Pending for RefQueued {
 /// `run_simulation` as written before it drove the shared `Controller`:
 /// its own address map, bus arithmetic and finalize, built on the public
 /// `AddressMap` and `BankQueues`, recording each request as it issues.
+/// Also returns every latency, in issue order.
 fn reference_run(
     device: &mut dyn MemoryDevice,
     requests: &[MemRequest],
     config: &SimConfig,
-) -> SimStats {
+) -> (SimStats, Vec<Time>) {
     let topo = device.topology();
     let map = AddressMap::new(
         topo.channels,
@@ -280,8 +284,75 @@ fn reference_run(
     }
     stats.energy.refresh = device.drain_accumulated_energy();
     stats.finalize_background(device.background_power());
-    stats.finalize_percentiles(&mut latencies);
-    stats
+    stats.finalize_percentiles();
+    (stats, latencies)
+}
+
+/// Exact nearest-rank percentile of an ascending-sorted sample set: the
+/// sample at rank `ceil(q/100 · n)` (at least 1), with `q` clamped to
+/// `[0, 100]`; an empty set reports zero.
+fn percentile_of_sorted(sorted: &[Time], q: f64) -> Time {
+    if sorted.is_empty() {
+        return Time::ZERO;
+    }
+    let q = q.clamp(0.0, 100.0);
+    let rank = ((sorted.len() as f64 * q / 100.0).ceil()).max(1.0) as usize;
+    sorted[rank.min(sorted.len()) - 1]
+}
+
+/// `t` in whole picoseconds: the largest `v` with `Time::from_picos(v)`
+/// at most `t`.
+fn whole_picos(t: Time) -> u64 {
+    let mut v = t.as_picos().floor() as u64;
+    while v > 0 && Time::from_picos(v as f64) > t {
+        v -= 1;
+    }
+    while Time::from_picos((v + 1) as f64) <= t {
+        v += 1;
+    }
+    v
+}
+
+/// The lower bound of the histogram bucket holding `v` picoseconds:
+/// `v` itself below 256, else `v` with all but its top eight bits
+/// cleared.
+fn bucket_floor_ps(v: u64) -> u64 {
+    if v < 256 {
+        v
+    } else {
+        let width = 1u64 << (63 - v.leading_zeros() - 7);
+        v / width * width
+    }
+}
+
+/// What the histogram must report for the exact percentile `exact`.
+fn bucket_floor(exact: Time) -> Time {
+    Time::from_picos(bucket_floor_ps(whole_picos(exact)) as f64)
+}
+
+/// Asserts `stats`' p50/p95/p99 are the bucket floors of the exact
+/// nearest-rank samples of `latencies`, and ordered up to the maximum.
+fn assert_percentiles_are_bucket_floors(
+    stats: &SimStats,
+    mut latencies: Vec<Time>,
+) -> Result<(), TestCaseError> {
+    latencies.sort_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()));
+    for (q, reported) in [
+        (50.0, stats.p50_latency),
+        (95.0, stats.p95_latency),
+        (99.0, stats.p99_latency),
+    ] {
+        prop_assert_eq!(
+            reported,
+            bucket_floor(percentile_of_sorted(&latencies, q)),
+            "p{}",
+            q
+        );
+    }
+    prop_assert!(stats.p50_latency <= stats.p95_latency);
+    prop_assert!(stats.p95_latency <= stats.p99_latency);
+    prop_assert!(stats.p99_latency <= stats.max_latency);
+    Ok(())
 }
 
 /// A random trace over a few rows of a few banks (so row hits, bank
@@ -763,7 +834,71 @@ proptest! {
         let mut device = device_family(family);
         let trace = random_trace(&mut SplitMix(seed), device.topology(), len);
         let stats = run_simulation(device.as_mut(), &trace, &config);
-        let reference = reference_run(device_family(family).as_mut(), &trace, &config);
-        prop_assert_eq!(stats, reference);
+        let (reference, latencies) =
+            reference_run(device_family(family).as_mut(), &trace, &config);
+        prop_assert_eq!(&stats, &reference);
+        assert_percentiles_are_bucket_floors(&stats, latencies)?;
     }
+
+    // --- latency histogram -----------------------------------------------------
+
+    #[test]
+    fn histogram_percentiles_are_bucket_floors_of_the_nearest_rank_sample(
+        samples in proptest::collection::vec((0.0f64..10.0, 0u64..4), 1..400),
+        q in 0.0f64..=100.0,
+    ) {
+        // Log-uniform latencies from 1 ps to 10 ms; the second draw picks
+        // an exact integer picosecond, a tie with the previous sample, or
+        // neither.
+        let mut latencies = Vec::new();
+        for (decades, kind) in samples {
+            let ps = 10f64.powf(decades);
+            let t = match (kind, latencies.last()) {
+                (0, _) => Time::from_picos(ps.floor()),
+                (1, Some(&prev)) => prev,
+                _ => Time::from_picos(ps),
+            };
+            latencies.push(t);
+        }
+        let mut h = LatencyHistogram::new();
+        for &t in &latencies {
+            h.record(t);
+        }
+        latencies.sort_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()));
+        let exact = percentile_of_sorted(&latencies, q);
+        let reported = h.percentile(q);
+        prop_assert_eq!(reported, bucket_floor(exact));
+        // Never above the sample, and less than 2^-7 of its whole
+        // picoseconds below; from 128 ps up, where dropping the fraction of
+        // a picosecond costs at most 2^-7 itself, less than 2^-7 of the
+        // sample.
+        prop_assert!(reported <= exact);
+        let (v, floor) = (whole_picos(exact), whole_picos(reported));
+        prop_assert!((v - floor) * 128 < v.max(1), "{} ps reported for {} ps", floor, v);
+        if exact >= Time::from_picos(128.0) {
+            prop_assert!(reported.as_seconds() > exact.as_seconds() * (1.0 - 1.0 / 128.0));
+        }
+        prop_assert_eq!(h.total(), latencies.len() as u64);
+        let back = LatencyHistogram::from_parts(h.first_ps(), h.counts().to_vec());
+        prop_assert_eq!(back.as_ref(), Some(&h));
+    }
+}
+
+#[test]
+fn histogram_memory_is_bounded() {
+    // Latencies from 1 ps to 1e6 s, a quarter decade apart: 73 samples
+    // over 18 decades, the full range a cell could plausibly span.
+    let mut h = LatencyHistogram::new();
+    for quarter_decades in 0..=72 {
+        h.record(Time::from_picos(10f64.powf(quarter_decades as f64 / 4.0)));
+    }
+    assert_eq!(h.total(), 73);
+    assert_eq!(h.first_ps(), 1);
+    // 256 one-picosecond buckets, then 128 per octave up to the top.
+    assert!(h.counts().len() <= 7424, "{} counters", h.counts().len());
+    // Saturating samples fill the range to its top: still bounded.
+    h.record(Time::from_seconds(1e300));
+    h.record(Time::ZERO);
+    assert_eq!(h.counts().len(), 7424);
+    assert_eq!(h.percentile(100.0), Time::from_picos((255u64 << 56) as f64));
 }

@@ -24,11 +24,12 @@
 //!   of one logical device across channel-owned [`memsim::MemoryDevice`]
 //!   backends;
 //! * **Tail accounting** — the aggregate lands in the same
-//!   [`memsim::SimStats`] shape trace replay reports, with exact
-//!   p50/p95/p99, so `comet-lab` campaigns export serve cells and replay
-//!   cells uniformly; each tenant's latencies stream through a
-//!   fixed-bucket [`TailHistogram`], and the report keeps per-tenant
-//!   throughput, per-channel totals and the peak in-system depth.
+//!   [`memsim::SimStats`] shape trace replay reports, with p50/p95/p99
+//!   from its [`memsim::LatencyHistogram`], so `comet-lab` campaigns
+//!   export serve cells and replay cells uniformly; each tenant's
+//!   latencies stream into a histogram of the same type, and the report
+//!   keeps per-tenant throughput, per-channel totals and the peak
+//!   in-system depth.
 //!
 //! # Quick start
 //!
@@ -65,4 +66,4 @@ pub use source::{
     ClosedLoopSource, MuxPoll, OpenLoopSource, RequestSource, SourcePoll, Sourced, TenantLoad,
     TenantMux, TenantSpec,
 };
-pub use stats::{ChannelStats, ServeReport, TailHistogram, TenantStats};
+pub use stats::{ChannelStats, ServeReport, TenantStats};

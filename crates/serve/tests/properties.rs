@@ -5,7 +5,8 @@
 //! simulation partitioned across channel shards produces the identical
 //! report for any shard count, and per-channel stats decompose the
 //! aggregate exactly; closed loops bound in-flight depth by their client
-//! count; the batch stage never loses requests.
+//! count; the batch stage never loses requests; a single tenant's tail
+//! percentiles are the cell's.
 
 use comet_data::{DataPolicy, DataWriteModel, PayloadSpec};
 use comet_serve::{
@@ -255,6 +256,42 @@ proptest! {
         prop_assert_eq!(report.stats.reads + report.stats.writes, 300);
         prop_assert_eq!(report.channel_total(), 300);
         prop_assert!(report.coalesced_writes <= report.batched_writes);
+    }
+
+    // --- tail accounting -----------------------------------------------------
+
+    #[test]
+    fn a_single_tenant_reports_the_cells_percentiles(
+        process in any_process(),
+        closed in any::<bool>(),
+        batch in any::<bool>(),
+        dram in any::<bool>(),
+        read_fraction in 0.0f64..=1.0,
+    ) {
+        // Tenant and cell histograms see the same completions, absorbed
+        // (coalesced) writes included, so they hold the same distribution.
+        let p = profile("tail-prop", read_fraction, AccessPattern::Random);
+        let mut spec = if closed {
+            ServeSpec::closed_loop(4, Time::from_nanos(20.0), 300)
+        } else {
+            ServeSpec::open_loop(process, 300)
+        };
+        if batch {
+            spec = spec.with_batch(BatchConfig::new(Time::from_nanos(500.0), 8));
+        }
+        let report = if dram {
+            run_service(&DramConfig::ddr3_1600_2d(), &spec, &p, 3, "tail")
+        } else {
+            run_service(&EpcmConfig::epcm_mm(), &spec, &p, 3, "tail")
+        };
+        let (s, t) = (&report.stats, &report.tenants[0]);
+        prop_assert_eq!(&t.histogram, &s.histogram);
+        prop_assert_eq!(
+            (t.percentile(50.0), t.percentile(95.0), t.percentile(99.0)),
+            (s.p50_latency, s.p95_latency, s.p99_latency)
+        );
+        prop_assert!(s.p50_latency <= s.p95_latency && s.p95_latency <= s.p99_latency);
+        prop_assert!(s.p99_latency <= s.max_latency && t.max_latency == s.max_latency);
     }
 
     // --- shapes --------------------------------------------------------------
