@@ -1,0 +1,231 @@
+//! Exact work counters of reduced `replay-sat` and `serve-mixed` runs.
+//!
+//! Wall-clock time on a shared host is noise; the work an engine asks of a
+//! device is not. Each scenario below mirrors one benchmark workload at a
+//! smaller request budget and runs it through [`CountingDevice`], which
+//! counts every `bank_available` and `row_hit` probe and every access.
+//! The counts are exact and deterministic. A change to a device model that
+//! keeps its outputs must leave them alone; a change to the scheduler or an
+//! engine that moves one updates the table here and says why.
+
+use comet_data::PayloadSpec;
+use comet_serve::{run_service, ArrivalProcess, BatchConfig, ServeSpec, TenantSpec};
+use comet_units::{Energy, Power, Time};
+use memsim::{
+    run_simulation, spec_like_suite, AccessTiming, DecodedAddress, DeviceFactory, LineData, MemOp,
+    MemoryDevice, ReplayMode, Scheduler, SimConfig, Topology, WorkloadProfile,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Calls made on the devices a scenario built.
+#[derive(Debug, Default)]
+struct Counts {
+    bank_available: AtomicU64,
+    row_hit: AtomicU64,
+    access: AtomicU64,
+}
+
+impl Counts {
+    fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `[bank_available, row_hit, access]`.
+    fn snapshot(&self) -> [u64; 3] {
+        [
+            self.bank_available.load(Ordering::Relaxed),
+            self.row_hit.load(Ordering::Relaxed),
+            self.access.load(Ordering::Relaxed),
+        ]
+    }
+}
+
+/// Delegates every call to the wrapped device, counting probes and accesses.
+struct CountingDevice {
+    inner: Box<dyn MemoryDevice>,
+    counts: Arc<Counts>,
+}
+
+impl MemoryDevice for CountingDevice {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn topology(&self) -> Topology {
+        self.inner.topology()
+    }
+
+    fn bank_available(&mut self, loc: &DecodedAddress, at: Time) -> Time {
+        Counts::bump(&self.counts.bank_available);
+        self.inner.bank_available(loc, at)
+    }
+
+    fn access(&mut self, loc: &DecodedAddress, op: MemOp, issue: Time) -> AccessTiming {
+        Counts::bump(&self.counts.access);
+        self.inner.access(loc, op, issue)
+    }
+
+    fn access_line(
+        &mut self,
+        loc: &DecodedAddress,
+        op: MemOp,
+        issue: Time,
+        data: Option<&LineData>,
+    ) -> AccessTiming {
+        Counts::bump(&self.counts.access);
+        self.inner.access_line(loc, op, issue, data)
+    }
+
+    fn row_hit(&self, loc: &DecodedAddress) -> bool {
+        Counts::bump(&self.counts.row_hit);
+        self.inner.row_hit(loc)
+    }
+
+    fn drain_accumulated_energy(&mut self) -> Energy {
+        self.inner.drain_accumulated_energy()
+    }
+
+    fn background_power(&self) -> Power {
+        self.inner.background_power()
+    }
+
+    fn interface_delay(&self) -> Time {
+        self.inner.interface_delay()
+    }
+}
+
+/// Builds the registered device `name`, wrapped to count into `counts`.
+struct CountingFactory {
+    inner: Box<dyn DeviceFactory>,
+    counts: Arc<Counts>,
+}
+
+impl CountingFactory {
+    fn new(name: &str) -> Self {
+        CountingFactory {
+            inner: comet_lab::device_by_name(name).expect("the registry has the device"),
+            counts: Arc::default(),
+        }
+    }
+}
+
+impl DeviceFactory for CountingFactory {
+    fn device_name(&self) -> String {
+        self.inner.device_name()
+    }
+
+    fn build(&self) -> Box<dyn MemoryDevice> {
+        Box::new(CountingDevice {
+            inner: self.inner.build(),
+            counts: self.counts.clone(),
+        })
+    }
+
+    fn device_topology(&self) -> Topology {
+        self.inner.device_topology()
+    }
+}
+
+const SEED: u64 = 1;
+
+/// `profile` with a 64 B-line budget of `requests`, resized to `line`
+/// bytes per request: rounded, at least one (the equal-bytes rule).
+fn profile(name: &str, requests: usize, line: u64) -> WorkloadProfile {
+    let mut p = spec_like_suite(requests)
+        .into_iter()
+        .find(|p| p.name == name)
+        .expect("the SPEC-like suite has the profile");
+    p.requests = ((requests as u64 * 64 + line / 2) / line).max(1) as usize;
+    p.line_bytes = line;
+    p
+}
+
+/// `replay-sat` at 3000 requests per profile: saturation FR-FCFS(8) over
+/// a random and a streaming profile, no payloads.
+const REPLAY: [(&str, &str, [u64; 3]); 8] = [
+    ("2D_DDR4", "mcf-like", [23552, 23537, 3000]),
+    ("2D_DDR4", "libquantum-like", [23552, 3175, 3000]),
+    ("3D_DDR4", "mcf-like", [22208, 22172, 3000]),
+    ("3D_DDR4", "libquantum-like", [23300, 3175, 3000]),
+    ("EPCM-MM", "mcf-like", [23776, 23776, 3000]),
+    ("EPCM-MM", "libquantum-like", [23776, 23776, 3000]),
+    ("COMET", "mcf-like", [11888, 11879, 1500]),
+    ("COMET", "libquantum-like", [11888, 9625, 1500]),
+];
+
+/// `serve-mixed` at 2000 requests per tenant: a Poisson open-loop tenant
+/// with sparse-update payloads beside an 8-client closed loop with uniform
+/// payloads, write batching on.
+const SERVE: [(&str, [u64; 3]); 2] = [
+    ("COMET", [2041, 2041, 1999]),
+    ("EPCM-DCW-FNW", [16165, 16165, 3999]),
+];
+
+#[test]
+fn replay_sat_work_counts_are_pinned() {
+    let mut measured = Vec::new();
+    for (device, workload, _) in REPLAY {
+        let factory = CountingFactory::new(device);
+        let mut dev = factory.build();
+        let p = profile(workload, 3000, dev.topology().line_bytes);
+        let trace = p.generate(SEED);
+        let config = SimConfig {
+            scheduler: Scheduler::FrFcfs { window: 8 },
+            replay: ReplayMode::Saturation,
+            workload: p.name.clone(),
+        };
+        let stats = run_simulation(dev.as_mut(), &trace, &config);
+        assert_eq!(stats.completed, trace.len() as u64, "{device}/{workload}");
+        measured.push((device, workload, factory.counts.snapshot()));
+    }
+    let expected: Vec<_> = REPLAY.to_vec();
+    assert_eq!(measured, expected, "[bank_available, row_hit, access]");
+}
+
+#[test]
+fn serve_mixed_work_counts_are_pinned() {
+    let mut measured = Vec::new();
+    for (device, _) in SERVE {
+        let factory = CountingFactory::new(device);
+        let line = factory.device_topology().line_bytes;
+        let open = profile("gcc-like", 2000, line);
+        let closed = profile("mcf-like", 2000, line);
+        let spec = ServeSpec {
+            tenants: vec![
+                TenantSpec::open(
+                    "poisson-sparse",
+                    ArrivalProcess::poisson(20.0e6),
+                    open.requests,
+                )
+                .with_profile(open)
+                .with_payload(PayloadSpec::SparseUpdate {
+                    flip_fraction: 0.05,
+                }),
+                TenantSpec::closed(
+                    "closed8-uniform",
+                    8,
+                    Time::from_nanos(25.0),
+                    closed.requests,
+                )
+                .with_profile(closed.clone())
+                .with_payload(PayloadSpec::Uniform),
+            ],
+            scheduler: Scheduler::FrFcfs { window: 8 },
+            shards: 1,
+            batch: Some(BatchConfig::new(Time::from_nanos(100.0), 8)),
+        };
+        let report = run_service(&factory, &spec, &closed, SEED, "serve-mixed");
+        assert_eq!(
+            report.stats.completed,
+            spec.total_requests() as u64,
+            "{device}"
+        );
+        measured.push((device, factory.counts.snapshot()));
+    }
+    assert_eq!(
+        measured,
+        SERVE.to_vec(),
+        "[bank_available, row_hit, access]"
+    );
+}

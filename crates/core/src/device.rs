@@ -28,20 +28,119 @@
 //! EPB accounting ("the entire power consumption ... is utilized for
 //! orchestrating reads and writes").
 
-use crate::arch::CometConfig;
+use crate::arch::{CometConfig, ConfigError};
 use crate::laser::{LaserPolicy, LaserPowerManager};
-use crate::mapping::AddressMapper;
 use crate::power::CometPowerModel;
 use comet_units::{Energy, Power, Time};
 use memsim::{AccessTiming, DecodedAddress, DeviceFactory, MemOp, MemoryDevice, Topology};
-use std::collections::{HashMap, VecDeque};
 
 /// Concurrently-latched GST subarray switches per bank (LRU-evicted).
 /// Matches the default subarray stripe so striped streams never thrash.
 /// The switches are non-volatile latches, so keeping a window of them open
 /// costs no static power; the SOA power accounting still follows the
-/// paper's one-active-subarray-per-bank time-average formula.
-const OPEN_SUBARRAY_WINDOW: usize = 64;
+/// paper's one-active-subarray-per-bank time-average formula. Each bank's
+/// window is an intrusive LRU list threaded through the device's
+/// per-subarray slots, so a lookup is one indexed load and a touch or an
+/// eviction relinks a constant number of slots.
+const OPEN_SUBARRAY_WINDOW: u32 = 64;
+
+/// The link of a slot that is in no switch window (not latched).
+const UNLINKED: u32 = 0;
+/// The link past either end of a bank's switch window.
+const END: u32 = u32::MAX;
+
+/// One (bank, subarray)'s mutable state. All-zero is "idle and not
+/// latched", so the slot array starts zeroed.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Slot {
+    /// Busy-until horizon of the subarray's latest programming pulse
+    /// (`Time::ZERO` if it never programmed: no later than any probe).
+    busy: Time,
+    /// Older neighbour in the bank's switch window: slot index + 1, `END`
+    /// at the oldest end, `UNLINKED` when the switch is not latched.
+    prev: u32,
+    /// Newer neighbour, encoded like `prev`.
+    next: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 16);
+
+/// One bank's switch window: its LRU list's ends (slot index + 1, `END`
+/// when empty) and length.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    oldest: u32,
+    newest: u32,
+    len: u32,
+}
+
+impl Window {
+    const EMPTY: Window = Window {
+        oldest: END,
+        newest: END,
+        len: 0,
+    };
+}
+
+/// The stripe and Eq. (2)–(4) constants of [`crate::AddressMapper`],
+/// resolved once into masks, shifts and multipliers so the per-probe
+/// subarray lookup needs no division.
+#[derive(Debug, Clone, Copy)]
+struct SubarrayIndex {
+    /// `subarray_stripe - 1`.
+    stripe_mask: u64,
+    /// `log2(subarray_stripe)`.
+    stripe_shift: u32,
+    /// Rows per stripe block: `S_r · M_r / subarray_stripe`.
+    stripe_rows: u64,
+    /// `log2(M_r)` (Eq. 2).
+    row_shift: u32,
+    /// `log2(M_c)` (Eq. 3).
+    col_shift: u32,
+    /// `√S_r` (Eq. 4).
+    grid_side: u64,
+}
+
+impl SubarrayIndex {
+    /// Resolves the constants of `config`.
+    ///
+    /// # Panics
+    ///
+    /// If a dimension the shifts stand in for is not a nonzero power of
+    /// two (the message is [`ConfigError::NotPowerOfTwo`]'s).
+    fn new(config: &CometConfig) -> Self {
+        for (dimension, value) in [
+            ("subarray_rows", config.subarray_rows),
+            ("subarray_cols", config.subarray_cols),
+            ("subarray_stripe", config.subarray_stripe),
+        ] {
+            if value == 0 || !value.is_power_of_two() {
+                panic!("{}", ConfigError::NotPowerOfTwo { dimension, value });
+            }
+        }
+        let stripe = config.subarray_stripe;
+        SubarrayIndex {
+            stripe_mask: stripe - 1,
+            stripe_shift: stripe.trailing_zeros(),
+            stripe_rows: config.subarrays * config.subarray_rows / stripe,
+            row_shift: config.subarray_rows.trailing_zeros(),
+            col_shift: config.subarray_cols.trailing_zeros(),
+            grid_side: config.subarray_grid_side(),
+        }
+    }
+
+    /// The subarray a flat controller address targets. Subarray striping
+    /// first rotates consecutive controller rows across `subarray_stripe`
+    /// distant row blocks, so streaming writes spread their programming
+    /// pulses over parallel subarrays; Eqs. (2)–(4) then place the
+    /// physical row.
+    #[inline]
+    fn subarray_of(&self, loc: &DecodedAddress) -> u64 {
+        let physical_row =
+            (loc.row & self.stripe_mask) * self.stripe_rows + (loc.row >> self.stripe_shift);
+        (loc.column >> self.col_shift) * self.grid_side + (physical_row >> self.row_shift)
+    }
+}
 
 /// Per-access pulse energies (derived from the physics layer's programming
 /// tables; defaults match the Fig. 6 GST cell).
@@ -85,13 +184,20 @@ impl Default for PulseEnergies {
 #[derive(Debug, Clone)]
 pub struct CometDevice {
     config: CometConfig,
-    mapper: AddressMapper,
+    index: SubarrayIndex,
     background: Power,
-    energies: PulseEnergies,
-    /// Latched-open subarray switches per bank (LRU order, newest back).
-    open_subarrays: Vec<VecDeque<u64>>,
-    /// Busy-until horizon per (bank, subarray) with in-flight programming.
-    subarray_busy: HashMap<(u64, u64), Time>,
+    /// Pulse energy of one line read and of one line write (with the
+    /// erase share when erases run inline).
+    read_energy: Energy,
+    write_energy: Energy,
+    /// Subarrays per bank (`S_r`): the stride of a bank's run of slots.
+    subarrays: u64,
+    /// Per-(bank, subarray) state, indexed `bank × S_r + subarray`: the
+    /// programming busy horizon and the links of the bank's switch window.
+    slots: Vec<Slot>,
+    /// Latched-open subarray switches per bank: each bank's LRU list
+    /// (oldest first) through `slots`.
+    windows: Vec<Window>,
     /// Dynamic laser power manager (None = the paper's static stack).
     manager: Option<LaserPowerManager>,
     /// Latest device-time seen (closes the manager's accounting).
@@ -107,19 +213,35 @@ impl CometDevice {
 
     /// Creates a device with an explicit background power (for ablations,
     /// e.g. dynamic laser power management studies).
+    ///
+    /// # Panics
+    ///
+    /// If `subarray_rows`, `subarray_cols` or `subarray_stripe` is not a
+    /// nonzero power of two (which [`CometConfig::validate`] also rejects):
+    /// the subarray lookup resolves them to masks and shifts.
     pub fn with_background(config: CometConfig, background: Power) -> Self {
-        let mapper = AddressMapper::new(&config);
-        let banks = config.banks as usize;
-        CometDevice {
-            config,
-            mapper,
+        let index = SubarrayIndex::new(&config);
+        let slots = (config.banks * config.subarrays) as usize;
+        assert!(
+            slots < END as usize,
+            "{} banks × {} subarrays overflow the switch-window links",
+            config.banks,
+            config.subarrays
+        );
+        let mut dev = CometDevice {
+            index,
             background,
-            energies: PulseEnergies::default(),
-            open_subarrays: vec![VecDeque::new(); banks],
-            subarray_busy: HashMap::new(),
+            read_energy: Energy::ZERO,
+            write_energy: Energy::ZERO,
+            subarrays: config.subarrays,
+            slots: vec![Slot::default(); slots],
+            windows: vec![Window::EMPTY; config.banks as usize],
             manager: None,
             horizon: Time::ZERO,
-        }
+            config,
+        };
+        dev.set_pulse_energies(PulseEnergies::default());
+        dev
     }
 
     /// Creates a device under a laser power-management policy (the paper's
@@ -153,23 +275,85 @@ impl CometDevice {
 
     /// Overrides the per-access pulse energies.
     pub fn set_pulse_energies(&mut self, energies: PulseEnergies) {
-        self.energies = energies;
+        let cells = self.config.cells_per_line() as f64;
+        self.read_energy = energies.read_per_cell * cells;
+        self.write_energy = energies.write_per_cell * cells;
+        if !self.config.timing.background_erase {
+            self.write_energy += energies.erase_per_cell * cells;
+        }
     }
 
-    /// Physical row after subarray striping: consecutive controller rows
-    /// rotate across `subarray_stripe` distant row blocks, so streaming
-    /// writes spread their programming pulses over parallel subarrays.
-    fn physical_row(&self, row: u64) -> u64 {
-        let stripe = self.config.subarray_stripe.max(1);
-        let total = self.config.subarrays * self.config.subarray_rows;
-        (row % stripe) * (total / stripe) + row / stripe
+    /// The slot of the (bank, subarray) a flat controller address targets.
+    #[inline]
+    fn slot_of(&self, loc: &DecodedAddress) -> usize {
+        let subarray = self.index.subarray_of(loc);
+        assert!(
+            subarray < self.subarrays && loc.channel < self.windows.len() as u64,
+            "bank {} subarray {subarray} is outside the COMET device",
+            loc.channel
+        );
+        (loc.channel * self.subarrays + subarray) as usize
     }
 
-    /// The subarray a flat controller address targets.
-    fn subarray_of(&self, loc: &DecodedAddress) -> u64 {
-        let mut loc = *loc;
-        loc.row = self.physical_row(loc.row);
-        self.mapper.map(loc).subarray
+    /// True if the slot's subarray switch is latched open.
+    #[inline]
+    fn latched(&self, slot: usize) -> bool {
+        self.slots[slot].next != UNLINKED
+    }
+
+    /// Takes `slot` out of `bank`'s switch window.
+    #[inline]
+    fn unlink(&mut self, bank: usize, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        let w = &mut self.windows[bank];
+        match prev {
+            END => w.oldest = next,
+            p => self.slots[p as usize - 1].next = next,
+        }
+        match next {
+            END => w.newest = prev,
+            n => self.slots[n as usize - 1].prev = prev,
+        }
+        w.len -= 1;
+        let s = &mut self.slots[slot];
+        s.prev = UNLINKED;
+        s.next = UNLINKED;
+    }
+
+    /// Appends `slot` as the newest entry of `bank`'s switch window.
+    #[inline]
+    fn push_newest(&mut self, bank: usize, slot: usize) {
+        let link = slot as u32 + 1;
+        let w = &mut self.windows[bank];
+        let newest = std::mem::replace(&mut w.newest, link);
+        w.len += 1;
+        match newest {
+            END => w.oldest = link,
+            n => self.slots[n as usize - 1].next = link,
+        }
+        let s = &mut self.slots[slot];
+        s.prev = newest;
+        s.next = END;
+    }
+
+    /// Latches `slot`'s switch as `bank`'s most recently used, evicting
+    /// the least recently used one when the window is full. Returns true
+    /// if the switch was already latched (no switch time to pay).
+    #[inline]
+    fn touch(&mut self, bank: usize, slot: usize) -> bool {
+        if self.latched(slot) {
+            if self.slots[slot].next != END {
+                self.unlink(bank, slot);
+                self.push_newest(bank, slot);
+            }
+            return true;
+        }
+        let w = self.windows[bank];
+        if w.len >= OPEN_SUBARRAY_WINDOW {
+            self.unlink(bank, w.oldest as usize - 1);
+        }
+        self.push_newest(bank, slot);
+        false
     }
 }
 
@@ -212,17 +396,12 @@ impl MemoryDevice for CometDevice {
 
     fn bank_available(&mut self, loc: &DecodedAddress, at: Time) -> Time {
         // The target subarray may still be programming.
-        let key = (loc.channel, self.subarray_of(loc));
-        match self.subarray_busy.get(&key) {
-            Some(&busy) => at.max(busy),
-            None => at,
-        }
+        at.max(self.slots[self.slot_of(loc)].busy)
     }
 
     fn access(&mut self, loc: &DecodedAddress, op: MemOp, issue: Time) -> AccessTiming {
         let t = self.config.timing;
-        let subarray = self.subarray_of(loc);
-        let bank = loc.channel as usize;
+        let slot = self.slot_of(loc);
 
         // Dynamic laser management: an access that catches the laser idle
         // pays the wake-up stall before anything else can happen.
@@ -233,21 +412,13 @@ impl MemoryDevice for CometDevice {
 
         // GST switch: pay 100 ns only when the subarray's switch is not
         // already latched open; LRU-evict beyond the open window.
-        let open = &mut self.open_subarrays[bank];
-        let switch = if let Some(pos) = open.iter().position(|&s| s == subarray) {
-            open.remove(pos);
-            open.push_back(subarray);
+        let switch = if self.touch(loc.channel as usize, slot) {
             Time::ZERO
         } else {
-            if open.len() >= OPEN_SUBARRAY_WINDOW {
-                open.pop_front();
-            }
-            open.push_back(subarray);
             t.subarray_switch_time
         };
 
         let start = issue + switch;
-        let cells = self.config.cells_per_line() as f64;
         self.horizon = self.horizon.max(match op {
             MemOp::Read => start + t.row_access_time + t.read_time,
             MemOp::Write => start.max(issue + t.burst_time()) + t.write_occupancy(),
@@ -264,7 +435,7 @@ impl MemoryDevice for CometDevice {
                     bank_free_at: issue + t.burst_time(),
                     data_ready_at: data_ready,
                     bus_occupancy: t.burst_time(),
-                    energy: self.energies.read_per_cell * cells,
+                    energy: self.read_energy,
                 }
             }
             MemOp::Write => {
@@ -275,19 +446,14 @@ impl MemoryDevice for CometDevice {
                 let data_ready = issue + t.burst_time();
                 let program_start = issue + switch.max(t.burst_time());
                 let program_done = program_start + t.write_occupancy();
-                self.subarray_busy
-                    .insert((loc.channel, subarray), program_done);
-                let mut energy = self.energies.write_per_cell * cells;
-                if !t.background_erase {
-                    energy += self.energies.erase_per_cell * cells;
-                }
+                self.slots[slot].busy = program_done;
                 AccessTiming {
                     // The switch set-up overlaps with other subarrays'
                     // traffic: the lane is only held for the data burst.
                     bank_free_at: issue + t.burst_time(),
                     data_ready_at: data_ready,
                     bus_occupancy: t.burst_time(),
-                    energy,
+                    energy: self.write_energy,
                 }
             }
         }
@@ -296,7 +462,7 @@ impl MemoryDevice for CometDevice {
     fn row_hit(&self, loc: &DecodedAddress) -> bool {
         // "Row hit" for FR-FCFS = the subarray's switch is latched open
         // (avoids the 100 ns GST switch).
-        self.open_subarrays[loc.channel as usize].contains(&self.subarray_of(loc))
+        self.latched(self.slot_of(loc))
     }
 
     fn background_power(&self) -> Power {
@@ -325,8 +491,188 @@ impl MemoryDevice for CometDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::AddressMapper;
     use comet_units::ByteCount;
     use memsim::{run_simulation, MemRequest, SimConfig};
+    use proptest::prelude::*;
+    use std::collections::{HashMap, VecDeque};
+
+    /// The device's per-bank switch window and subarray busy horizons as
+    /// they were first written: a `VecDeque` LRU (newest back) scanned
+    /// linearly, and a map of every subarray that ever programmed.
+    #[derive(Default)]
+    struct ReferenceState {
+        open: HashMap<u64, VecDeque<u64>>,
+        busy: HashMap<(u64, u64), Time>,
+    }
+
+    impl ReferenceState {
+        fn row_hit(&self, bank: u64, subarray: u64) -> bool {
+            self.open
+                .get(&bank)
+                .is_some_and(|open| open.contains(&subarray))
+        }
+
+        /// Latches `subarray`'s switch; returns the switch time charged.
+        fn touch(&mut self, bank: u64, subarray: u64, switch_time: Time) -> Time {
+            let open = self.open.entry(bank).or_default();
+            if let Some(pos) = open.iter().position(|&s| s == subarray) {
+                open.remove(pos);
+                open.push_back(subarray);
+                Time::ZERO
+            } else {
+                if open.len() >= OPEN_SUBARRAY_WINDOW as usize {
+                    open.pop_front();
+                }
+                open.push_back(subarray);
+                switch_time
+            }
+        }
+
+        fn bank_available(&self, bank: u64, subarray: u64, at: Time) -> Time {
+            match self.busy.get(&(bank, subarray)) {
+                Some(&busy) => at.max(busy),
+                None => at,
+            }
+        }
+    }
+
+    /// The subarray lookup in its literal form: striping by `%` and `/`,
+    /// then `AddressMapper::map`'s Eqs. (2)–(4).
+    fn literal_subarray(config: &CometConfig, loc: &DecodedAddress) -> u64 {
+        let stripe = config.subarray_stripe.max(1);
+        let total = config.subarrays * config.subarray_rows;
+        let mut flat = *loc;
+        flat.row = (loc.row % stripe) * (total / stripe) + loc.row / stripe;
+        AddressMapper::new(config).map(flat).subarray
+    }
+
+    /// A controller row of `comet_4b` (64-way stripe) in `subarray`.
+    fn row_in_subarray(subarray: u64, offset: u64) -> u64 {
+        ((subarray % 64) * 512 + offset % 512) * 64 + subarray / 64
+    }
+
+    proptest! {
+        #[test]
+        fn switch_window_matches_the_vecdeque_lru(
+            ops in prop::collection::vec((0u64..4, 0u64..160, 0u64..512, 0u8..3), 1..1500),
+        ) {
+            // 160 subarrays per bank overflow the 64-entry window often,
+            // while re-touches of recent ones still hit.
+            let config = CometConfig::comet_4b();
+            let t = config.timing;
+            let mut dev = CometDevice::new(config.clone());
+            let mut reference = ReferenceState::default();
+            for (i, &(bank, subarray, offset, kind)) in ops.iter().enumerate() {
+                let l = loc(bank, row_in_subarray(subarray, offset));
+                let sub = literal_subarray(&config, &l);
+                prop_assert_eq!(sub, subarray);
+                let issue = Time::from_nanos(50.0 * i as f64);
+                prop_assert_eq!(dev.row_hit(&l), reference.row_hit(bank, sub));
+                prop_assert_eq!(
+                    dev.bank_available(&l, issue),
+                    reference.bank_available(bank, sub, issue)
+                );
+                if kind == 0 {
+                    continue; // probes only
+                }
+                let op = if kind == 1 { MemOp::Read } else { MemOp::Write };
+                let switch = reference.touch(bank, sub, t.subarray_switch_time);
+                let a = dev.access(&l, op, issue);
+                match op {
+                    MemOp::Read => {
+                        let start = issue + switch;
+                        prop_assert_eq!(a.data_ready_at, start + t.row_access_time + t.read_time);
+                    }
+                    MemOp::Write => {
+                        let done = issue + switch.max(t.burst_time()) + t.write_occupancy();
+                        reference.busy.insert((bank, sub), done);
+                    }
+                }
+                prop_assert!(dev.row_hit(&l));
+            }
+            // Every bank's window holds the reference's subarrays, oldest
+            // first.
+            for bank in 0..4u64 {
+                let mut listed = Vec::new();
+                let mut link = dev.windows[bank as usize].oldest;
+                while link != END {
+                    let slot = link as usize - 1;
+                    listed.push(slot as u64 - bank * dev.subarrays);
+                    link = dev.slots[slot].next;
+                }
+                let expected: Vec<u64> = reference
+                    .open
+                    .get(&bank)
+                    .map_or_else(Vec::new, |open| open.iter().copied().collect());
+                prop_assert_eq!(dev.windows[bank as usize].len as usize, expected.len());
+                prop_assert_eq!(listed, expected);
+            }
+        }
+
+        #[test]
+        fn shift_lookup_matches_the_literal_mapping(
+            bits in prop_oneof![Just(1u8), Just(2u8), Just(4u8)],
+            stripe in prop_oneof![Just(1u64), Just(4u64), Just(16u64), Just(64u64), Just(256u64)],
+            bank in 0u64..4,
+            row_seed in any::<u64>(),
+            column_seed in any::<u64>(),
+        ) {
+            let mut config = match bits {
+                1 => CometConfig::comet_1b(),
+                2 => CometConfig::comet_2b(),
+                _ => CometConfig::comet_4b(),
+            };
+            config.subarray_stripe = stripe;
+            let dev = CometDevice::new(config.clone());
+            let rows = config.subarrays * config.subarray_rows;
+            // Columns past M_c exercise Eq. (3)-(4)'s ID2 term.
+            let l = DecodedAddress {
+                channel: bank,
+                bank: 0,
+                row: row_seed % rows,
+                column: column_seed % (4 * config.subarray_cols),
+            };
+            prop_assert_eq!(dev.index.subarray_of(&l), literal_subarray(&config, &l));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "subarray_stripe must be a nonzero power of two, got 48")]
+    fn construction_rejects_a_non_power_of_two_stripe() {
+        let mut config = CometConfig::comet_4b();
+        config.subarray_stripe = 48;
+        let _ = CometDevice::new(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank 4 subarray 0 is outside the COMET device")]
+    fn an_address_past_the_last_bank_does_not_alias_a_slot() {
+        let _ = device().row_hit(&loc(4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bank 0 subarray 4096 is outside the COMET device")]
+    fn a_column_past_the_grid_does_not_alias_the_next_bank() {
+        // Eq. (4) with ID2 = √S_r gives subarray S_r: without the bounds
+        // check that is bank 1's first slot.
+        let dev = device();
+        let config = dev.config();
+        assert_eq!(config.subarrays, 4096);
+        let l = DecodedAddress {
+            column: config.subarray_grid_side() * config.subarray_cols,
+            ..loc(0, 0)
+        };
+        let _ = dev.row_hit(&l);
+    }
+
+    #[test]
+    fn slots_start_idle_and_unlatched() {
+        let dev = device();
+        assert!(dev.slots.iter().all(|s| *s == Slot::default()));
+        assert_eq!(Slot::default().busy, Time::ZERO);
+        assert_eq!(Slot::default().next, UNLINKED);
+    }
 
     fn device() -> CometDevice {
         CometDevice::new(CometConfig::comet_4b())

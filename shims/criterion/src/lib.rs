@@ -4,8 +4,12 @@
 //! [`Criterion::bench_function`], [`Criterion::benchmark_group`] with
 //! `sample_size`, [`Bencher::iter`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros — measuring wall-clock time with
-//! `std::time::Instant` and printing one line per benchmark. There are
-//! no statistical analyses, plots, or baselines; swap the workspace
+//! `std::time::Instant` and printing one line per benchmark: the
+//! minimum, median and maximum of the per-iteration times, so a number
+//! carries its spread. Each sample times a batch of calls long enough
+//! (at least 1 µs) that timer overhead does not swamp
+//! nanosecond-scale bodies, and divides by the batch size. There are no
+//! further statistical analyses, plots, or baselines; swap the workspace
 //! `criterion` entry back to the registry for those.
 //!
 //! Under `cargo test` (which runs bench targets with `--test`) each
@@ -15,6 +19,12 @@
 use std::time::Instant;
 
 pub use std::hint::black_box;
+
+/// Shortest wall-clock time one sample's batch of calls may take.
+const MIN_SAMPLE_NANOS: u128 = 1_000;
+
+/// Largest batch of calls one sample may time.
+const MAX_BATCH: u64 = 1 << 20;
 
 /// Entry point handed to each benchmark function.
 #[derive(Debug)]
@@ -34,7 +44,7 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the number of timed iterations per benchmark.
+    /// Sets the number of timed samples per benchmark.
     pub fn sample_size(mut self, n: usize) -> Self {
         self.sample_size = n.max(1);
         self
@@ -46,9 +56,9 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let mut bencher = Bencher {
-            iterations: if self.test_mode { 1 } else { self.sample_size },
-            total_nanos: 0,
-            timed_iterations: 0,
+            sample_count: if self.test_mode { 1 } else { self.sample_size },
+            batch: 1,
+            samples: Vec::new(),
         };
         f(&mut bencher);
         bencher.report(id, self.test_mode);
@@ -102,37 +112,55 @@ impl BenchmarkGroup<'_> {
 /// Times closures handed to it by a benchmark body.
 #[derive(Debug)]
 pub struct Bencher {
-    iterations: usize,
-    total_nanos: u128,
-    timed_iterations: usize,
+    sample_count: usize,
+    /// Calls per timed sample.
+    batch: u64,
+    /// Mean wall-clock nanoseconds per call of each timed sample.
+    samples: Vec<f64>,
 }
 
 impl Bencher {
-    /// Calls `routine` repeatedly, timing every call.
+    /// Calls `routine` repeatedly: `sample_count` timed samples of `batch`
+    /// calls each.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // One untimed warm-up call unless in single-shot test mode.
-        if self.iterations > 1 {
-            black_box(routine());
+        let time_batch = |routine: &mut R, batch: u64| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            start.elapsed().as_nanos()
+        };
+        // Unless in single-shot test mode, untimed warm-up batches double
+        // until one lasts MIN_SAMPLE_NANOS; a body slower than that keeps
+        // one call per sample.
+        self.batch = 1;
+        if self.sample_count > 1 {
+            while time_batch(&mut routine, self.batch) < MIN_SAMPLE_NANOS && self.batch < MAX_BATCH
+            {
+                self.batch *= 2;
+            }
         }
-        let start = Instant::now();
-        for _ in 0..self.iterations {
-            black_box(routine());
+        for _ in 0..self.sample_count {
+            let nanos = time_batch(&mut routine, self.batch);
+            self.samples.push(nanos as f64 / self.batch as f64);
         }
-        self.total_nanos += start.elapsed().as_nanos();
-        self.timed_iterations += self.iterations;
     }
 
-    fn report(&self, id: &str, test_mode: bool) {
+    fn report(&mut self, id: &str, test_mode: bool) {
         if test_mode {
             println!("bench {id}: ok (ran once in test mode)");
-        } else if self.timed_iterations > 0 {
-            let mean = self.total_nanos / self.timed_iterations as u128;
-            println!(
-                "bench {id}: {mean} ns/iter (mean over {} iterations)",
-                self.timed_iterations
-            );
-        } else {
-            println!("bench {id}: no iterations recorded");
+            return;
+        }
+        self.samples.sort_unstable_by(f64::total_cmp);
+        match (self.samples.first(), self.samples.last()) {
+            (Some(min), Some(max)) => println!(
+                "bench {id}: min {min:.1} / median {:.1} / max {max:.1} ns/iter \
+                 ({} samples of {} iterations)",
+                self.samples[self.samples.len() / 2],
+                self.samples.len(),
+                self.batch
+            ),
+            _ => println!("bench {id}: no iterations recorded"),
         }
     }
 }
