@@ -29,7 +29,7 @@
 //! the per-transition definitions (proptested against a reference
 //! implementation in `tests/properties.rs`).
 //!
-//! Integration: `memsim` requests carry an optional [`memsim::LineData`]
+//! Integration: `memsim` requests carry an optional, boxed [`memsim::LineData`]
 //! and the EPCM device dispatches to a pricer over a backing line store;
 //! `comet-serve` tenants source payloads online (and the batch stage
 //! merges them on same-line coalescing); `comet-lab` registers the

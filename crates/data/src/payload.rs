@@ -219,12 +219,13 @@ impl PayloadGen {
         }
     }
 
-    /// Attaches payloads to every write of a trace (replay-engine path;
-    /// the serve engine sources payloads online instead).
+    /// Attaches payloads to every write of a trace, each in its own box
+    /// (replay-engine path; the serve engine sources payloads online
+    /// instead).
     pub fn attach(&mut self, trace: &mut [MemRequest]) {
         for req in trace {
             if req.op == MemOp::Write {
-                req.payload = Some(self.next_line(req.address, req.size.value()));
+                req.payload = Some(Box::new(self.next_line(req.address, req.size.value())));
             }
         }
     }

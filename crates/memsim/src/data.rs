@@ -9,9 +9,9 @@
 //! 2-dimensional 4-bit memory in Ge₂Sb₂Te₅*). Pricing that requires the
 //! stack to carry *content*:
 //!
-//! * [`LineData`] — a fixed-capacity, `Copy` cache-line payload that
-//!   rides on [`MemRequest`](crate::MemRequest) (and on the serve layer's
-//!   sourced requests) without heap traffic;
+//! * [`LineData`] — a fixed-capacity cache-line payload, carried boxed by
+//!   [`MemRequest`](crate::MemRequest) (and by the serve layer's sourced
+//!   requests) so payload-less request records stay small;
 //! * [`WritePricer`] — the contract a content-aware device delegates
 //!   write pricing to. The pricer sees the line's previously stored cell
 //!   image and the new payload, and returns energy, latency, programmed
@@ -33,8 +33,9 @@ pub const MAX_LINE_BYTES: usize = 128;
 
 /// A cache-line payload: up to [`MAX_LINE_BYTES`] bytes, inline.
 ///
-/// The type is `Copy` (requests are copied freely by the engines), always
-/// zero-fills its tail, and compares by content.
+/// The type is `Copy`, always zero-fills its tail, and compares by
+/// content. Requests hold it in a `Box`, so its 128-byte capacity is
+/// paid only by requests that carry data.
 ///
 /// # Examples
 ///

@@ -32,6 +32,10 @@ impl fmt::Display for MemOp {
 
 /// A single cache-line-granularity memory request.
 ///
+/// The record is 48 bytes: a payload, when present, lives in its own
+/// heap box, so traces and queues of payload-less requests stay dense and
+/// moving a request never copies line bytes. It is `Clone` but not `Copy`.
+///
 /// # Examples
 ///
 /// ```
@@ -41,7 +45,7 @@ impl fmt::Display for MemOp {
 /// let req = MemRequest::new(0, Time::from_nanos(10.0), MemOp::Read, 0x4000, ByteCount::new(64));
 /// assert!(req.op.is_read());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemRequest {
     /// Unique id (trace order).
     pub id: u64,
@@ -53,9 +57,10 @@ pub struct MemRequest {
     pub address: u64,
     /// Transfer size (normally one cache line).
     pub size: ByteCount,
-    /// The written line content, when the trace carries data. Payload-less
+    /// The written line content, when the trace carries data, boxed so the
+    /// 128-byte line capacity stays out of the record. Payload-less
     /// requests price at the device's flat (content-oblivious) cost.
-    pub payload: Option<LineData>,
+    pub payload: Option<Box<LineData>>,
 }
 
 impl MemRequest {
@@ -71,7 +76,7 @@ impl MemRequest {
         }
     }
 
-    /// Attaches a line payload (builder style).
+    /// Attaches a line payload (builder style), boxing it.
     ///
     /// # Examples
     ///
@@ -81,16 +86,16 @@ impl MemRequest {
     ///
     /// let req = MemRequest::new(0, Time::ZERO, MemOp::Write, 0x80, ByteCount::new(64))
     ///     .with_payload(LineData::zeroes(64));
-    /// assert_eq!(req.payload.unwrap().len(), 64);
+    /// assert_eq!(req.payload.as_deref().map(LineData::len), Some(64));
     /// ```
     pub fn with_payload(mut self, payload: LineData) -> Self {
-        self.payload = Some(payload);
+        self.payload = Some(Box::new(payload));
         self
     }
 }
 
-/// A serviced request with its timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A serviced request with its timing (64 bytes; `Clone`, not `Copy`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompletedRequest {
     /// The original request.
     pub request: MemRequest,
@@ -144,6 +149,14 @@ mod tests {
                 .abs()
                 < 1e-9
         );
+    }
+
+    #[test]
+    fn request_records_stay_small() {
+        // A field that inlines a line payload again (128 B of capacity)
+        // must fail here, not only slow the benchmark down.
+        assert!(std::mem::size_of::<MemRequest>() <= 48);
+        assert!(std::mem::size_of::<CompletedRequest>() <= 64);
     }
 
     #[test]

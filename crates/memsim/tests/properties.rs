@@ -267,14 +267,17 @@ fn reference_run(
     while let Some((issue, bank)) = queues.earliest(&mut [&mut *device]) {
         let RefQueued { idx, arrival, loc } = queues.take(bank);
         let req = &requests[idx];
-        let timing = device.access_line(&loc, req.op, issue, req.payload.as_ref());
+        let timing = device.access_line(&loc, req.op, issue, req.payload.as_deref());
         let ch = loc.channel as usize;
         let transfer_start = timing.data_ready_at.max(bus_free[ch]);
         let transfer_end = transfer_start + timing.bus_occupancy;
         bus_free[ch] = transfer_end;
         queues.set_bank_free(bank, timing.bank_free_at);
         let done = CompletedRequest {
-            request: MemRequest { arrival, ..*req },
+            request: MemRequest {
+                arrival,
+                ..req.clone()
+            },
             issued: issue,
             finished: transfer_end + device.interface_delay(),
         };

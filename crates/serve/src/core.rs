@@ -16,6 +16,14 @@
 //! channel accounting, and sharding. It records each request when it
 //! completes, in completion order.
 //!
+//! # In-flight records
+//!
+//! An issued request's record (with its boxed payload and any coalesced
+//! writes) waits in a slab — a `Vec` of slots plus a free list — until it
+//! completes. The completion heap orders only 32-byte
+//! `(finished, seq, issued, slot)` keys, so sifting the heap never moves a
+//! record.
+//!
 //! # Event order and determinism
 //!
 //! The core is a single discrete-event loop. At every step it knows four
@@ -52,7 +60,8 @@ use memsim::{
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// A queued (admitted but not yet issued) request.
+/// An admitted request: held by the batcher, queued at its bank, or, once
+/// issued, parked in the in-flight slab until it completes.
 #[derive(Debug, Clone)]
 pub(crate) struct Queued {
     pub(crate) id: u64,
@@ -65,9 +74,10 @@ pub(crate) struct Queued {
     /// Earliest issue time (arrival, or the batch release for held writes).
     pub(crate) ready: Time,
     pub(crate) loc: DecodedAddress,
-    /// The written line content (the *newest* store's data when same-line
-    /// writes coalesce — only the last store's bytes reach the array).
-    pub(crate) payload: Option<LineData>,
+    /// The written line content, boxed (the *newest* store's data when
+    /// same-line writes coalesce — only the last store's bytes reach the
+    /// array).
+    pub(crate) payload: Option<Box<LineData>>,
     /// Same-line writes coalesced into this one: `(id, tenant, arrival)`.
     pub(crate) absorbed: Vec<(u64, usize, Time)>,
 }
@@ -82,14 +92,15 @@ impl Pending for Queued {
     }
 }
 
-/// A scheduled completion event.
+/// A scheduled completion event: the key of an in-flight record.
 #[derive(Debug)]
 struct Completion {
     finished: Time,
     /// Monotone sequence number — the deterministic tie-break.
     seq: u64,
     issued: Time,
-    q: Queued,
+    /// The record's index in the [`InFlight`] slab.
+    slot: usize,
 }
 
 impl PartialEq for Completion {
@@ -112,6 +123,38 @@ impl Ord for Completion {
             .as_seconds()
             .total_cmp(&other.finished.as_seconds())
             .then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// Issued requests awaiting completion, in reusable slots.
+#[derive(Debug, Default)]
+struct InFlight {
+    slots: Vec<Option<Queued>>,
+    free: Vec<usize>,
+}
+
+impl InFlight {
+    /// Parks `q` and returns its slot.
+    fn insert(&mut self, q: Queued) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(q);
+                slot
+            }
+            None => {
+                self.slots.push(Some(q));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Takes the record out of `slot`, freeing the slot.
+    fn remove(&mut self, slot: usize) -> Queued {
+        let q = self.slots[slot]
+            .take()
+            .expect("completion of an empty slot");
+        self.free.push(slot);
+        q
     }
 }
 
@@ -237,6 +280,7 @@ pub fn run_service_with_sources(
     let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
     let mut channels: Vec<ChannelStats> = (0..topo.channels).map(ChannelStats::new).collect();
     let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
+    let mut in_flight = InFlight::default();
     let mut batcher = spec.batch.map(WriteBatcher::new);
 
     let mut next_id: u64 = 0;
@@ -284,10 +328,11 @@ pub fn run_service_with_sources(
                 let Reverse(Completion {
                     finished,
                     issued,
-                    q,
+                    slot,
                     ..
                 }) = completions.pop().expect("peeked");
                 debug_assert_eq!(finished, now);
+                let q = in_flight.remove(slot);
                 let ch = q.loc.channel as usize;
                 let mut complete_one = |id: u64, tenant: usize, arrival: Time| {
                     let done = CompletedRequest {
@@ -369,13 +414,13 @@ pub fn run_service_with_sources(
                 let ch = q.loc.channel as usize;
                 let device = &mut *devices[ch % shard_count];
                 let (finished, occupancy) =
-                    ctl.access(device, &q.loc, q.op, now, q.payload.as_ref());
+                    ctl.access(device, &q.loc, q.op, now, q.payload.as_deref());
                 channels[ch].busy += occupancy;
                 completions.push(Reverse(Completion {
                     finished,
                     seq: comp_seq,
                     issued: now,
-                    q,
+                    slot: in_flight.insert(q),
                 }));
                 comp_seq += 1;
             }
@@ -428,6 +473,41 @@ mod tests {
             requests: 0,
             line_bytes: 64,
         }
+    }
+
+    #[test]
+    fn completion_heap_entries_stay_small() {
+        // The heap orders keys; the records stay put in the slab.
+        assert!(std::mem::size_of::<Reverse<Completion>>() <= 32);
+    }
+
+    #[test]
+    fn in_flight_slots_are_reused() {
+        let q = |id| Queued {
+            id,
+            tenant: 0,
+            op: MemOp::Read,
+            address: 0,
+            size: ByteCount::new(64),
+            arrival: Time::ZERO,
+            ready: Time::ZERO,
+            loc: DecodedAddress {
+                channel: 0,
+                bank: 0,
+                row: 0,
+                column: 0,
+            },
+            payload: None,
+            absorbed: Vec::new(),
+        };
+        let mut slab = InFlight::default();
+        let (a, b) = (slab.insert(q(0)), slab.insert(q(1)));
+        assert_ne!(a, b);
+        assert_eq!(slab.remove(a).id, 0);
+        assert_eq!(slab.insert(q(2)), a, "a freed slot is reused");
+        assert_eq!(slab.remove(b).id, 1);
+        assert_eq!(slab.remove(a).id, 2);
+        assert_eq!(slab.slots.len(), 2);
     }
 
     #[test]

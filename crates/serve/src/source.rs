@@ -45,7 +45,10 @@ pub enum SourcePoll {
 }
 
 /// A materialized request, before the core assigns it an id.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// A 40-byte record: a store's payload travels in its own box, which the
+/// core moves along with the request until it completes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sourced {
     /// Arrival time at the controller.
     pub arrival: Time,
@@ -55,9 +58,9 @@ pub struct Sourced {
     pub address: u64,
     /// Transfer size.
     pub size: ByteCount,
-    /// The written line content (stores of tenants with a payload source;
-    /// reads and payload-less tenants carry `None`).
-    pub payload: Option<LineData>,
+    /// The written line content, boxed (stores of tenants with a payload
+    /// source; reads and payload-less tenants carry `None`).
+    pub payload: Option<Box<LineData>>,
 }
 
 /// The demand side of the service core.
@@ -161,9 +164,9 @@ fn payload_for(
     op: MemOp,
     address: u64,
     size: ByteCount,
-) -> Option<LineData> {
+) -> Option<Box<LineData>> {
     match gen {
-        Some(gen) if !op.is_read() => Some(gen.next_line(address, size.value())),
+        Some(gen) if !op.is_read() => Some(Box::new(gen.next_line(address, size.value()))),
         _ => None,
     }
 }
@@ -474,6 +477,12 @@ mod tests {
             requests: 0,
             line_bytes: 64,
         }
+    }
+
+    #[test]
+    fn sourced_requests_stay_small() {
+        // The payload rides in a box; an inline line would add 128 B.
+        assert!(std::mem::size_of::<Sourced>() <= 40);
     }
 
     #[test]

@@ -206,3 +206,71 @@ fn mixed_payload_and_payloadless_tenants_share_a_device() {
     assert_eq!(report.tenants[0].completed, 300);
     assert_eq!(report.tenants[1].completed, 300);
 }
+
+/// The payload-carrying replay path, pinned to the bit: payloads
+/// attached to a mixed read/write trace (sparse updates of a hot line set,
+/// and uniform noise) replayed on EPCM-DCW-FNW. Access energy, makespan,
+/// total latency and the device's data-plane counts must not move when
+/// the request record's layout changes.
+#[test]
+fn trace_replay_with_payloads_is_pinned_exactly() {
+    let profile = WorkloadProfile {
+        name: "pinned-payloads".into(),
+        read_fraction: 0.3,
+        footprint: ByteCount::new(512 * 64),
+        pattern: AccessPattern::Random,
+        interarrival: Time::from_nanos(20.0),
+        requests: 3000,
+        line_bytes: 64,
+    };
+    let run = |spec: PayloadSpec| {
+        let mut trace = profile.generate(5);
+        attach_payloads(&mut trace, spec, 17);
+        let mut dev = EpcmDevice::with_pricer(
+            EpcmConfig::epcm_mm(),
+            Box::new(DataWriteModel::gst(4, DataPolicy::DcwFnw)),
+        );
+        let stats = run_simulation(&mut dev, &trace, &SimConfig::paced("pinned"));
+        let plane = dev.data_plane_stats().expect("content-aware device");
+        (
+            stats.completed,
+            stats.energy.access.as_joules().to_bits(),
+            stats.makespan.as_seconds().to_bits(),
+            stats.total_latency.as_seconds().to_bits(),
+            (
+                plane.priced_writes,
+                plane.unpriced_writes,
+                plane.cells_written,
+                plane.cells_total,
+            ),
+        )
+    };
+    let sparse = run(PayloadSpec::SparseUpdate {
+        flip_fraction: 0.05,
+    });
+    let uniform = run(PayloadSpec::Uniform);
+    // (completed, access energy J, makespan s, total latency s, (priced,
+    // unpriced, cells written, cells spanned)); the f64s as raw bits.
+    assert_eq!(
+        sparse,
+        (
+            3000,
+            0x3eec_962f_61d1_4205, // 1.3631e-5 J
+            0x3f24_e628_8765_396b, // 159.45 us
+            0x3fc3_1c5d_c153_fbf3, // 0.1493 s
+            (2151, 0, 72_835, 275_328),
+        ),
+        "sparse-update trace"
+    );
+    assert_eq!(
+        uniform,
+        (
+            3000,
+            0x3f0c_c30d_a770_3bac, // 5.4859e-5 J
+            0x3f27_a80f_db84_553b, // 180.48 us
+            0x3fc6_4d62_f357_4971, // 0.1742 s
+            (2151, 0, 256_999, 275_328),
+        ),
+        "uniform trace"
+    );
+}
