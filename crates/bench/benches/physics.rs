@@ -70,11 +70,19 @@ fn bench_table_generation(c: &mut Criterion) {
     let model = CellThermalModel::comet_gst();
     let mut group = c.benchmark_group("fig6/program_table");
     group.sample_size(10);
-    // The full pulse search (the ~26 ms hot kernel the ROADMAP flags)...
+    // The full pulse search in both modes...
     group.bench_function("amorphous_reset_4bit_uncached", |b| {
         b.iter(|| {
             black_box(
                 ProgramTable::generate_uncached(&model, ProgramMode::AmorphousReset, 4)
+                    .expect("generates"),
+            )
+        })
+    });
+    group.bench_function("crystalline_reset_4bit_uncached", |b| {
+        b.iter(|| {
+            black_box(
+                ProgramTable::generate_uncached(&model, ProgramMode::CrystallineReset, 4)
                     .expect("generates"),
             )
         })

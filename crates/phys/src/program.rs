@@ -15,8 +15,14 @@
 //! each target transmittance it finds the crystalline fraction (bisection on
 //! the optics), then the pulse duration that reaches that fraction
 //! (bisection/scan on the transient simulation).
+//!
+//! Every probe of one search shares its start state and power, so the
+//! probes run on a pulse sweep: the heating trajectory is integrated once,
+//! checkpointed at each probed step count, and only each probe's cool-down
+//! is integrated on its own. All levels of a table bisect on one sweep,
+//! and the tables are bit-identical to probing each pulse from scratch.
 
-use crate::thermal::{CellState, CellThermalModel, PulseSpec};
+use crate::thermal::{CellState, CellThermalModel, PulseSpec, PulseSweep};
 use comet_units::{Energy, Power, Time, Transmittance};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -203,9 +209,10 @@ impl ProgramTable {
     /// Generates a table by inverting `model` for `2^bits` equally spaced
     /// transmission levels.
     ///
-    /// The pulse search behind a table costs tens of milliseconds (hundreds
-    /// of transient thermal simulations — the workspace's slowest kernel),
-    /// so successful generations are memoized process-wide: repeated calls
+    /// The pulse search behind a table runs hundreds of transient thermal
+    /// simulations. They share their heating prefixes (see the module
+    /// docs), so a 4-bit table costs a millisecond or two; successful
+    /// generations are still memoized process-wide, and repeated calls
     /// with an identical model return a clone of the cached table. Use
     /// [`ProgramTable::generate_uncached`] to force the full search.
     ///
@@ -290,13 +297,20 @@ impl ProgramTable {
 
         let reset = Self::solve_reset(model, mode);
 
+        // Every level is written from the reset state at the mode's write
+        // power, so all levels' searches probe one heating trajectory.
+        let reset_state = match mode {
+            ProgramMode::CrystallineReset => CellState::crystalline(),
+            ProgramMode::AmorphousReset => CellState::amorphous(),
+        };
+        let mut sweep = PulseSweep::new(model, reset_state, mode.write_power());
         let mut levels = Vec::with_capacity(n_levels as usize);
         for k in 0..n_levels {
             let target_t = Transmittance::new(t_max - spacing * k as f64);
             let fraction = optics
                 .fraction_for_transmittance(target_t, lambda)
                 .unwrap_or(if k == 0 { 0.0 } else { 1.0 });
-            let pulse = Self::solve_level_pulse(model, mode, fraction).ok_or(
+            let pulse = Self::solve_level_pulse(&mut sweep, mode, fraction).ok_or(
                 GenerateTableError::Unreachable {
                     level: k as u8,
                     target: fraction,
@@ -327,14 +341,16 @@ impl ProgramTable {
         match mode {
             ProgramMode::AmorphousReset => {
                 // Scan upward (outcome is thresholded, not monotone for
-                // short pulses that crystallize without melting).
+                // short pulses that crystallize without melting), one
+                // sweep per start state.
+                let mut sweeps: Vec<PulseSweep> = starts
+                    .iter()
+                    .map(|&s| PulseSweep::new(model, CellState::at_fraction(s), power))
+                    .collect();
                 let mut d = 20.0;
                 while d <= 1000.0 {
-                    let ok = starts.iter().all(|&s| {
-                        let out = model.apply_pulse(
-                            CellState::at_fraction(s),
-                            PulseSpec::new(power, Time::from_nanos(d)),
-                        );
+                    let ok = sweeps.iter_mut().all(|sweep| {
+                        let out = sweep.apply(Time::from_nanos(d));
                         out.state.crystalline_fraction < 0.02
                     });
                     if ok {
@@ -355,16 +371,9 @@ impl ProgramTable {
                 // Crystallization is monotone in duration: bisect for the
                 // slowest start (fully amorphous).
                 let target = 0.98;
-                let reaches = |d: f64| {
-                    model
-                        .apply_pulse(
-                            CellState::amorphous(),
-                            PulseSpec::new(power, Time::from_nanos(d)),
-                        )
-                        .state
-                        .crystalline_fraction
-                        >= target
-                };
+                let mut sweep = PulseSweep::new(model, CellState::amorphous(), power);
+                let mut reaches =
+                    |d: f64| sweep.apply(Time::from_nanos(d)).state.crystalline_fraction >= target;
                 let (mut lo, mut hi) = (50.0, 4000.0);
                 if !reaches(hi) {
                     return ResetSpec {
@@ -389,28 +398,21 @@ impl ProgramTable {
     }
 
     /// Finds the pulse programming crystalline fraction `target` from the
-    /// reset state of `mode`. Returns `None` if unreachable.
+    /// reset state of `mode`, probing `sweep` (pulses at the mode's write
+    /// power from its reset state). Returns `None` if unreachable.
     fn solve_level_pulse(
-        model: &CellThermalModel,
+        sweep: &mut PulseSweep,
         mode: ProgramMode,
         target: f64,
     ) -> Option<PulseSpec> {
         let power = mode.write_power();
+        let mut result_at = |d: f64| sweep.apply(Time::from_nanos(d)).state.crystalline_fraction;
         match mode {
             ProgramMode::AmorphousReset => {
                 // From p=0, fraction grows monotonically with duration.
                 if target <= 1e-3 {
                     return Some(PulseSpec::new(power, Time::ZERO));
                 }
-                let result_at = |d: f64| {
-                    model
-                        .apply_pulse(
-                            CellState::amorphous(),
-                            PulseSpec::new(power, Time::from_nanos(d)),
-                        )
-                        .state
-                        .crystalline_fraction
-                };
                 let hi_limit = 3000.0;
                 if result_at(hi_limit) < target {
                     return None;
@@ -432,15 +434,6 @@ impl ProgramTable {
                 if target >= 1.0 - 1e-3 {
                     return Some(PulseSpec::new(power, Time::ZERO));
                 }
-                let result_at = |d: f64| {
-                    model
-                        .apply_pulse(
-                            CellState::crystalline(),
-                            PulseSpec::new(power, Time::from_nanos(d)),
-                        )
-                        .state
-                        .crystalline_fraction
-                };
                 let hi_limit = 500.0;
                 if result_at(hi_limit) > target {
                     return None;
@@ -680,6 +673,36 @@ mod tests {
         let direct =
             ProgramTable::generate_uncached(&warm, ProgramMode::AmorphousReset, 1).expect("warm");
         assert_eq!(cached, direct);
+    }
+
+    /// FNV-1a over a table's `Debug` rendering, whose floats print at
+    /// shortest round-trip precision: equal digests mean bit-equal tables.
+    fn table_digest(table: &ProgramTable) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in format!("{table:?}").bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn tables_are_pinned_exactly() {
+        // Recorded from the per-probe solver that integrated every pulse
+        // from its start state; the shared-prefix sweep must not move a bit.
+        for (mode, bits, want) in [
+            (ProgramMode::AmorphousReset, 4, 0xe119_4738_498a_c7c4),
+            (ProgramMode::CrystallineReset, 4, 0xfd0d_007b_e6f5_70ec),
+            (ProgramMode::AmorphousReset, 2, 0xebbb_46b4_df1b_f6c9),
+        ] {
+            let table = ProgramTable::generate_uncached(model(), mode, bits).expect("generate");
+            assert_eq!(
+                table_digest(&table),
+                want,
+                "{mode} at {bits} bits: {:#018x}",
+                table_digest(&table)
+            );
+        }
     }
 
     #[test]

@@ -47,6 +47,8 @@
 use crate::cell_optics::CellOpticalModel;
 use comet_units::{Energy, Length, Power, Temperature, Time};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::materials::Silicon;
 
@@ -224,7 +226,18 @@ const LUT_SIZE: usize = 257;
 impl CellThermalModel {
     /// Builds a model from cell optics and thermal parameters at an
     /// operating wavelength.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.time_step` is not finite and positive: a zero
+    /// step would integrate an unbounded number of steps per pulse and a
+    /// negative one none, so every pulse would leave its start state.
     pub fn new(optics: CellOpticalModel, params: ThermalParams, wavelength: Length) -> Self {
+        let dt = params.time_step.as_seconds();
+        assert!(
+            dt.is_finite() && dt > 0.0,
+            "thermal time step must be finite and > 0, got {dt} s"
+        );
         let geom = optics.geometry;
         let pcm = &optics.material.thermal;
         let heat_capacity = pcm.volumetric_heat_capacity() * geom.pcm_volume()
@@ -321,116 +334,157 @@ impl CellThermalModel {
         pulse: PulseSpec,
         mut trace: Option<(usize, &mut Vec<TraceSample>)>,
     ) -> PulseOutcome {
-        let th = self.optics.material.thermal;
-        let t_melt = th.melting_point.as_kelvin();
-        let t_onset = th.crystallization_onset.as_kelvin();
+        let steps = self.pulse_steps(pulse.duration);
+        let mut node = Node::at(state);
+        self.heat(&mut node, self.drive(pulse.power), 0..steps, &mut trace);
+        self.cool_down(node, steps, trace)
+    }
+
+    /// The number of heating steps a pulse of `duration` integrates: a
+    /// pulse's outcome depends on its duration only through this count.
+    fn pulse_steps(&self, duration: Time) -> usize {
+        (duration.as_seconds() / self.params.time_step.as_seconds()).ceil() as usize
+    }
+
+    /// The heating source of a pulse at `power`.
+    fn drive(&self, power: Power) -> Drive {
+        Drive {
+            power: power.as_watts(),
+            assist: power >= self.params.write_assist_threshold,
+        }
+    }
+
+    /// Advances `node` by one time step, heated by `drive` (`None` during
+    /// the cool-down): the model's only integrator step.
+    #[inline]
+    fn step(&self, node: &mut Node, drive: Option<Drive>) {
+        let t_melt = self.optics.material.thermal.melting_point.as_kelvin();
         let ambient = self.params.ambient.as_kelvin();
         let g = self.params.sink_conductance;
         let c = self.heat_capacity;
         let dt = self.params.time_step.as_seconds();
-        let p_in = pulse.power.as_watts();
-        let assist = pulse.power >= self.params.write_assist_threshold;
+        let heating = drive.is_some();
 
-        // p: crystalline fraction of the *unmelted* portion; mu: melt fraction.
-        let mut p = state.crystalline_fraction;
-        let mut mu = 0.0f64;
-        let mut temp = state.temperature.as_kelvin();
-        let mut peak_t = temp;
-        let mut peak_mu: f64 = 0.0;
-        let mut absorbed = 0.0f64;
-        let mut melted = false;
-
-        let pulse_steps = (pulse.duration.as_seconds() / dt).ceil() as usize;
-        // Cool-down budget: several time constants, capped.
-        let cooldown_steps =
-            ((8.0 * self.time_constant().as_seconds() / dt).ceil() as usize).min(200_000);
-
-        for step in 0..(pulse_steps + cooldown_steps) {
-            let heating = step < pulse_steps;
-
-            // Effective fraction for optics: molten material absorbs like
-            // the crystalline phase.
-            let q = p * (1.0 - mu) + mu;
-            let source = if heating {
+        let source = match drive {
+            Some(Drive { power, assist }) => {
+                // Effective fraction for optics: molten material absorbs
+                // like the crystalline phase.
+                let q = node.p * (1.0 - node.mu) + node.mu;
                 let mut a = self.absorptance(q);
                 if assist {
                     a = a.max(self.params.write_assist_floor);
                 }
-                absorbed += p_in * a * dt;
-                p_in * a
+                node.absorbed += power * a * dt;
+                power * a
+            }
+            None => 0.0,
+        };
+
+        let net = source - g * (node.temp - ambient);
+
+        if node.temp >= t_melt && net > 0.0 {
+            // Plateau: excess power converts material to melt.
+            if node.mu < 1.0 {
+                node.mu = (node.mu + net * dt / self.melt_enthalpy).min(1.0);
+                node.melted = true;
             } else {
-                0.0
-            };
+                // Fully molten: superheat the liquid.
+                node.temp += net * dt / c;
+            }
+        } else {
+            node.temp += net * dt / c;
+            if node.temp >= t_melt && node.mu < 1.0 {
+                // Crossed the melting point this step: clamp, start melting.
+                let overshoot = (node.temp - t_melt) * c;
+                node.temp = t_melt;
+                node.mu = (node.mu + overshoot / self.melt_enthalpy).min(1.0);
+                node.melted = true;
+            }
+        }
 
-            let net = source - g * (temp - ambient);
-
-            if temp >= t_melt && net > 0.0 {
-                // Plateau: excess power converts material to melt.
-                if mu < 1.0 {
-                    mu = (mu + net * dt / self.melt_enthalpy).min(1.0);
-                    melted = true;
-                } else {
-                    // Fully molten: superheat the liquid.
-                    temp += net * dt / c;
-                }
-            } else {
-                temp += net * dt / c;
-                if temp >= t_melt && mu < 1.0 {
-                    // Crossed the melting point this step: clamp, start melting.
-                    let overshoot = (temp - t_melt) * c;
-                    temp = t_melt;
-                    mu = (mu + overshoot / self.melt_enthalpy).min(1.0);
-                    melted = true;
+        // Crystallization kinetics of the unmelted portion. During
+        // cool-down, freshly melt-quenched material is nucleation-limited
+        // and does not re-crystallize; the (1-mu) weighting handles the
+        // still-molten part, and we additionally freeze kinetics once
+        // cooling if melting happened (critical quench rate satisfied).
+        if !node.melted || heating {
+            let rate = self.crystallization_rate(Temperature::from_kelvin(node.temp));
+            if rate > 0.0 {
+                node.p += rate * (1.0 - node.p) * dt;
+                if node.p > 1.0 {
+                    node.p = 1.0;
                 }
             }
+        }
 
-            // Crystallization kinetics of the unmelted portion. During
-            // cool-down, freshly melt-quenched material is nucleation-limited
-            // and does not re-crystallize; the (1-mu) weighting handles the
-            // still-molten part, and we additionally freeze kinetics once
-            // cooling if melting happened (critical quench rate satisfied).
-            if !melted || heating {
-                let rate = self.crystallization_rate(Temperature::from_kelvin(temp));
-                if rate > 0.0 {
-                    p += rate * (1.0 - p) * dt;
-                    if p > 1.0 {
-                        p = 1.0;
-                    }
-                }
-            }
+        node.peak_t = node.peak_t.max(node.temp);
+        node.peak_mu = node.peak_mu.max(node.mu);
+    }
 
-            peak_t = peak_t.max(temp);
-            peak_mu = peak_mu.max(mu);
+    /// Integrates the heating steps `steps` (global step indices, which
+    /// only the trace reads) of a pulse.
+    fn heat(
+        &self,
+        node: &mut Node,
+        drive: Drive,
+        steps: Range<usize>,
+        trace: &mut Option<(usize, &mut Vec<TraceSample>)>,
+    ) {
+        for step in steps {
+            self.step(node, Some(drive));
+            self.record(trace, step, node);
+        }
+    }
 
-            if let Some((every, ref mut samples)) = trace {
-                if step % every == 0 {
-                    samples.push(TraceSample {
-                        time: Time::from_seconds(step as f64 * dt),
-                        temperature: Temperature::from_kelvin(temp),
-                        crystalline_fraction: p,
-                        melt_fraction: mu,
-                    });
-                }
-            }
-
+    /// Quenches `node` after a pulse of `pulse_steps` heating steps: cools
+    /// it until it falls well below the kinetics window (or the budget of
+    /// several time constants runs out), then re-solidifies the melt
+    /// amorphous.
+    fn cool_down(
+        &self,
+        mut node: Node,
+        pulse_steps: usize,
+        mut trace: Option<(usize, &mut Vec<TraceSample>)>,
+    ) -> PulseOutcome {
+        let dt = self.params.time_step.as_seconds();
+        let th = &self.optics.material.thermal;
+        let t_onset = th.crystallization_onset.as_kelvin();
+        let cooldown_steps =
+            ((8.0 * self.time_constant().as_seconds() / dt).ceil() as usize).min(200_000);
+        for step in pulse_steps..pulse_steps + cooldown_steps {
+            self.step(&mut node, None);
+            self.record(&mut trace, step, &node);
             // Early exit once quenched well below the kinetics window.
-            if !heating && temp < t_onset - 20.0 {
+            if node.temp < t_onset - 20.0 {
                 break;
             }
         }
 
-        // Quench: molten material re-solidifies amorphous.
-        let final_p = p * (1.0 - mu);
-
         PulseOutcome {
             state: CellState {
-                crystalline_fraction: final_p,
-                temperature: Temperature::from_kelvin(temp.max(ambient)),
+                crystalline_fraction: node.p * (1.0 - node.mu),
+                temperature: Temperature::from_kelvin(
+                    node.temp.max(self.params.ambient.as_kelvin()),
+                ),
             },
-            peak_temperature: Temperature::from_kelvin(peak_t),
-            absorbed_energy: Energy::from_joules(absorbed),
-            peak_melt_fraction: peak_mu,
-            melted,
+            peak_temperature: Temperature::from_kelvin(node.peak_t),
+            absorbed_energy: Energy::from_joules(node.absorbed),
+            peak_melt_fraction: node.peak_mu,
+            melted: node.melted,
+        }
+    }
+
+    /// Samples `node` into the trace, if any, on every `every`-th step.
+    fn record(&self, trace: &mut Option<(usize, &mut Vec<TraceSample>)>, step: usize, node: &Node) {
+        if let Some((every, samples)) = trace {
+            if step % *every == 0 {
+                samples.push(TraceSample {
+                    time: Time::from_seconds(step as f64 * self.params.time_step.as_seconds()),
+                    temperature: Temperature::from_kelvin(node.temp),
+                    crystalline_fraction: node.p,
+                    melt_fraction: node.mu,
+                });
+            }
         }
     }
 
@@ -457,9 +511,101 @@ impl CellThermalModel {
     }
 }
 
+/// Loop-carried state of one pulse integration: everything the next step
+/// and the quenched outcome depend on.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Crystalline fraction of the *unmelted* portion.
+    p: f64,
+    /// Melt fraction.
+    mu: f64,
+    /// Node temperature, K.
+    temp: f64,
+    /// Peak temperature so far, K.
+    peak_t: f64,
+    /// Peak melt fraction so far.
+    peak_mu: f64,
+    /// Optical energy absorbed so far, J.
+    absorbed: f64,
+    /// Whether any melting has occurred.
+    melted: bool,
+}
+
+impl Node {
+    /// The node at the start of a pulse from `state`.
+    fn at(state: CellState) -> Self {
+        let temp = state.temperature.as_kelvin();
+        Node {
+            p: state.crystalline_fraction,
+            mu: 0.0,
+            temp,
+            peak_t: temp,
+            peak_mu: 0.0,
+            absorbed: 0.0,
+            melted: false,
+        }
+    }
+}
+
+/// The heating source of a pulse.
+#[derive(Debug, Clone, Copy)]
+struct Drive {
+    /// Pulse power, W.
+    power: f64,
+    /// Whether the write-assist absorption floor applies.
+    assist: bool,
+}
+
+/// Pulses of one power from one start state, answered from shared heating
+/// checkpoints.
+///
+/// A pulse's outcome depends on its duration only through its heating
+/// step count `n`, and the heating of a longer pulse passes through the
+/// end state of every shorter one. A sweep keeps the node state at each
+/// step count it has been asked for, integrates a new count forward from
+/// the nearest lower checkpoint, and memoizes each count's quenched
+/// outcome. Every answer is bit-identical to
+/// [`CellThermalModel::apply_pulse`]; memory is O(distinct probes).
+#[derive(Debug)]
+pub(crate) struct PulseSweep<'a> {
+    model: &'a CellThermalModel,
+    drive: Drive,
+    start: Node,
+    /// Heating end state and quenched outcome per probed step count.
+    probes: BTreeMap<usize, (Node, PulseOutcome)>,
+}
+
+impl<'a> PulseSweep<'a> {
+    /// A sweep of pulses at `power` from `start`.
+    pub(crate) fn new(model: &'a CellThermalModel, start: CellState, power: Power) -> Self {
+        PulseSweep {
+            model,
+            drive: model.drive(power),
+            start: Node::at(start),
+            probes: BTreeMap::new(),
+        }
+    }
+
+    /// The outcome of a pulse of `duration`: equal to `apply_pulse` from
+    /// the sweep's start state at its power.
+    pub(crate) fn apply(&mut self, duration: Time) -> PulseOutcome {
+        let n = self.model.pulse_steps(duration);
+        let (from, mut node) = match self.probes.range(..=n).next_back() {
+            Some((&k, &(_, outcome))) if k == n => return outcome,
+            Some((&k, &(node, _))) => (k, node),
+            None => (0, self.start),
+        };
+        self.model.heat(&mut node, self.drive, from..n, &mut None);
+        let outcome = self.model.cool_down(node, n, None);
+        self.probes.insert(n, (node, outcome));
+        outcome
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn model() -> CellThermalModel {
         CellThermalModel::comet_gst()
@@ -631,6 +777,119 @@ mod tests {
             .fold(0.0, f64::max);
         assert!(max_t >= 873.0 - 1.0);
         assert!(trace[0].temperature.as_kelvin() < 350.0);
+    }
+
+    #[test]
+    fn pulse_outcomes_are_pinned_exactly() {
+        // FNV-1a over the `Debug` rendering (shortest round-trip floats)
+        // of untraced outcomes across both write regimes and of one traced
+        // pulse, recorded before the integrator was split into its step
+        // and cool-down parts.
+        let m = model();
+        let mut text = String::new();
+        for start in [0.0, 0.35, 1.0] {
+            for power in [0.1, 1.0, 5.0] {
+                for d in [0.0, 0.1, 13.7, 60.0, 250.0] {
+                    let out = m.apply_pulse(
+                        CellState::at_fraction(start),
+                        PulseSpec::new(mw(power), ns(d)),
+                    );
+                    text.push_str(&format!("{out:?}\n"));
+                }
+            }
+        }
+        let mut trace = Vec::new();
+        let out = m.apply_pulse_traced(
+            CellState::at_fraction(0.5),
+            PulseSpec::new(mw(5.0), ns(30.0)),
+            7,
+            &mut trace,
+        );
+        text.push_str(&format!("{out:?}\n{trace:?}\n"));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in text.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        assert_eq!(h, 0xcb88_dec7_9552_1f9c, "{h:#018x}");
+    }
+
+    /// Asserts two outcomes are equal bit for bit, field by field.
+    fn assert_bit_identical(got: &PulseOutcome, want: &PulseOutcome) -> Result<(), TestCaseError> {
+        let bits = |o: &PulseOutcome| {
+            (
+                o.state.crystalline_fraction.to_bits(),
+                o.state.temperature.as_kelvin().to_bits(),
+                o.peak_temperature.as_kelvin().to_bits(),
+                o.absorbed_energy.as_joules().to_bits(),
+                o.peak_melt_fraction.to_bits(),
+                o.melted,
+            )
+        };
+        prop_assert_eq!(bits(got), bits(want), "{:?} vs {:?}", got, want);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn sweep_matches_apply_pulse_bit_for_bit(
+            start in 0.0f64..=1.0,
+            power in 0.2f64..=6.0,
+            probes in prop::collection::vec((0u8..6, 0.0f64..1.0), 1..=40),
+        ) {
+            // A bisection's access pattern: zero, sub-step, exact
+            // step-multiple, repeated, descending and fresh durations.
+            let m = model();
+            let step = m.params().time_step.as_nanos();
+            let state = CellState::at_fraction(start);
+            let mut sweep = PulseSweep::new(&m, state, mw(power));
+            let mut last = 0.0f64;
+            for &(kind, u) in &probes {
+                let d = match kind {
+                    0 => 0.0,
+                    1 => u * step,
+                    2 => last,
+                    3 => u * last,
+                    4 => (u * 4000.0 / step).floor() * step,
+                    _ => u * 4000.0,
+                };
+                let want = m.apply_pulse(state, PulseSpec::new(mw(power), ns(d)));
+                assert_bit_identical(&sweep.apply(ns(d)), &want)?;
+                last = d;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "time step must be finite and > 0")]
+    fn zero_time_step_is_rejected() {
+        let params = ThermalParams {
+            time_step: Time::ZERO,
+            ..ThermalParams::default()
+        };
+        let _ = CellThermalModel::new(
+            CellOpticalModel::comet_gst(),
+            params,
+            crate::materials::reference_wavelength(),
+        );
+    }
+
+    #[test]
+    fn non_finite_or_negative_time_steps_are_rejected() {
+        for dt in [-0.25, f64::NAN, f64::INFINITY] {
+            let params = ThermalParams {
+                time_step: Time::from_nanos(dt),
+                ..ThermalParams::default()
+            };
+            let built = std::panic::catch_unwind(|| {
+                CellThermalModel::new(
+                    CellOpticalModel::comet_gst(),
+                    params,
+                    crate::materials::reference_wavelength(),
+                )
+            });
+            assert!(built.is_err(), "time step {dt} ns was accepted");
+        }
     }
 
     #[test]
