@@ -41,17 +41,17 @@ pub enum Interleave {
     RowBankColumnChannelXor,
 }
 
-/// XOR-fold of all base-`modulus` digits of `q` (`modulus` a power of two).
-/// A single-channel map has no digits to fold (and `q /= 1` would never
-/// terminate), so modulus 1 folds to 0.
-fn xor_fold(mut q: u64, modulus: u64) -> u64 {
-    if modulus <= 1 {
+/// XOR-fold of all `bits`-wide digits of `q`. A single-channel map
+/// (`bits` = 0) has no digits to fold, so it folds to 0.
+fn xor_fold(mut q: u64, bits: u32) -> u64 {
+    if bits == 0 {
         return 0;
     }
+    let mask = (1 << bits) - 1;
     let mut acc = 0;
     while q > 0 {
-        acc ^= q % modulus;
-        q /= modulus;
+        acc ^= q & mask;
+        q >>= bits;
     }
     acc
 }
@@ -66,6 +66,11 @@ pub enum AddressMapError {
         /// The offending value.
         value: u64,
     },
+    /// The capacity, `2^bits` bytes, does not fit in a `u64`.
+    CapacityOverflow {
+        /// The sum of the five dimensions' exponents (at least 64).
+        bits: u32,
+    },
 }
 
 impl fmt::Display for AddressMapError {
@@ -74,6 +79,10 @@ impl fmt::Display for AddressMapError {
             AddressMapError::NotPowerOfTwo { dimension, value } => {
                 write!(f, "{dimension} must be a nonzero power of two, got {value}")
             }
+            AddressMapError::CapacityOverflow { bits } => write!(
+                f,
+                "the address map spans 2^{bits} bytes; its capacity must stay below 2^64"
+            ),
         }
     }
 }
@@ -81,6 +90,10 @@ impl fmt::Display for AddressMapError {
 impl std::error::Error for AddressMapError {}
 
 /// An address map over power-of-two dimensions.
+///
+/// Each dimension is stored as its exponent, so decoding an address is
+/// shifts and masks: the line index is a bit field of the address, each
+/// coordinate a mask of it and each quotient a shift.
 ///
 /// # Examples
 ///
@@ -95,11 +108,12 @@ impl std::error::Error for AddressMapError {}
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AddressMap {
-    channels: u64,
-    banks: u64,
-    rows: u64,
-    columns: u64,
-    line_bytes: u64,
+    // log2 of each dimension.
+    channel_bits: u32,
+    bank_bits: u32,
+    row_bits: u32,
+    column_bits: u32,
+    line_bits: u32,
     interleave: Interleave,
 }
 
@@ -111,6 +125,11 @@ fn check_pow2(dimension: &'static str, value: u64) -> Result<u32, AddressMapErro
     }
 }
 
+/// The low `bits` bits of `x`.
+fn low(x: u64, bits: u32) -> u64 {
+    x & ((1 << bits) - 1)
+}
+
 impl AddressMap {
     /// Creates a map.
     ///
@@ -119,7 +138,10 @@ impl AddressMap {
     ///
     /// # Errors
     ///
-    /// Every dimension must be a nonzero power of two.
+    /// Every dimension must be a nonzero power of two
+    /// ([`AddressMapError::NotPowerOfTwo`]), and their product, the
+    /// capacity in bytes, must fit in a `u64`
+    /// ([`AddressMapError::CapacityOverflow`]).
     pub fn new(
         channels: u64,
         banks: u64,
@@ -128,98 +150,81 @@ impl AddressMap {
         line_bytes: u64,
         interleave: Interleave,
     ) -> Result<Self, AddressMapError> {
-        check_pow2("channels", channels)?;
-        check_pow2("banks", banks)?;
-        check_pow2("rows", rows)?;
-        check_pow2("columns", columns)?;
-        check_pow2("line_bytes", line_bytes)?;
-        Ok(AddressMap {
-            channels,
-            banks,
-            rows,
-            columns,
-            line_bytes,
+        let map = AddressMap {
+            channel_bits: check_pow2("channels", channels)?,
+            bank_bits: check_pow2("banks", banks)?,
+            row_bits: check_pow2("rows", rows)?,
+            column_bits: check_pow2("columns", columns)?,
+            line_bits: check_pow2("line_bytes", line_bytes)?,
             interleave,
-        })
+        };
+        let bits = map.line_index_bits() + map.line_bits;
+        if bits >= u64::BITS {
+            return Err(AddressMapError::CapacityOverflow { bits });
+        }
+        Ok(map)
     }
 
     /// Number of channels.
     pub fn channels(&self) -> u64 {
-        self.channels
+        1 << self.channel_bits
     }
 
     /// Banks per channel.
     pub fn banks(&self) -> u64 {
-        self.banks
+        1 << self.bank_bits
     }
 
     /// Rows per bank.
     pub fn rows(&self) -> u64 {
-        self.rows
+        1 << self.row_bits
     }
 
     /// Cache-line columns per row.
     pub fn columns(&self) -> u64 {
-        self.columns
+        1 << self.column_bits
     }
 
     /// Cache-line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_bits
     }
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.channels * self.banks * self.rows * self.columns * self.line_bytes
+        1 << (self.line_index_bits() + self.line_bits)
+    }
+
+    /// Width of a line index: log2 of the number of lines.
+    fn line_index_bits(&self) -> u32 {
+        self.channel_bits + self.bank_bits + self.row_bits + self.column_bits
     }
 
     /// Decodes a physical byte address (wraps modulo capacity).
+    #[inline]
     pub fn decode(&self, address: u64) -> DecodedAddress {
-        let line = (address / self.line_bytes) % (self.capacity_bytes() / self.line_bytes);
+        let line = low(address >> self.line_bits, self.line_index_bits());
+        let channel = low(line, self.channel_bits);
+        let rest = line >> self.channel_bits;
         match self.interleave {
-            Interleave::RowBankColumnChannel => {
-                let channel = line % self.channels;
-                let rest = line / self.channels;
-                let column = rest % self.columns;
-                let rest = rest / self.columns;
-                let bank = rest % self.banks;
-                let row = rest / self.banks;
-                DecodedAddress {
-                    channel,
-                    bank,
-                    row,
-                    column,
-                }
-            }
-            Interleave::RowColumnBankChannel => {
-                let channel = line % self.channels;
-                let rest = line / self.channels;
-                let bank = rest % self.banks;
-                let rest = rest / self.banks;
-                let column = rest % self.columns;
-                let row = rest / self.columns;
-                DecodedAddress {
-                    channel,
-                    bank,
-                    row,
-                    column,
-                }
-            }
-            Interleave::RowBankColumnChannelXor => {
-                let r = line % self.channels;
-                let q = line / self.channels;
-                let channel = r ^ xor_fold(q, self.channels);
-                let column = q % self.columns;
-                let rest = q / self.columns;
-                let bank = rest % self.banks;
-                let row = rest / self.banks;
-                DecodedAddress {
-                    channel,
-                    bank,
-                    row,
-                    column,
-                }
-            }
+            Interleave::RowBankColumnChannel => DecodedAddress {
+                channel,
+                bank: low(rest >> self.column_bits, self.bank_bits),
+                row: rest >> (self.column_bits + self.bank_bits),
+                column: low(rest, self.column_bits),
+            },
+            Interleave::RowColumnBankChannel => DecodedAddress {
+                channel,
+                bank: low(rest, self.bank_bits),
+                row: rest >> (self.bank_bits + self.column_bits),
+                column: low(rest >> self.bank_bits, self.column_bits),
+            },
+            Interleave::RowBankColumnChannelXor => DecodedAddress {
+                channel: channel ^ xor_fold(rest, self.channel_bits),
+                bank: low(rest >> self.column_bits, self.bank_bits),
+                row: rest >> (self.column_bits + self.bank_bits),
+                column: low(rest, self.column_bits),
+            },
         }
     }
 
@@ -230,34 +235,168 @@ impl AddressMap {
     /// Panics if any coordinate is out of range.
     pub fn encode(&self, d: DecodedAddress) -> u64 {
         assert!(
-            d.channel < self.channels,
+            d.channel < self.channels(),
             "channel {} out of range",
             d.channel
         );
-        assert!(d.bank < self.banks, "bank {} out of range", d.bank);
-        assert!(d.row < self.rows, "row {} out of range", d.row);
-        assert!(d.column < self.columns, "column {} out of range", d.column);
-        let line = match self.interleave {
+        assert!(d.bank < self.banks(), "bank {} out of range", d.bank);
+        assert!(d.row < self.rows(), "row {} out of range", d.row);
+        assert!(
+            d.column < self.columns(),
+            "column {} out of range",
+            d.column
+        );
+        let (bb, cb) = (self.bank_bits, self.column_bits);
+        let (q, channel) = match self.interleave {
             Interleave::RowBankColumnChannel => {
-                ((d.row * self.banks + d.bank) * self.columns + d.column) * self.channels
-                    + d.channel
+                (((d.row << bb | d.bank) << cb) | d.column, d.channel)
             }
             Interleave::RowColumnBankChannel => {
-                ((d.row * self.columns + d.column) * self.banks + d.bank) * self.channels
-                    + d.channel
+                (((d.row << cb | d.column) << bb) | d.bank, d.channel)
             }
             Interleave::RowBankColumnChannelXor => {
-                let q = (d.row * self.banks + d.bank) * self.columns + d.column;
-                q * self.channels + (d.channel ^ xor_fold(q, self.channels))
+                let q = ((d.row << bb | d.bank) << cb) | d.column;
+                (q, d.channel ^ xor_fold(q, self.channel_bits))
             }
         };
-        line * self.line_bytes
+        ((q << self.channel_bits) | channel) << self.line_bits
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The division form of [`xor_fold`]: XOR of all base-`modulus`
+    /// digits of `q`, 0 for a single channel.
+    fn reference_xor_fold(mut q: u64, modulus: u64) -> u64 {
+        if modulus <= 1 {
+            return 0;
+        }
+        let mut acc = 0;
+        while q > 0 {
+            acc ^= q % modulus;
+            q /= modulus;
+        }
+        acc
+    }
+
+    /// [`AddressMap::decode`] in its division form, over the map's sizes.
+    fn reference_decode(m: &AddressMap, address: u64) -> DecodedAddress {
+        let (channels, banks, columns) = (m.channels(), m.banks(), m.columns());
+        let line = (address / m.line_bytes()) % (m.capacity_bytes() / m.line_bytes());
+        match m.interleave {
+            Interleave::RowBankColumnChannel => {
+                let channel = line % channels;
+                let rest = line / channels;
+                let column = rest % columns;
+                let rest = rest / columns;
+                DecodedAddress {
+                    channel,
+                    bank: rest % banks,
+                    row: rest / banks,
+                    column,
+                }
+            }
+            Interleave::RowColumnBankChannel => {
+                let channel = line % channels;
+                let rest = line / channels;
+                let bank = rest % banks;
+                let rest = rest / banks;
+                DecodedAddress {
+                    channel,
+                    bank,
+                    row: rest / columns,
+                    column: rest % columns,
+                }
+            }
+            Interleave::RowBankColumnChannelXor => {
+                let r = line % channels;
+                let q = line / channels;
+                let column = q % columns;
+                let rest = q / columns;
+                DecodedAddress {
+                    channel: r ^ reference_xor_fold(q, channels),
+                    bank: rest % banks,
+                    row: rest / banks,
+                    column,
+                }
+            }
+        }
+    }
+
+    /// [`AddressMap::encode`] in its multiply-and-add form.
+    fn reference_encode(m: &AddressMap, d: DecodedAddress) -> u64 {
+        let (channels, banks, columns) = (m.channels(), m.banks(), m.columns());
+        let line = match m.interleave {
+            Interleave::RowBankColumnChannel => {
+                ((d.row * banks + d.bank) * columns + d.column) * channels + d.channel
+            }
+            Interleave::RowColumnBankChannel => {
+                ((d.row * columns + d.column) * banks + d.bank) * channels + d.channel
+            }
+            Interleave::RowBankColumnChannelXor => {
+                let q = (d.row * banks + d.bank) * columns + d.column;
+                q * channels + (d.channel ^ reference_xor_fold(q, channels))
+            }
+        };
+        line * m.line_bytes()
+    }
+
+    fn any_interleave() -> impl Strategy<Value = Interleave> {
+        prop_oneof![
+            Just(Interleave::RowBankColumnChannel),
+            Just(Interleave::RowColumnBankChannel),
+            Just(Interleave::RowBankColumnChannelXor),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn shift_and_mask_match_the_division_form(
+            channel_bits in 0u32..=4,
+            bank_bits in 0u32..=5,
+            row_bits in 0u32..=16,
+            column_bits in 0u32..=8,
+            line_bits in 0u32..=8,
+            interleave in any_interleave(),
+            addresses in prop::collection::vec(any::<u64>(), 1..32),
+            seed in any::<u64>(),
+        ) {
+            let m = AddressMap::new(
+                1 << channel_bits,
+                1 << bank_bits,
+                1 << row_bits,
+                1 << column_bits,
+                1 << line_bits,
+                interleave,
+            )
+            .unwrap();
+            // Arbitrary u64s lie far beyond the capacity, so most of them
+            // exercise the wrap; the first few stay inside it.
+            for (i, &address) in addresses.iter().enumerate() {
+                let address = if i < 4 { address % m.capacity_bytes() } else { address };
+                let d = m.decode(address);
+                let r = reference_decode(&m, address);
+                prop_assert_eq!(d.channel, r.channel);
+                prop_assert_eq!(d.bank, r.bank);
+                prop_assert_eq!(d.row, r.row);
+                prop_assert_eq!(d.column, r.column);
+            }
+            let mut x = seed | 1;
+            for _ in 0..16 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let d = DecodedAddress {
+                    channel: (x >> 1) % m.channels(),
+                    bank: (x >> 9) % m.banks(),
+                    row: (x >> 17) % m.rows(),
+                    column: (x >> 41) % m.columns(),
+                };
+                prop_assert_eq!(m.encode(d), reference_encode(&m, d));
+            }
+        }
+    }
 
     fn map() -> AddressMap {
         AddressMap::new(4, 8, 4096, 128, 64, Interleave::RowBankColumnChannel).unwrap()
@@ -274,6 +413,37 @@ mod tests {
             })
         ));
         assert!(AddressMap::new(4, 0, 4096, 128, 64, Interleave::default()).is_err());
+    }
+
+    #[test]
+    fn rejects_a_capacity_beyond_u64() {
+        let big = 1 << 16;
+        let err = AddressMap::new(big, big, big, big, 64, Interleave::default());
+        assert_eq!(err, Err(AddressMapError::CapacityOverflow { bits: 70 }));
+        assert!(err.unwrap_err().to_string().contains("2^70 bytes"));
+        // 2^64 bytes is one too many; 2^63 still fits.
+        assert_eq!(
+            AddressMap::new(
+                1 << 8,
+                1 << 16,
+                1 << 16,
+                1 << 16,
+                1 << 8,
+                Interleave::default()
+            ),
+            Err(AddressMapError::CapacityOverflow { bits: 64 })
+        );
+        let m = AddressMap::new(
+            1 << 8,
+            1 << 16,
+            1 << 16,
+            1 << 16,
+            1 << 7,
+            Interleave::default(),
+        )
+        .unwrap();
+        assert_eq!(m.capacity_bytes(), 1 << 63);
+        assert_eq!(m.decode(u64::MAX).row, (1 << 16) - 1);
     }
 
     #[test]
@@ -350,7 +520,7 @@ mod tests {
 
     #[test]
     fn xor_interleave_single_channel_terminates() {
-        // Regression: xor_fold(q, 1) used to loop forever (`q /= 1`), which
+        // Regression: the division-form xor_fold(q, 1) looped forever (`q /= 1`), which
         // hung every single-channel device on its first nonzero address.
         let m = AddressMap::new(1, 8, 4096, 128, 64, Interleave::RowBankColumnChannelXor).unwrap();
         let last_line = m.capacity_bytes() - 64;

@@ -177,7 +177,12 @@ impl<T: Pending> BankQueues<T> {
     pub fn earliest(&mut self, devices: &mut [&mut dyn MemoryDevice]) -> Option<(Time, usize)> {
         // Probes are pure, so the order banks are re-probed in is free.
         while let Some(bank) = self.dirty.pop() {
-            let device = &mut *devices[(bank / self.banks) % devices.len()];
+            // One device (replay, unsharded serve) serves every channel.
+            let index = match devices.len() {
+                1 => 0,
+                n => (bank / self.banks) % n,
+            };
+            let device = &mut *devices[index];
             (self.ready[bank], self.pos[bank]) = self.choose(bank, device).unwrap_or((NEVER, 0));
             self.stale[bank] = false;
             self.replay_matches(bank);

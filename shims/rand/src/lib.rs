@@ -7,6 +7,10 @@
 //! trace generation — not cryptographic quality — so SplitMix64 is a
 //! faithful stand-in. Swap the workspace `rand` entry back to the
 //! registry to use the real crate.
+//!
+//! The per-draw methods are `#[inline]`: payload generators draw one
+//! value per byte, and an out-of-line call per draw would cost more than
+//! the draw itself.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -19,6 +23,7 @@ pub trait SampleRange<T> {
 macro_rules! impl_sample_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
+            #[inline]
             fn sample_from(self, rng: &mut rngs::StdRng) -> $t {
                 assert!(self.start < self.end, "gen_range: empty range");
                 let span = (self.end as u128).wrapping_sub(self.start as u128);
@@ -26,6 +31,7 @@ macro_rules! impl_sample_int {
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
+            #[inline]
             fn sample_from(self, rng: &mut rngs::StdRng) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "gen_range: empty range");
@@ -38,6 +44,7 @@ macro_rules! impl_sample_int {
 impl_sample_int!(u8, u16, u32, u64, usize, i32, i64);
 
 impl SampleRange<f64> for Range<f64> {
+    #[inline]
     fn sample_from(self, rng: &mut rngs::StdRng) -> f64 {
         assert!(self.start < self.end, "gen_range: empty range");
         self.start + (self.end - self.start) * rng.unit_f64()
@@ -69,6 +76,7 @@ pub mod rngs {
     }
 
     impl StdRng {
+        #[inline]
         pub(crate) fn next_u64(&mut self) -> u64 {
             self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.state;
@@ -78,22 +86,26 @@ pub mod rngs {
         }
 
         /// Uniform draw from `[0, 1)` using the top 53 bits.
+        #[inline]
         pub(crate) fn unit_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
         }
     }
 
     impl SeedableRng for StdRng {
+        #[inline]
         fn seed_from_u64(seed: u64) -> Self {
             StdRng { state: seed }
         }
     }
 
     impl Rng for StdRng {
+        #[inline]
         fn gen_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
             range.sample_from(self)
         }
 
+        #[inline]
         fn gen_bool(&mut self, p: f64) -> bool {
             self.unit_f64() < p.clamp(0.0, 1.0)
         }
