@@ -3,13 +3,18 @@
 //! Wall-clock time on a shared host is noise; the work an engine asks of a
 //! device is not. Each scenario below mirrors one benchmark workload at a
 //! smaller request budget and runs it through [`CountingDevice`], which
-//! counts every `bank_available` and `row_hit` probe and every access.
-//! The counts are exact and deterministic. A change to a device model that
-//! keeps its outputs must leave them alone; a change to the scheduler or an
-//! engine that moves one updates the table here and says why.
+//! counts every `bank_available` and `row_hit` probe and every access, and
+//! serve's tenants through [`CountingSource`], which counts every poll,
+//! take and completion notice. The counts are exact and deterministic. A
+//! change to a device model that keeps its outputs must leave them alone;
+//! a change to the scheduler or an engine that moves one updates the table
+//! here and says why.
 
 use comet_data::PayloadSpec;
-use comet_serve::{run_service, ArrivalProcess, BatchConfig, ServeSpec, TenantSpec};
+use comet_serve::{
+    run_service_with_sources, ArrivalProcess, BatchConfig, RequestSource, ServeSpec, SourcePoll,
+    Sourced, TenantSpec,
+};
 use comet_units::{Energy, Power, Time};
 use memsim::{
     run_simulation, spec_like_suite, AccessTiming, DecodedAddress, DeviceFactory, LineData, MemOp,
@@ -127,6 +132,39 @@ impl DeviceFactory for CountingFactory {
     }
 }
 
+/// Calls made on one tenant's source: `[poll, take, on_complete]`.
+type SourceCounts = [AtomicU64; 3];
+
+/// A snapshot of [`SourceCounts`].
+type TenantCalls = [u64; 3];
+
+/// Delegates every call to the wrapped source, counting each kind.
+struct CountingSource {
+    inner: Box<dyn RequestSource>,
+    counts: Arc<SourceCounts>,
+}
+
+impl RequestSource for CountingSource {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn poll(&mut self) -> SourcePoll {
+        Counts::bump(&self.counts[0]);
+        self.inner.poll()
+    }
+
+    fn take(&mut self) -> Sourced {
+        Counts::bump(&self.counts[1]);
+        self.inner.take()
+    }
+
+    fn on_complete(&mut self, finished: Time) {
+        Counts::bump(&self.counts[2]);
+        self.inner.on_complete(finished);
+    }
+}
+
 const SEED: u64 = 1;
 
 /// `profile` with a 64 B-line budget of `requests`, resized to `line`
@@ -156,10 +194,26 @@ const REPLAY: [(&str, &str, [u64; 3]); 8] = [
 
 /// `serve-mixed` at 2000 requests per tenant: a Poisson open-loop tenant
 /// with sparse-update payloads beside an 8-client closed loop with uniform
-/// payloads, write batching on.
-const SERVE: [(&str, [u64; 3]); 2] = [
-    ("COMET", [2041, 2041, 1999]),
-    ("EPCM-DCW-FNW", [16165, 16165, 3999]),
+/// payloads, write batching on. Per device: the device's
+/// `[bank_available, row_hit, access]`, then each tenant's
+/// `[poll, take, on_complete]`.
+///
+/// The mux caches each tenant's poll until that tenant is taken from or
+/// completes, so a tenant is polled once at the start and at most once
+/// after each take from it and each completion routed to it. Before that
+/// it was polled on every service event: the poll counts were 6358 and
+/// 6358 on COMET, 12518 and 12518 on EPCM-DCW-FNW.
+const SERVE: [(&str, [u64; 3], [TenantCalls; 2]); 2] = [
+    (
+        "COMET",
+        [2041, 2041, 1999],
+        [[2000, 1000, 1000], [2001, 1000, 1000]],
+    ),
+    (
+        "EPCM-DCW-FNW",
+        [16165, 16165, 3999],
+        [[4000, 2000, 2000], [4001, 2000, 2000]],
+    ),
 ];
 
 #[test]
@@ -186,7 +240,7 @@ fn replay_sat_work_counts_are_pinned() {
 #[test]
 fn serve_mixed_work_counts_are_pinned() {
     let mut measured = Vec::new();
-    for (device, _) in SERVE {
+    for (device, _, _) in SERVE {
         let factory = CountingFactory::new(device);
         let line = factory.device_topology().line_bytes;
         let open = profile("gcc-like", 2000, line);
@@ -215,17 +269,33 @@ fn serve_mixed_work_counts_are_pinned() {
             shards: 1,
             batch: Some(BatchConfig::new(Time::from_nanos(100.0), 8)),
         };
-        let report = run_service(&factory, &spec, &closed, SEED, "serve-mixed");
+        // The sources `run_service` would build, each wrapped to count.
+        let tenants: Vec<Arc<SourceCounts>> = spec.tenants.iter().map(|_| Arc::default()).collect();
+        let sources = spec
+            .tenants
+            .iter()
+            .zip(&tenants)
+            .enumerate()
+            .map(|(i, (t, counts))| {
+                Box::new(CountingSource {
+                    inner: t.instantiate(&closed, SEED, i),
+                    counts: counts.clone(),
+                }) as Box<dyn RequestSource>
+            })
+            .collect();
+        let report = run_service_with_sources(&factory, sources, &spec, "serve-mixed");
         assert_eq!(
             report.stats.completed,
             spec.total_requests() as u64,
             "{device}"
         );
-        measured.push((device, factory.counts.snapshot()));
+        let calls = |c: &SourceCounts| c.each_ref().map(|n| n.load(Ordering::Relaxed));
+        let tenants = [calls(&tenants[0]), calls(&tenants[1])];
+        measured.push((device, factory.counts.snapshot(), tenants));
     }
     assert_eq!(
         measured,
         SERVE.to_vec(),
-        "[bank_available, row_hit, access]"
+        "[bank_available, row_hit, access], then per tenant [poll, take, on_complete]"
     );
 }

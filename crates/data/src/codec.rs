@@ -16,7 +16,7 @@
 //! Encoding is on the write pricer's hot path, so it runs as one shift
 //! register over the bytes (no per-bit indexing), and
 //! [`LineCodec::encode_into`] writes straight into a caller's buffer —
-//! the pricer encodes into the very image it returns.
+//! the pricer encodes into the very image the device stores.
 
 /// Binary-reflected Gray code of `v` (within `bits` bits).
 fn gray(v: u8) -> u8 {

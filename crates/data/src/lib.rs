@@ -23,11 +23,11 @@
 //!   ([`DataPolicy::Oblivious`] | [`DataPolicy::Dcw`] |
 //!   [`DataPolicy::DcwFnw`]).
 //!
-//! The per-write path is table-driven and allocates only the image it
-//! returns: cells are priced by indexing the cost tables, each
-//! Flip-N-Write word takes one pass, and every price stays bit-equal to
-//! the per-transition definitions (proptested against a reference
-//! implementation in `tests/properties.rs`).
+//! The per-write path is table-driven and allocation-free: it prices in
+//! place over the device's stored image, cells are priced by indexing the
+//! cost tables, each Flip-N-Write word takes one pass, and every price
+//! stays bit-equal to the per-transition definitions (proptested against
+//! a reference implementation in `tests/properties.rs`).
 //!
 //! Integration: `memsim` requests carry an optional, boxed [`memsim::LineData`]
 //! and the EPCM device dispatches to a pricer over a backing line store;

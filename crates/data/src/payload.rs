@@ -26,10 +26,9 @@
 //!   helps least).
 
 use dota::TransformerWorkload;
-use memsim::{LineData, MemOp, MemRequest};
+use memsim::{LineData, MemOp, MemRequest, MixMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A declarative, serializable payload source.
@@ -102,7 +101,7 @@ impl PayloadSpec {
         PayloadGen {
             spec: *self,
             rng: StdRng::seed_from_u64(seed ^ 0xDA7A_0DA7_A0DA_7A0D),
-            last: HashMap::new(),
+            last: MixMap::default(),
         }
     }
 }
@@ -143,11 +142,14 @@ fn f16_bits(x: f32) -> u16 {
 /// [`PayloadSpec::ToggleWords`]) remember the last line written per
 /// address, so consecutive stores to one line relate the way the workload
 /// intends; the memory is bounded by the workload footprint's line count.
+///
+/// Each line is generated in place in the returned [`LineData`]; nothing
+/// is allocated per line.
 #[derive(Debug, Clone)]
 pub struct PayloadGen {
     spec: PayloadSpec,
     rng: StdRng,
-    last: HashMap<u64, LineData>,
+    last: MixMap<u64, LineData>,
 }
 
 impl PayloadGen {
@@ -163,59 +165,61 @@ impl PayloadGen {
     /// Panics if `line_bytes` exceeds [`memsim::MAX_LINE_BYTES`].
     pub fn next_line(&mut self, address: u64, line_bytes: u64) -> LineData {
         let len = line_bytes as usize;
+        assert!(
+            len <= memsim::MAX_LINE_BYTES,
+            "line payload of {len} bytes exceeds the {}-byte capacity",
+            memsim::MAX_LINE_BYTES
+        );
+        let mut line = LineData::zeroes(len);
         match self.spec {
-            PayloadSpec::Zero => LineData::zeroes(len),
-            PayloadSpec::Uniform => {
-                let bytes: Vec<u8> = (0..len)
-                    .map(|_| self.rng.gen_range(0u16..256) as u8)
-                    .collect();
-                LineData::from_bytes(&bytes)
-            }
+            PayloadSpec::Zero => {}
+            PayloadSpec::Uniform => self.fill_uniform(line.bytes_mut()),
             PayloadSpec::SparseUpdate { flip_fraction } => {
-                let mut bytes = match self.last.get(&address) {
-                    Some(prev) => prev.bytes().to_vec(),
-                    None => (0..len)
-                        .map(|_| self.rng.gen_range(0u16..256) as u8)
-                        .collect(),
-                };
-                bytes.resize(len, 0);
+                match self.last.get(&address) {
+                    // The last line, cut or zero-padded to this width.
+                    Some(prev) => {
+                        let kept = prev.len().min(len);
+                        line.bytes_mut()[..kept].copy_from_slice(&prev.bytes()[..kept]);
+                    }
+                    None => self.fill_uniform(line.bytes_mut()),
+                }
+                let bytes = line.bytes_mut();
                 let touches = ((len as f64 * flip_fraction).ceil() as usize).clamp(1, len);
                 for _ in 0..touches {
                     let i = self.rng.gen_range(0..len as u64) as usize;
                     bytes[i] = self.rng.gen_range(0u16..256) as u8;
                 }
-                let line = LineData::from_bytes(&bytes);
                 self.last.insert(address, line);
-                line
             }
             PayloadSpec::ToggleWords => {
-                let bytes: Vec<u8> = match self.last.get(&address) {
+                match self.last.get(&address) {
                     Some(prev) => {
-                        let mut b: Vec<u8> = prev.bytes().iter().map(|&x| !x).collect();
-                        b.resize(len, 0);
-                        b
+                        for (b, &p) in line.bytes_mut().iter_mut().zip(prev.bytes()) {
+                            *b = !p;
+                        }
                     }
-                    None => (0..len)
-                        .map(|_| self.rng.gen_range(0u16..256) as u8)
-                        .collect(),
-                };
-                let line = LineData::from_bytes(&bytes);
+                    None => self.fill_uniform(line.bytes_mut()),
+                }
                 self.last.insert(address, line);
-                line
             }
             PayloadSpec::TransformerWeights { std } => {
-                let mut bytes = Vec::with_capacity(len);
-                for _ in 0..len / 2 {
+                // Odd line widths leave the last byte zero.
+                for pair in line.bytes_mut().chunks_exact_mut(2) {
                     // Irwin–Hall(4): near-Gaussian, mean 0, variance 1/3;
                     // scale to the requested std.
                     let sum: f64 = (0..4).map(|_| self.rng.gen_range(0.0..1.0)).sum();
                     let w = (sum - 2.0) * std * (3.0f64).sqrt();
-                    let h = f16_bits(w as f32);
-                    bytes.extend_from_slice(&h.to_le_bytes());
+                    pair.copy_from_slice(&f16_bits(w as f32).to_le_bytes());
                 }
-                bytes.resize(len, 0); // odd line widths pad with zero
-                LineData::from_bytes(&bytes)
             }
+        }
+        line
+    }
+
+    /// Fills `bytes` with uniform random bytes, one draw each, in order.
+    fn fill_uniform(&mut self, bytes: &mut [u8]) {
+        for b in bytes {
+            *b = self.rng.gen_range(0u16..256) as u8;
         }
     }
 

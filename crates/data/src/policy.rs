@@ -26,15 +26,17 @@
 //! First touch prices from the all-reset state (an erased array), which
 //! keeps runs deterministic.
 //!
-//! **The per-write path is table-driven and allocates once.** The codec
-//! encodes straight into the returned image (sized at exactly one level
-//! per cell plus one flip byte per word), every cell's price is an index
-//! into the [`TransitionCostModel`]'s precomputed matrix, and each word
-//! takes one pass that sums the keep and toggle options side by side —
-//! in cell order, flip cell last, so every energy sum is bit-equal to
-//! pricing the two options one after the other with
-//! [`TransitionCostModel::transition`]. A chosen flip complements the
-//! word's levels in place.
+//! **The per-write path is table-driven and allocation-free.** It prices
+//! in place ([`WritePricer::price_in_place`]): the old levels move to a
+//! stack buffer and the codec encodes the new ones straight into the
+//! image (exactly one level per cell plus one flip byte per word), every
+//! cell's price is an index into the [`TransitionCostModel`]'s
+//! precomputed matrix, and each word takes one pass that sums the keep
+//! and toggle options side by side — in cell order, flip cell last, so
+//! every energy sum is bit-equal to pricing the two options one after
+//! the other with [`TransitionCostModel::transition`]. A chosen flip
+//! complements the word's levels in place. The allocating
+//! [`WritePricer::price_write`] is a wrapper over the same kernel.
 //!
 //! **What the FNW ≤ DCW ordering does and does not guarantee.** From
 //! equal stored state, FNW's keep option *is* the DCW write, so each
@@ -52,7 +54,7 @@
 use crate::codec::LineCodec;
 use crate::cost::{Price, TransitionCostModel};
 use comet_units::{Energy, Time};
-use memsim::{LineData, PricedWrite, WriteCost, WritePricer};
+use memsim::{LineData, WriteCost, WritePricer};
 use std::fmt;
 
 /// Data bits per Flip-N-Write word (the classic granularity).
@@ -217,7 +219,14 @@ fn flip_level(level: u8, mask: u8) -> u8 {
 }
 
 impl WritePricer for DataWriteModel {
-    fn price_write(&self, stored: Option<&[u8]>, data: &LineData) -> PricedWrite {
+    fn image_len(&self, len: usize) -> Option<usize> {
+        // DCW-class images: one level per cell, then one flip byte per
+        // word. Content-oblivious pricing keeps nothing.
+        let cells = self.codec.cells_for(len);
+        (self.policy != DataPolicy::Oblivious).then(|| cells + cells.div_ceil(self.word_cells()))
+    }
+
+    fn price_in_place(&self, image: &mut [u8], data: &LineData) -> WriteCost {
         let cells = self.codec.cells_for(data.len());
 
         if self.policy == DataPolicy::Oblivious {
@@ -229,14 +238,11 @@ impl WritePricer for DataWriteModel {
             for &l in &levels[..cells] {
                 total.add(true, table[l as usize]);
             }
-            return PricedWrite {
-                cost: WriteCost {
-                    energy: total.energy,
-                    latency: total.latency(),
-                    cells_written: cells as u64,
-                    cells_total: cells as u64,
-                },
-                image: None,
+            return WriteCost {
+                energy: total.energy,
+                latency: total.latency(),
+                cells_written: cells as u64,
+                cells_total: cells as u64,
             };
         }
 
@@ -247,31 +253,19 @@ impl WritePricer for DataWriteModel {
         let mut pulse = Time::ZERO;
         let mut written = 0u64;
 
-        // A missing image is an erased line: every cell at the reset
-        // level (0, enforced by `new`) and every flip state off. Images
-        // are written by this model, so the split is by construction; a
-        // truncated one reads as erased past its end.
-        let image = stored.unwrap_or(&[]);
-        let (old_levels, old_flips) = image.split_at(cells.min(image.len()));
-        let erased: [u8; MAX_CELLS];
-        let old_levels = if old_levels.len() == cells {
-            old_levels
-        } else {
-            erased = {
-                let mut padded = [0u8; MAX_CELLS];
-                padded[..old_levels.len()].copy_from_slice(old_levels);
-                padded
-            };
-            &erased[..cells]
-        };
+        // The image holds the old levels (all at the reset level 0,
+        // enforced by `new`, on an erased line) and then one flip byte
+        // per word. The old levels move aside and the new ones are
+        // encoded over them; each word's flip byte is read before it is
+        // rewritten.
+        debug_assert_eq!(Some(image.len()), self.image_len(data.len()));
+        let (levels, flips) = image.split_at_mut(cells);
+        let mut old = [0u8; MAX_CELLS];
+        let old_levels = &mut old[..cells];
+        old_levels.copy_from_slice(levels);
+        self.codec.encode_to(data.bytes(), levels);
 
         let word = self.word_cells();
-        let words = cells.div_ceil(word);
-        // The returned image, allocated once at its final size: the new
-        // levels (flipped in place per word), then one flip byte per word.
-        let mut levels = Vec::with_capacity(cells + words);
-        self.codec.encode_into(data.bytes(), &mut levels);
-
         let fnw = self.policy == DataPolicy::DcwFnw;
         let table = self.costs.transition_table();
         let n = self.costs.levels() as usize;
@@ -282,16 +276,18 @@ impl WritePricer for DataWriteModel {
         let flip_off = table[(n - 1) * n];
         let flip_margin = self.costs.reset_price().energy;
 
-        for (w, start) in (0..cells).step_by(word).enumerate() {
-            let span = start..(start + word).min(cells);
-            let target = &mut levels[span.clone()];
-            let old_flip = old_flips.get(w).is_some_and(|&f| f != 0);
+        for ((target, old), flip_cell) in levels
+            .chunks_mut(word)
+            .zip(old_levels.chunks(word))
+            .zip(flips.iter_mut())
+        {
+            let old_flip = *flip_cell != 0;
 
             // Keep and toggle side by side, cell by cell, then the flip
             // cell: the order pricing each option alone would sum in.
             let mut keep = Tally::default();
             let mut toggle = Tally::default();
-            for (&o, &t) in old_levels[span].iter().zip(target.iter()) {
+            for (&o, &t) in old.iter().zip(target.iter()) {
                 let (same, other) = if old_flip {
                     (flip_level(t, mask), t)
                 } else {
@@ -332,18 +328,15 @@ impl WritePricer for DataWriteModel {
                     *t = flip_level(*t, mask);
                 }
             }
-            levels.push(flip as u8);
+            *flip_cell = flip as u8;
         }
 
-        PricedWrite {
-            cost: WriteCost {
-                energy,
-                // Read-modify-write: the probe precedes the slowest pulse.
-                latency: probe.latency + pulse,
-                cells_written: written,
-                cells_total: cells as u64,
-            },
-            image: Some(levels),
+        WriteCost {
+            energy,
+            // Read-modify-write: the probe precedes the slowest pulse.
+            latency: probe.latency + pulse,
+            cells_written: written,
+            cells_total: cells as u64,
         }
     }
 

@@ -557,8 +557,49 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
     };
     if spec.normalize_lines {
         check_footprints_hold_a_line(&spec)?;
+    } else {
+        check_payload_lines_fit(&spec)?;
     }
     Ok(spec)
+}
+
+/// Without line normalization each profile keeps its own line, so a
+/// payload-carrying tenant must not be shaped by a profile whose lines are
+/// wider than a payload holds ([`memsim::MAX_LINE_BYTES`]).
+fn check_payload_lines_fit(spec: &CampaignSpec) -> Result<(), SpecError> {
+    let tenants = spec
+        .engines
+        .iter()
+        .filter_map(|e| e.serve.as_ref())
+        .flat_map(|s| &s.tenants)
+        .filter(|t| t.payload.is_some());
+    for tenant in tenants {
+        let shapes: Vec<(&str, &WorkloadProfile)> = match &tenant.profile {
+            Some(p) => vec![("tenant profile", p)],
+            None => spec
+                .workloads
+                .iter()
+                .filter_map(|w| match w {
+                    WorkloadSource::Profile(p) => Some(("workload", p)),
+                    WorkloadSource::Trace { .. } => None,
+                })
+                .collect(),
+        };
+        for (owner, p) in shapes {
+            if p.line_bytes > memsim::MAX_LINE_BYTES as u64 {
+                return Err(schema(format!(
+                    "tenant '{}' carries payloads, but its {owner} '{}' has {}-byte lines, \
+                     wider than the {}-byte payload capacity",
+                    tenant.name,
+                    p.name,
+                    p.line_bytes,
+                    memsim::MAX_LINE_BYTES
+                ))
+                .into());
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Line normalization resizes every profile to each device's line, so a
@@ -811,6 +852,57 @@ mod tests {
             let text = spec_to_json(&spec).unwrap();
             assert_eq!(spec_to_json(&spec_from_json(&text).unwrap()).unwrap(), text);
         }
+    }
+
+    #[test]
+    fn payload_lines_wider_than_a_payload_are_rejected() {
+        // A payload-carrying tenant shaped by the workload, on 256-byte
+        // lines that line normalization does not shrink.
+        let text = |line: u64, tenant_profile: &str| {
+            format!(
+                r#"{{
+  "campaign": "wide", "seed": 1, "replicates": 1, "normalize_lines": false,
+  "devices": ["EPCM-DCW-FNW"],
+  "workloads": [{{
+    "name": "wide-lines", "read_fraction": 0.5, "footprint_bytes": 65536,
+    "pattern": {{"kind": "random"}}, "interarrival_s": 2.0e-9,
+    "requests": 50, "line_bytes": {line}
+  }}],
+  "engines": [{{"label": "open", "serve": {{
+    "shards": 1, "scheduler": {{"kind": "fcfs"}}, "batch": null,
+    "tenants": [{{
+      "name": "writer", "requests": 50, "profile": {tenant_profile},
+      "payload": {{"kind": "uniform"}},
+      "load": {{"kind": "open", "process": {{"kind": "poisson", "rate_rps": 1.0e7}}}}
+    }}]
+  }}}}]
+}}"#
+            )
+        };
+        match spec_from_json(&text(256, "null")) {
+            Err(SpecError::Schema(m)) => assert_eq!(
+                m,
+                "tenant 'writer' carries payloads, but its workload 'wide-lines' has \
+                 256-byte lines, wider than the 128-byte payload capacity"
+            ),
+            other => panic!("a 256-byte payload line must be a schema error, got {other:?}"),
+        }
+        // The tenant's own profile is checked in place of the workload's.
+        let own = r#"{"name": "own", "read_fraction": 0.5, "footprint_bytes": 65536,
+            "pattern": {"kind": "stream"}, "interarrival_s": 2.0e-9,
+            "requests": 50, "line_bytes": 512}"#;
+        match spec_from_json(&text(64, own)) {
+            Err(SpecError::Schema(m)) => {
+                assert!(m.contains("tenant profile 'own' has 512-byte"), "{m}")
+            }
+            other => panic!("a 512-byte payload line must be a schema error, got {other:?}"),
+        }
+        // At the capacity the spec parses and runs; a payload-less tenant
+        // may use any width.
+        let spec = spec_from_json(&text(128, "null")).expect("128-byte lines fit a payload");
+        assert_eq!(run_campaign(&spec, 1).cells[0].stats.completed, 50);
+        let payloadless = text(256, "null").replace(r#""payload": {"kind": "uniform"},"#, "");
+        assert!(spec_from_json(&payloadless).is_ok());
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!   [`MemRequest`](crate::MemRequest) (and by the serve layer's sourced
 //!   requests) so payload-less request records stay small;
 //! * [`WritePricer`] — the contract a content-aware device delegates
-//!   write pricing to. The pricer sees the line's previously stored cell
-//!   image and the new payload, and returns energy, latency, programmed
-//!   cell counts and the new cell image. Policies (content-oblivious
+//!   write pricing to. The pricer prices the new payload against the
+//!   line's stored cell image *in place*: it reads the old image from the
+//!   device's slot and leaves the new one there, returning energy,
+//!   latency and programmed cell counts. Policies (content-oblivious
 //!   per-level pricing, DCW read-modify-compare, Flip-N-Write) and the
 //!   MLC codec live above the simulator, in `comet-data`; the simulator
-//!   only owns the mechanism (the per-line store and the dispatch).
+//!   only owns the mechanism (the line store and the dispatch).
 //!
 //! Devices that do not override
 //! [`MemoryDevice::access_line`](crate::MemoryDevice::access_line) ignore
@@ -92,6 +93,13 @@ impl LineData {
         &self.bytes[..self.len as usize]
     }
 
+    /// The payload bytes, writable in place (the zero tail past
+    /// [`LineData::len`] stays out of reach, so equality stays
+    /// content-only).
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes[..self.len as usize]
+    }
+
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -133,11 +141,10 @@ pub struct WriteCost {
     pub cells_total: u64,
 }
 
-/// A priced write: its cost plus the cell image the device should store
-/// for the line (the pricer-private physical representation — e.g. levels
-/// plus Flip-N-Write flip bits). `None` means the policy keeps no state
-/// for the line (content-oblivious pricing) and any previous image is
-/// dropped.
+/// A priced write: its cost plus the cell image the line holds afterwards
+/// (the pricer-private physical representation — e.g. levels plus
+/// Flip-N-Write flip bits). `None` means the policy keeps no state for the
+/// line (content-oblivious pricing) and any previous image is dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PricedWrite {
     /// The cost of the write.
@@ -148,13 +155,42 @@ pub struct PricedWrite {
 
 /// Prices line writes from their content.
 ///
-/// Implementations are deterministic pure functions of `(stored, data)`;
-/// the device owns the per-line image store and hands back the image the
-/// pricer returned for the line's previous write (`None` on first touch
-/// or after a payload-less write invalidated it).
+/// Implementations are deterministic pure functions of the old image and
+/// the payload. The device owns the line store: for each write it hands
+/// [`WritePricer::price_in_place`] the line's slot, cut to
+/// [`WritePricer::image_len`] bytes, and the pricer overwrites the old
+/// image with the new one. A line never written, or whose image a
+/// payload-less write dropped, reads as all zeroes — the erased state —
+/// and so do the bytes past the end of a shorter image the line held
+/// before.
 pub trait WritePricer: Send + fmt::Debug {
-    /// Prices writing `data` over the line's stored image.
-    fn price_write(&self, stored: Option<&[u8]>, data: &LineData) -> PricedWrite;
+    /// The length of the cell image a `len`-byte payload leaves, or `None`
+    /// if the policy keeps no per-line state (the device then keeps no
+    /// store for it).
+    fn image_len(&self, len: usize) -> Option<usize>;
+
+    /// Prices writing `data` over the line's stored image and replaces the
+    /// image with the new one, in place. `image` holds exactly
+    /// `image_len(data.len())` bytes (none for a stateless policy).
+    fn price_in_place(&self, image: &mut [u8], data: &LineData) -> WriteCost;
+
+    /// Prices writing `data` over `stored` (`None`: the erased line) and
+    /// returns the new image: the allocating form of
+    /// [`WritePricer::price_in_place`], whose arithmetic it shares. A
+    /// `stored` image shorter than the new one reads as erased past its
+    /// end; a longer one is read only up to the new image's length.
+    fn price_write(&self, stored: Option<&[u8]>, data: &LineData) -> PricedWrite {
+        let len = self.image_len(data.len());
+        let (old, n) = (stored.unwrap_or(&[]), len.unwrap_or(0));
+        let mut image = Vec::with_capacity(n);
+        image.extend_from_slice(&old[..old.len().min(n)]);
+        image.resize(n, 0);
+        let cost = self.price_in_place(&mut image, data);
+        PricedWrite {
+            cost,
+            image: len.map(|_| image),
+        }
+    }
 
     /// Prices a write whose content is unknown (a request that carries no
     /// payload). Policies charge the content-oblivious worst case here,

@@ -37,6 +37,7 @@ mod data;
 mod device;
 mod dram;
 mod engine;
+mod hash;
 mod pcm;
 mod queues;
 mod request;
@@ -50,7 +51,8 @@ pub use data::{LineData, PricedWrite, WriteCost, WritePricer, MAX_LINE_BYTES};
 pub use device::{AccessTiming, DeviceFactory, FnFactory, MemoryDevice, Topology};
 pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings, RowPolicy};
 pub use engine::{run_simulation, ReplayMode, Scheduler, SimConfig};
-pub use pcm::{EpcmConfig, EpcmDevice};
+pub use hash::{BuildMixHasher, MixHasher, MixMap};
+pub use pcm::{DataPlaneStats, EpcmConfig, EpcmDevice};
 pub use queues::{BankQueues, Pending};
 pub use request::{CompletedRequest, MemOp, MemRequest};
 pub use stats::{EnergyBreakdown, LatencyHistogram, SimStats};

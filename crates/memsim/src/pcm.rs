@@ -12,14 +12,20 @@
 //! the policies live in `comet-data`). Without a pricer — or for requests
 //! that carry no payload — the flat `write_line` cost stays authoritative,
 //! so the content-oblivious baseline is untouched.
+//!
+//! The line store is a slab: fixed-stride slots in fixed-size chunks, a
+//! free list, and a [`MixMap`] from each line's index to its slot. The stride
+//! is the image length of a full device line, so a write allocates
+//! nothing once its line has a slot, and the pricer reads and rewrites the
+//! image where it lies ([`WritePricer::price_in_place`]).
 
 use crate::addr::DecodedAddress;
-use crate::data::{LineData, WritePricer};
+use crate::data::{LineData, WriteCost, WritePricer};
 use crate::device::{AccessTiming, DeviceFactory, MemoryDevice, Topology};
+use crate::hash::MixMap;
 use crate::request::MemOp;
 use comet_units::{Energy, Power, Time};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// EPCM configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,11 +97,147 @@ pub struct DataPlaneStats {
 #[derive(Debug)]
 struct DataPlane {
     pricer: Box<dyn WritePricer>,
-    /// Per-line cell images, keyed by decoded location. Each line lives in
-    /// exactly one channel, so channel-sharded service runs stay
-    /// byte-identical for any shard count.
-    store: HashMap<(u64, u64, u64, u64), Vec<u8>>,
+    store: LineStore,
     stats: DataPlaneStats,
+}
+
+/// Slots per chunk of a [`LineStore`]. A chunk of full-line EPCM images
+/// is a few tens of KiB, so chunks come from the allocator's heap rather
+/// than from their own mappings.
+const CHUNK_SLOTS: usize = 256;
+
+/// A chunk of [`CHUNK_SLOTS`] erased `stride`-byte slots.
+fn erased_chunk(stride: usize) -> Box<[u8]> {
+    vec![0u8; CHUNK_SLOTS * stride].into_boxed_slice()
+}
+
+/// Per-line cell images in fixed-stride slots, allocated a chunk of
+/// [`CHUNK_SLOTS`] slots at a time.
+///
+/// Chunks never move once allocated: the store grows by one chunk, not by
+/// reallocating and copying a buffer that doubles, so its footprint
+/// follows the number of lines touched instead of jumping at powers of
+/// two, and the run's peak memory does not depend on where in the run
+/// those jumps fall.
+///
+/// A line's bytes past its current image are zero, so a later, longer
+/// image reads them as erased. Each line lives in exactly one channel, so
+/// channel-sharded service runs stay byte-identical for any shard count.
+#[derive(Debug)]
+struct LineStore {
+    /// Banks, rows and columns of the device: the radices of a line index.
+    banks: u64,
+    rows: u64,
+    columns: u64,
+    /// Line index → slot.
+    slots: MixMap<u64, u32>,
+    /// Bytes per slot.
+    stride: usize,
+    /// Slots handed out so far, freed ones included.
+    len: usize,
+    chunks: Vec<Box<[u8]>>,
+    free: Vec<u32>,
+}
+
+impl LineStore {
+    fn new(topology: Topology, stride: usize) -> Self {
+        LineStore {
+            banks: topology.banks,
+            rows: topology.rows,
+            columns: topology.columns,
+            slots: MixMap::default(),
+            stride,
+            len: 0,
+            chunks: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// The line's index, `((channel·banks + bank)·rows + row)·columns +
+    /// column`: unique per line of the topology.
+    fn index(&self, loc: &DecodedAddress) -> u64 {
+        debug_assert!(loc.bank < self.banks && loc.row < self.rows && loc.column < self.columns);
+        ((loc.channel * self.banks + loc.bank) * self.rows + loc.row) * self.columns + loc.column
+    }
+
+    /// The slot's bytes.
+    fn slot(&mut self, slot: usize) -> &mut [u8] {
+        let at = slot % CHUNK_SLOTS * self.stride;
+        &mut self.chunks[slot / CHUNK_SLOTS][at..at + self.stride]
+    }
+
+    /// The line's image, `len` bytes of its slot (allocated erased on
+    /// first touch); the rest of the slot is zeroed, as the pricer will
+    /// not write it.
+    fn image(&mut self, line: u64, len: usize) -> &mut [u8] {
+        if len > self.stride {
+            self.restride(len);
+        }
+        let (chunks, used, stride) = (&mut self.chunks, &mut self.len, self.stride);
+        let slot = *self
+            .slots
+            .entry(line)
+            .or_insert_with(|| match self.free.pop() {
+                Some(slot) => slot,
+                None => {
+                    if *used == chunks.len() * CHUNK_SLOTS {
+                        chunks.push(erased_chunk(stride));
+                    }
+                    *used += 1;
+                    u32::try_from(*used - 1).expect("fewer than 2^32 stored lines")
+                }
+            }) as usize;
+        let (image, rest) = self.slot(slot).split_at_mut(len);
+        rest.fill(0);
+        image
+    }
+
+    /// Drops the line's image: its slot is erased and freed.
+    fn forget(&mut self, line: u64) {
+        if let Some(slot) = self.slots.remove(&line) {
+            self.slot(slot as usize).fill(0);
+            self.free.push(slot);
+        }
+    }
+
+    /// Widens every slot to `stride` bytes (a payload wider than the
+    /// device's line), keeping each image and zeroing the new tail.
+    fn restride(&mut self, stride: usize) {
+        let old = std::mem::take(&mut self.chunks);
+        let narrow = self.stride;
+        self.stride = stride;
+        self.chunks = old.iter().map(|_| erased_chunk(stride)).collect();
+        if narrow > 0 {
+            for (new, old) in self.chunks.iter_mut().zip(&old) {
+                for (new, old) in new.chunks_mut(stride).zip(old.chunks(narrow)) {
+                    new[..narrow].copy_from_slice(old);
+                }
+            }
+        }
+    }
+}
+
+impl DataPlane {
+    /// Prices a payload-carrying write to `loc` against its stored image.
+    fn price(&mut self, loc: &DecodedAddress, line: &LineData) -> WriteCost {
+        let index = self.store.index(loc);
+        let cost = match self.pricer.image_len(line.len()) {
+            Some(len) if len > 0 => {
+                let image = self.store.image(index, len);
+                self.pricer.price_in_place(image, line)
+            }
+            // A stateless policy (or an empty image) leaves nothing to
+            // keep, as if the line were erased.
+            _ => {
+                self.store.forget(index);
+                self.pricer.price_in_place(&mut [], line)
+            }
+        };
+        self.stats.priced_writes += 1;
+        self.stats.cells_written += cost.cells_written;
+        self.stats.cells_total += cost.cells_total;
+        cost
+    }
 }
 
 /// A stateless-timing EPCM device (no rows to keep open, no refresh).
@@ -126,11 +268,14 @@ impl EpcmDevice {
     /// payload-less writes keep the flat path (the latter at the pricer's
     /// unknown-content worst case).
     pub fn with_pricer(config: EpcmConfig, pricer: Box<dyn WritePricer>) -> Self {
+        let line = config.topology.line_bytes as usize;
+        let stride = pricer.image_len(line).unwrap_or(0);
+        let store = LineStore::new(config.topology, stride);
         EpcmDevice {
             config,
             data: Some(DataPlane {
                 pricer,
-                store: HashMap::new(),
+                store,
                 stats: DataPlaneStats::default(),
             }),
         }
@@ -215,29 +360,13 @@ impl MemoryDevice for EpcmDevice {
             return self.access(loc, op, issue);
         }
         let plane = self.data.as_mut().expect("checked above");
-        let key = (loc.channel, loc.bank, loc.row, loc.column);
         let cost = match data {
-            Some(line) => {
-                let priced = plane
-                    .pricer
-                    .price_write(plane.store.get(&key).map(Vec::as_slice), line);
-                match priced.image {
-                    Some(image) => {
-                        plane.store.insert(key, image);
-                    }
-                    None => {
-                        plane.store.remove(&key);
-                    }
-                }
-                plane.stats.priced_writes += 1;
-                plane.stats.cells_written += priced.cost.cells_written;
-                plane.stats.cells_total += priced.cost.cells_total;
-                priced.cost
-            }
+            Some(line) => plane.price(loc, line),
             None => {
                 // Unknown content: worst-case price, and the stored image
                 // no longer describes the line.
-                plane.store.remove(&key);
+                let index = plane.store.index(loc);
+                plane.store.forget(index);
                 plane.stats.unpriced_writes += 1;
                 plane.pricer.price_unknown(self.config.topology.line_bytes)
             }
@@ -296,34 +425,32 @@ mod tests {
     }
 
     /// A toy pricer: 1 pJ and 1 ns per byte that differs from the stored
-    /// image (all bytes on first touch); the image is the raw payload.
+    /// image (erased bytes read as zero); the image is the raw payload.
     #[derive(Debug)]
     struct BytePricer;
 
-    impl crate::WritePricer for BytePricer {
-        fn price_write(&self, stored: Option<&[u8]>, data: &crate::LineData) -> crate::PricedWrite {
-            let new = data.bytes();
-            let changed = match stored {
-                Some(old) => new
-                    .iter()
-                    .zip(old.iter().chain(std::iter::repeat(&0)))
-                    .filter(|(n, o)| n != o)
-                    .count(),
-                None => new.len(),
-            } as u64;
-            crate::PricedWrite {
-                cost: crate::WriteCost {
-                    energy: Energy::from_picojoules(changed as f64),
-                    latency: Time::from_nanos(changed as f64),
-                    cells_written: changed,
-                    cells_total: new.len() as u64,
-                },
-                image: Some(new.to_vec()),
+    impl WritePricer for BytePricer {
+        fn image_len(&self, len: usize) -> Option<usize> {
+            Some(len)
+        }
+
+        fn price_in_place(&self, image: &mut [u8], data: &LineData) -> WriteCost {
+            let changed = image
+                .iter()
+                .zip(data.bytes())
+                .filter(|(o, n)| o != n)
+                .count() as u64;
+            image.copy_from_slice(data.bytes());
+            WriteCost {
+                energy: Energy::from_picojoules(changed as f64),
+                latency: Time::from_nanos(changed as f64),
+                cells_written: changed,
+                cells_total: data.len() as u64,
             }
         }
 
-        fn price_unknown(&self, line_bytes: u64) -> crate::WriteCost {
-            crate::WriteCost {
+        fn price_unknown(&self, line_bytes: u64) -> WriteCost {
+            WriteCost {
                 energy: Energy::from_picojoules(line_bytes as f64),
                 latency: Time::from_nanos(line_bytes as f64),
                 cells_written: line_bytes,
@@ -332,10 +459,61 @@ mod tests {
         }
     }
 
+    fn write(dev: &mut EpcmDevice, at: &DecodedAddress, bytes: &[u8]) -> f64 {
+        let line = LineData::from_bytes(bytes);
+        dev.access_line(at, MemOp::Write, Time::ZERO, Some(&line))
+            .energy
+            .as_picojoules()
+    }
+
+    #[test]
+    fn wider_payloads_restride_the_store_and_keep_every_image() {
+        let mut dev = EpcmDevice::with_pricer(EpcmConfig::epcm_mm(), Box::new(BytePricer));
+        let other = DecodedAddress { row: 5, ..loc() };
+        assert_eq!(write(&mut dev, &loc(), &[7; 64]), 64.0);
+        // A 128 B payload on the 64 B-line device widens every slot...
+        assert_eq!(write(&mut dev, &other, &[9; 128]), 128.0);
+        // ...and the first line's image survives the move.
+        assert_eq!(write(&mut dev, &loc(), &[7; 64]), 0.0);
+        // A shorter image erases the tail a longer one left behind.
+        assert_eq!(write(&mut dev, &other, &[9; 32]), 0.0);
+        assert_eq!(write(&mut dev, &other, &[9; 128]), 96.0);
+    }
+
+    #[test]
+    fn restriding_keeps_the_images_of_every_chunk() {
+        let mut dev = EpcmDevice::with_pricer(EpcmConfig::epcm_mm(), Box::new(BytePricer));
+        let at = |row: u64| DecodedAddress { row, ..loc() };
+        let lines = 2 * CHUNK_SLOTS as u64 + 3;
+        for row in 0..lines {
+            assert_eq!(write(&mut dev, &at(row), &[row as u8 | 1; 64]), 64.0);
+        }
+        // The 128 B payload widens the slots of all three chunks...
+        assert_eq!(write(&mut dev, &at(lines), &[9; 128]), 128.0);
+        let store = &dev.data.as_ref().expect("data plane").store;
+        assert_eq!((store.chunks.len(), store.stride), (3, 128));
+        // ...and every earlier line still holds its image.
+        for row in 0..lines {
+            assert_eq!(write(&mut dev, &at(row), &[row as u8 | 1; 64]), 0.0);
+        }
+    }
+
+    #[test]
+    fn freed_slots_are_reused_erased() {
+        let mut dev = EpcmDevice::with_pricer(EpcmConfig::epcm_mm(), Box::new(BytePricer));
+        let other = DecodedAddress { bank: 3, ..loc() };
+        assert_eq!(write(&mut dev, &loc(), &[7; 64]), 64.0);
+        let _ = dev.access_line(&loc(), MemOp::Write, Time::ZERO, None);
+        // `other` takes the freed slot and finds it erased.
+        assert_eq!(write(&mut dev, &other, &[7; 64]), 64.0);
+        let store = &dev.data.as_ref().expect("data plane").store;
+        assert_eq!(store.len, 1, "one slot, reused");
+    }
+
     #[test]
     fn content_aware_writes_price_against_the_line_store() {
         let mut dev = EpcmDevice::with_pricer(EpcmConfig::epcm_mm(), Box::new(BytePricer));
-        let line = crate::LineData::from_bytes(&[7u8; 64]);
+        let line = LineData::from_bytes(&[7u8; 64]);
         // First touch: every byte programs.
         let a = dev.access_line(&loc(), MemOp::Write, Time::ZERO, Some(&line));
         assert!((a.energy.as_picojoules() - 64.0).abs() < 1e-9);
@@ -353,7 +531,7 @@ mod tests {
             &loc(),
             MemOp::Write,
             Time::ZERO,
-            Some(&crate::LineData::from_bytes(&bytes)),
+            Some(&LineData::from_bytes(&bytes)),
         );
         assert!((c.energy.as_picojoules() - 1.0).abs() < 1e-9);
         let stats = dev.data_plane_stats().expect("data plane present");
@@ -365,7 +543,7 @@ mod tests {
     #[test]
     fn payloadless_writes_invalidate_the_store() {
         let mut dev = EpcmDevice::with_pricer(EpcmConfig::epcm_mm(), Box::new(BytePricer));
-        let line = crate::LineData::from_bytes(&[7u8; 64]);
+        let line = LineData::from_bytes(&[7u8; 64]);
         let _ = dev.access_line(&loc(), MemOp::Write, Time::ZERO, Some(&line));
         // No payload: worst-case price, image dropped...
         let unknown = dev.access_line(&loc(), MemOp::Write, Time::ZERO, None);
@@ -379,7 +557,7 @@ mod tests {
     #[test]
     fn flat_devices_ignore_payloads() {
         let mut dev = EpcmDevice::new(EpcmConfig::epcm_mm());
-        let line = crate::LineData::zeroes(64);
+        let line = LineData::zeroes(64);
         let with = dev.access_line(&loc(), MemOp::Write, Time::ZERO, Some(&line));
         let without = dev.access(&loc(), MemOp::Write, Time::ZERO);
         assert_eq!(with, without);

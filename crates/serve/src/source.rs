@@ -72,6 +72,12 @@ pub trait RequestSource: Send {
     fn name(&self) -> &str;
 
     /// The next arrival, without consuming it.
+    ///
+    /// Polling is idempotent between a source's [`RequestSource::take`]
+    /// and [`RequestSource::on_complete`] calls: until one of them, every
+    /// poll returns the same answer. [`TenantMux`] relies on this and
+    /// polls a tenant again only after taking from it or routing it a
+    /// completion.
     fn poll(&mut self) -> SourcePoll;
 
     /// Consumes and materializes the request last reported ready.
@@ -271,8 +277,17 @@ pub enum MuxPoll {
 }
 
 /// Interleaves named sources by arrival time with per-tenant bookkeeping.
+///
+/// Each tenant's last poll is cached and dropped only by that tenant's
+/// own [`TenantMux::take`] or [`TenantMux::on_complete`]: a source's
+/// answer cannot change in between (the [`RequestSource::poll`]
+/// contract), so a tenant is polled once after each take from it or
+/// completion routed to it rather than once per service event. The
+/// mux's own answer is cached until either call.
 pub struct TenantMux {
     tenants: Vec<Box<dyn RequestSource>>,
+    polls: Vec<Option<SourcePoll>>,
+    answer: Option<MuxPoll>,
 }
 
 impl std::fmt::Debug for TenantMux {
@@ -291,7 +306,11 @@ impl TenantMux {
     /// Panics on an empty tenant list.
     pub fn new(tenants: Vec<Box<dyn RequestSource>>) -> Self {
         assert!(!tenants.is_empty(), "mux needs at least one tenant");
-        TenantMux { tenants }
+        TenantMux {
+            polls: vec![None; tenants.len()],
+            tenants,
+            answer: None,
+        }
     }
 
     /// Number of tenants.
@@ -312,10 +331,13 @@ impl TenantMux {
 
     /// The earliest pending arrival across tenants.
     pub fn poll(&mut self) -> MuxPoll {
+        if let Some(answer) = self.answer {
+            return answer;
+        }
         let mut best: Option<(Time, usize)> = None;
         let mut all_exhausted = true;
-        for (i, tenant) in self.tenants.iter_mut().enumerate() {
-            match tenant.poll() {
+        for (i, (tenant, cached)) in self.tenants.iter_mut().zip(&mut self.polls).enumerate() {
+            match *cached.get_or_insert_with(|| tenant.poll()) {
                 SourcePoll::Ready(at) => {
                     all_exhausted = false;
                     // Strict `<` keeps the lowest index on ties.
@@ -327,21 +349,30 @@ impl TenantMux {
                 SourcePoll::Exhausted => {}
             }
         }
-        match best {
+        let answer = match best {
             Some((at, tenant)) => MuxPoll::Ready { tenant, at },
             None if all_exhausted => MuxPoll::Exhausted,
             None => MuxPoll::Blocked,
-        }
+        };
+        *self.answer.insert(answer)
     }
 
     /// Takes the next request of tenant `tenant`.
     pub fn take(&mut self, tenant: usize) -> Sourced {
+        self.forget(tenant);
         self.tenants[tenant].take()
     }
 
     /// Routes a completion back to its tenant.
     pub fn on_complete(&mut self, tenant: usize, finished: Time) {
+        self.forget(tenant);
         self.tenants[tenant].on_complete(finished);
+    }
+
+    /// Drops the cached polls `tenant`'s next call may change.
+    fn forget(&mut self, tenant: usize) {
+        self.polls[tenant] = None;
+        self.answer = None;
     }
 }
 
@@ -466,6 +497,8 @@ mod tests {
     use super::*;
     use comet_units::ByteCount;
     use memsim::AccessPattern;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn profile() -> WorkloadProfile {
         WorkloadProfile {
@@ -544,6 +577,77 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A source that counts its polls: ready at `next` until taken from,
+    /// then blocked until a completion readies it at the finish time.
+    struct Scripted {
+        polls: Arc<AtomicU64>,
+        next: SourcePoll,
+    }
+
+    impl RequestSource for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn poll(&mut self) -> SourcePoll {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            self.next
+        }
+
+        fn take(&mut self) -> Sourced {
+            let SourcePoll::Ready(arrival) = self.next else {
+                panic!("take() without a Ready poll")
+            };
+            self.next = SourcePoll::Blocked;
+            Sourced {
+                arrival,
+                op: MemOp::Read,
+                address: 0,
+                size: ByteCount::new(64),
+                payload: None,
+            }
+        }
+
+        fn on_complete(&mut self, finished: Time) {
+            self.next = SourcePoll::Ready(finished);
+        }
+    }
+
+    #[test]
+    fn mux_repolls_only_tenants_taken_from_or_completed() {
+        let counters: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::default()).collect();
+        let polls = || -> Vec<u64> { counters.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
+        let ready = |tenant, ns| MuxPoll::Ready {
+            tenant,
+            at: Time::from_nanos(ns),
+        };
+        let mut mux = TenantMux::new(
+            counters
+                .iter()
+                .zip([1.0, 2.0, 3.0])
+                .map(|(c, ns)| {
+                    Box::new(Scripted {
+                        polls: c.clone(),
+                        next: SourcePoll::Ready(Time::from_nanos(ns)),
+                    }) as Box<dyn RequestSource>
+                })
+                .collect(),
+        );
+        assert_eq!(mux.poll(), ready(0, 1.0));
+        assert_eq!(mux.poll(), ready(0, 1.0));
+        assert_eq!(polls(), [1, 1, 1], "repeated polls hit the cache");
+        let _ = mux.take(0);
+        assert_eq!(mux.poll(), ready(1, 2.0));
+        assert_eq!(polls(), [2, 1, 1], "only the taken tenant is polled again");
+        mux.on_complete(2, Time::from_nanos(0.5));
+        assert_eq!(mux.poll(), ready(2, 0.5));
+        assert_eq!(
+            polls(),
+            [2, 1, 2],
+            "only the completed tenant is polled again"
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 # else target/). Both sides then run, with the working tree's
 # spec files as input:
 #   * the 14 figure/table binaries (stdout and exit status);
-#   * `comet-lab run specs/serve_smoke.json` at --shards 1 and 4;
+#   * `comet-lab run` of specs/serve_smoke.json and specs/serve_dataplane.json
+#     (payload-carrying tenants rewriting and coalescing lines on a
+#     content-aware device), each at --shards 1 and 4;
 #   * a 15-device x mcf-like,gcc-like,lbm-like grid at --requests 800.
 # Every output file is compared with `cmp`. Exits non-zero and lists the
 # files that differ, if any do, with what moved in each: for a CSV and
@@ -35,7 +37,7 @@ bins="ablations fig10_dota fig1b_crosstalk fig2_corruption fig3_materials
       fig9_performance fig_latency_vs_load fig_write_energy_vs_entropy
       table1_params table2_timing"
 devices=2D_DDR3,3D_DDR3,2D_DDR4,3D_DDR4,EPCM-MM,COSMOS,COMET,COMET-1b,COMET-2b,COMET-4b,COMET-paper,COMET-derived,EPCM-oblivious,EPCM-DCW,EPCM-DCW-FNW
-spec="$root/specs/serve_smoke.json"
+specs="serve_smoke serve_dataplane"
 
 build() { # <source dir> <target dir>
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
@@ -51,9 +53,11 @@ run_side() { # <target dir> <output dir>
         "$bin/$b" >"$out/$b.stdout" || status=$?
         echo "$status" >"$out/$b.status"
     done
-    for shards in 1 4; do
-        "$bin/comet-lab" run "$spec" --threads 2 --shards "$shards" \
-            --out "$out/serve-smoke-shards$shards" >/dev/null
+    for spec in $specs; do
+        for shards in 1 4; do
+            "$bin/comet-lab" run "$root/specs/$spec.json" --threads 2 --shards "$shards" \
+                --out "$out/$spec-shards$shards" >/dev/null
+        done
     done
     "$bin/comet-lab" --devices "$devices" --workloads mcf-like,gcc-like,lbm-like \
         --requests 800 --threads 2 --name grid --out "$out/grid" >/dev/null
