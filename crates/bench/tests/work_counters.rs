@@ -9,6 +9,12 @@
 //! change to a device model that keeps its outputs must leave them alone;
 //! a change to the scheduler or an engine that moves one updates the table
 //! here and says why.
+//!
+//! The same scenarios pin the heap allocations of the run call itself,
+//! counted by [`CountingAlloc`] on the running thread only (libtest runs
+//! tests on parallel threads). Device builds stay outside the count: a
+//! build's allocations depend on whether an earlier test already filled
+//! the process-wide `ProgramTable` cache.
 
 use comet_data::PayloadSpec;
 use comet_serve::{
@@ -20,8 +26,71 @@ use memsim::{
     run_simulation, spec_like_suite, AccessTiming, DecodedAddress, DeviceFactory, LineData, MemOp,
     MemoryDevice, ReplayMode, Scheduler, SimConfig, Topology, WorkloadProfile,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The system allocator, counting the allocations (`alloc`, `alloc_zeroed`
+/// and `realloc` calls) a thread makes while it has counting switched on.
+struct CountingAlloc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialized thread-locals without destructors, so touching them
+// never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Runs `f` with this thread's allocation counting set to `on`, restoring
+/// the previous setting after.
+fn with_counting<T>(on: bool, f: impl FnOnce() -> T) -> T {
+    let was = COUNTING.with(|c| c.replace(on));
+    let out = f();
+    COUNTING.with(|c| c.set(was));
+    out
+}
+
+/// Runs `f`, returning its result and the heap allocations it made on
+/// this thread.
+fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = with_counting(true, f);
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// Calls made on the devices a scenario built.
 #[derive(Debug, Default)]
@@ -120,10 +189,13 @@ impl DeviceFactory for CountingFactory {
         self.inner.device_name()
     }
 
+    /// Builds uncounted by [`CountingAlloc`], even inside a counted run.
     fn build(&self) -> Box<dyn MemoryDevice> {
-        Box::new(CountingDevice {
-            inner: self.inner.build(),
-            counts: self.counts.clone(),
+        with_counting(false, || {
+            Box::new(CountingDevice {
+                inner: self.inner.build(),
+                counts: self.counts.clone(),
+            }) as Box<dyn MemoryDevice>
         })
     }
 
@@ -180,67 +252,96 @@ fn profile(name: &str, requests: usize, line: u64) -> WorkloadProfile {
 }
 
 /// `replay-sat` at 3000 requests per profile: saturation FR-FCFS(8) over
-/// a random and a streaming profile, no payloads.
-const REPLAY: [(&str, &str, [u64; 3]); 8] = [
-    ("2D_DDR4", "mcf-like", [23552, 23537, 3000]),
-    ("2D_DDR4", "libquantum-like", [23552, 3175, 3000]),
-    ("3D_DDR4", "mcf-like", [22208, 22172, 3000]),
-    ("3D_DDR4", "libquantum-like", [23300, 3175, 3000]),
-    ("EPCM-MM", "mcf-like", [23776, 23776, 3000]),
-    ("EPCM-MM", "libquantum-like", [23776, 23776, 3000]),
-    ("COMET", "mcf-like", [11888, 11879, 1500]),
-    ("COMET", "libquantum-like", [11888, 9625, 1500]),
+/// a random and a streaming profile, no payloads. Per cell: the device's
+/// `[bank_available, row_hit, access]`, then the heap allocations of the
+/// same cell at 12000 requests, which must not move at 24000.
+///
+/// A replay run allocates its fixed structures, a queue for each bank its
+/// trace reaches and a latency histogram that grows by octaves of the
+/// latency range; nothing per request. Shorter runs allocate a little
+/// less on some cells: at 3000 and 6000 requests the streaming profile
+/// has reached only 24 and 48 of 3D_DDR4's 64 banks (47 and 71
+/// allocations), and EPCM-MM's histogram has grown its storage one time
+/// fewer (27).
+const REPLAY: [(&str, &str, [u64; 3], u64); 8] = [
+    ("2D_DDR4", "mcf-like", [23552, 23537, 3000], 36),
+    ("2D_DDR4", "libquantum-like", [23552, 3175, 3000], 36),
+    ("3D_DDR4", "mcf-like", [22208, 22172, 3000], 87),
+    ("3D_DDR4", "libquantum-like", [23300, 3175, 3000], 87),
+    ("EPCM-MM", "mcf-like", [23776, 23776, 3000], 28),
+    ("EPCM-MM", "libquantum-like", [23776, 23776, 3000], 28),
+    ("COMET", "mcf-like", [11888, 11879, 1500], 20),
+    ("COMET", "libquantum-like", [11888, 9625, 1500], 20),
 ];
 
 /// `serve-mixed` at 2000 requests per tenant: a Poisson open-loop tenant
 /// with sparse-update payloads beside an 8-client closed loop with uniform
 /// payloads, write batching on. Per device: the device's
-/// `[bank_available, row_hit, access]`, then each tenant's
-/// `[poll, take, on_complete]`.
+/// `[bank_available, row_hit, access]`, each tenant's
+/// `[poll, take, on_complete]`, then the run's heap allocations (boxed
+/// payloads and, on EPCM, line-store chunks).
 ///
 /// The mux caches each tenant's poll until that tenant is taken from or
 /// completes, so a tenant is polled once at the start and at most once
 /// after each take from it and each completion routed to it. Before that
 /// it was polled on every service event: the poll counts were 6358 and
 /// 6358 on COMET, 12518 and 12518 on EPCM-DCW-FNW.
-const SERVE: [(&str, [u64; 3], [TenantCalls; 2]); 2] = [
+const SERVE: [(&str, [u64; 3], [TenantCalls; 2], u64); 2] = [
     (
         "COMET",
         [2041, 2041, 1999],
         [[2000, 1000, 1000], [2001, 1000, 1000]],
+        798,
     ),
     (
         "EPCM-DCW-FNW",
         [16165, 16165, 3999],
         [[4000, 2000, 2000], [4001, 2000, 2000]],
+        1644,
     ),
 ];
+
+/// One `replay-sat` cell at `requests` per 64 B line: the device's work
+/// counts and the run's heap allocations.
+fn replay_sat(device: &str, workload: &str, requests: usize) -> ([u64; 3], u64) {
+    let factory = CountingFactory::new(device);
+    let mut dev = factory.build();
+    let p = profile(workload, requests, dev.topology().line_bytes);
+    let trace = p.generate(SEED);
+    let config = SimConfig {
+        scheduler: Scheduler::FrFcfs { window: 8 },
+        replay: ReplayMode::Saturation,
+        workload: p.name.clone(),
+    };
+    let (stats, allocations) = count_allocations(|| run_simulation(dev.as_mut(), &trace, &config));
+    assert_eq!(stats.completed, trace.len() as u64, "{device}/{workload}");
+    (factory.counts.snapshot(), allocations)
+}
 
 #[test]
 fn replay_sat_work_counts_are_pinned() {
     let mut measured = Vec::new();
-    for (device, workload, _) in REPLAY {
-        let factory = CountingFactory::new(device);
-        let mut dev = factory.build();
-        let p = profile(workload, 3000, dev.topology().line_bytes);
-        let trace = p.generate(SEED);
-        let config = SimConfig {
-            scheduler: Scheduler::FrFcfs { window: 8 },
-            replay: ReplayMode::Saturation,
-            workload: p.name.clone(),
-        };
-        let stats = run_simulation(dev.as_mut(), &trace, &config);
-        assert_eq!(stats.completed, trace.len() as u64, "{device}/{workload}");
-        measured.push((device, workload, factory.counts.snapshot()));
+    for (device, workload, _, _) in REPLAY {
+        let (counts, _) = replay_sat(device, workload, 3000);
+        let (_, allocations) = replay_sat(device, workload, 12000);
+        let (_, doubled) = replay_sat(device, workload, 24000);
+        assert_eq!(
+            doubled, allocations,
+            "{device}/{workload} allocates per request"
+        );
+        measured.push((device, workload, counts, allocations));
     }
     let expected: Vec<_> = REPLAY.to_vec();
-    assert_eq!(measured, expected, "[bank_available, row_hit, access]");
+    assert_eq!(
+        measured, expected,
+        "[bank_available, row_hit, access], then allocations"
+    );
 }
 
 #[test]
 fn serve_mixed_work_counts_are_pinned() {
     let mut measured = Vec::new();
-    for (device, _, _) in SERVE {
+    for (device, _, _, _) in SERVE {
         let factory = CountingFactory::new(device);
         let line = factory.device_topology().line_bytes;
         let open = profile("gcc-like", 2000, line);
@@ -283,7 +384,8 @@ fn serve_mixed_work_counts_are_pinned() {
                 }) as Box<dyn RequestSource>
             })
             .collect();
-        let report = run_service_with_sources(&factory, sources, &spec, "serve-mixed");
+        let (report, allocations) =
+            count_allocations(|| run_service_with_sources(&factory, sources, &spec, "serve-mixed"));
         assert_eq!(
             report.stats.completed,
             spec.total_requests() as u64,
@@ -291,11 +393,12 @@ fn serve_mixed_work_counts_are_pinned() {
         );
         let calls = |c: &SourceCounts| c.each_ref().map(|n| n.load(Ordering::Relaxed));
         let tenants = [calls(&tenants[0]), calls(&tenants[1])];
-        measured.push((device, factory.counts.snapshot(), tenants));
+        measured.push((device, factory.counts.snapshot(), tenants, allocations));
     }
     assert_eq!(
         measured,
         SERVE.to_vec(),
-        "[bank_available, row_hit, access], then per tenant [poll, take, on_complete]"
+        "[bank_available, row_hit, access], per tenant [poll, take, on_complete], \
+         then allocations"
     );
 }

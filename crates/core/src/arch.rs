@@ -9,7 +9,7 @@
 
 use crate::timing::CometTiming;
 use comet_units::{BitCount, ByteCount};
-use photonic::{CellModelMode, CellOpticalModel, LevelBudget, OpticalParams, WdmMdmLink};
+use photonic::{CellModelMode, CellOpticalModel, OpticalParams, WdmMdmLink};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -206,12 +206,6 @@ impl CometConfig {
         self.optical.rows_per_soa_stage() as u64
     }
 
-    /// Total intra-subarray SOA count: `B·N_r·N_c / stage`.
-    pub fn total_soa_count(&self) -> u64 {
-        let n_r = self.subarrays * self.subarray_rows;
-        self.banks * n_r * self.subarray_cols / self.rows_per_soa_stage()
-    }
-
     /// SOAs powered during an access (active subarray only):
     /// `B·M_r·M_c / stage`.
     pub fn active_soa_count(&self) -> u64 {
@@ -225,18 +219,6 @@ impl CometConfig {
             self.banks as usize,
             self.timing.modulation(),
         )
-    }
-
-    /// The idealized (full-scale) read-out level budget for this bit
-    /// density — the paper's Section III.C numbers.
-    pub fn level_budget(&self) -> LevelBudget {
-        LevelBudget::for_bits(self.bits_per_cell)
-    }
-
-    /// The read-out level budget over the configured cell model's *actual*
-    /// transmission range (paper constants or physics-derived).
-    pub fn cell_level_budget(&self) -> LevelBudget {
-        LevelBudget::for_cell(self.bits_per_cell, self.cell_optics().as_ref())
     }
 
     /// Validates dimensional and optical feasibility.
@@ -334,9 +316,6 @@ mod tests {
     fn soa_counts_match_paper_formulas() {
         let cfg = CometConfig::comet_4b();
         assert_eq!(cfg.rows_per_soa_stage(), 46);
-        // B*N_r*N_c/46 with N_r = 4096*512, N_c = 256.
-        let expect_total = 4 * (4096 * 512) * 256 / 46;
-        assert_eq!(cfg.total_soa_count(), expect_total);
         // Active: B*M_r*M_c/46.
         assert_eq!(cfg.active_soa_count(), 4 * 512 * 256 / 46);
     }

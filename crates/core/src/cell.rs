@@ -201,18 +201,11 @@ pub fn decode_levels(levels: &[u8], bits: u8) -> Vec<u8> {
 }
 
 /// A functional subarray: an `rows × cols` grid of level-holding cells.
-///
-/// Supports stuck-cell fault injection: a stuck cell holds its fault level
-/// regardless of what is programmed into it (endurance failures leave GST
-/// cells pinned near one phase), which is what a controller's write-verify
-/// pass exists to catch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Subarray {
     rows: u64,
     cols: u64,
     levels: Vec<u8>,
-    /// Sparse stuck-cell list: `(flat index, stuck level)`.
-    stuck: Vec<(usize, u8)>,
 }
 
 impl Subarray {
@@ -222,38 +215,6 @@ impl Subarray {
             rows,
             cols,
             levels: vec![0; (rows * cols) as usize],
-            stuck: Vec::new(),
-        }
-    }
-
-    /// Pins a cell to `level` forever (fault injection). Subsequent writes
-    /// to the cell are silently absorbed, as a worn-out GST cell would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of range.
-    pub fn inject_stuck_cell(&mut self, row: u64, col: u64, level: u8) {
-        let i = self.index(row, col);
-        self.levels[i] = level;
-        if let Some(entry) = self.stuck.iter_mut().find(|(j, _)| *j == i) {
-            entry.1 = level;
-        } else {
-            self.stuck.push((i, level));
-        }
-    }
-
-    /// Number of injected stuck cells.
-    pub fn stuck_cells(&self) -> usize {
-        self.stuck.len()
-    }
-
-    /// Re-pins every stuck cell after a write that may have overwritten
-    /// its stored value.
-    fn reassert_stuck(&mut self, start: usize, end: usize) {
-        for &(i, level) in &self.stuck {
-            if i >= start && i < end {
-                self.levels[i] = level;
-            }
         }
     }
 
@@ -278,15 +239,13 @@ impl Subarray {
         self.levels[self.index(row, col)]
     }
 
-    /// Programs one cell's level (ineffective on stuck cells).
+    /// Programs one cell's level.
     pub fn set_level(&mut self, row: u64, col: u64, level: u8) {
         let i = self.index(row, col);
         self.levels[i] = level;
-        self.reassert_stuck(i, i + 1);
     }
 
-    /// Writes a span of levels along a row starting at `col` (stuck cells
-    /// in the span keep their fault level).
+    /// Writes a span of levels along a row starting at `col`.
     ///
     /// # Panics
     ///
@@ -298,7 +257,6 @@ impl Subarray {
             "span exceeds row width"
         );
         self.levels[start..start + levels.len()].copy_from_slice(levels);
-        self.reassert_stuck(start, start + levels.len());
     }
 
     /// Reads a span of levels along a row.

@@ -51,7 +51,6 @@
 mod arch;
 mod cell;
 mod device;
-mod ecc;
 mod endurance;
 mod laser;
 mod lut;
@@ -64,12 +63,11 @@ mod timing;
 pub use arch::{CometConfig, ConfigError};
 pub use cell::{decode_levels, encode_bytes, LevelCodec, Subarray};
 pub use device::{CometDevice, PulseEnergies};
-pub use ecc::{bitplane_deinterleave, bitplane_interleave, Correction, DoubleError, Secded};
 pub use endurance::{EnduranceModel, StartGapRemapper, WearTracker};
 pub use laser::{LaserPolicy, LaserPowerManager, WindowedPolicy};
 pub use lut::{paper_loss_tolerance, GainLut};
 pub use mapping::{AddressMapper, CometAddress};
-pub use memory::{CometMemory, WriteVerifyError};
+pub use memory::CometMemory;
 pub use power::{CometPowerModel, PowerStack};
 pub use reliability::{DriftModel, ReadoutReliability};
 pub use timing::CometTiming;

@@ -13,28 +13,6 @@ use crate::mapping::AddressMapper;
 use comet_units::Decibels;
 use memsim::{AddressMap, Interleave};
 use std::collections::HashMap;
-use std::fmt;
-
-/// A write-verify pass found bytes that did not store correctly (stuck
-/// cells, or losses past the decode margin).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteVerifyError {
-    /// Byte offsets (relative to the written address) that failed.
-    pub bad_offsets: Vec<u64>,
-}
-
-impl fmt::Display for WriteVerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "write verification failed at {} byte offset(s), first at {}",
-            self.bad_offsets.len(),
-            self.bad_offsets.first().copied().unwrap_or(0)
-        )
-    }
-}
-
-impl std::error::Error for WriteVerifyError {}
 
 /// A functional COMET memory instance.
 ///
@@ -216,51 +194,6 @@ impl CometMemory {
         out
     }
 
-    /// Pins the cell backing byte-offset `cell` of the line at `address`
-    /// to a stuck level (fault injection for write-verify studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `address` is not line-aligned or `cell` exceeds the line's
-    /// cell count.
-    pub fn inject_stuck_cell(&mut self, address: u64, cell: u64, level: u8) {
-        let line = self.config.timing.access_bytes();
-        assert_eq!(address % line, 0, "address must be line-aligned");
-        assert!(
-            cell < self.config.cells_per_line(),
-            "cell index out of range"
-        );
-        let flat = self.addr_map.decode(address);
-        let loc = self.mapper.map(flat);
-        self.subarray_entry(loc.bank, loc.subarray)
-            .inject_stuck_cell(loc.row, loc.column + cell, level);
-    }
-
-    /// Writes a byte span and verifies it through the optical read path —
-    /// the write-verify pass a PCM controller runs to catch worn-out
-    /// (stuck) cells before they corrupt data silently.
-    ///
-    /// # Errors
-    ///
-    /// Returns the byte offsets (relative to `address`) that failed to
-    /// verify. The data is still written to every healthy cell.
-    pub fn write_verified(&mut self, address: u64, data: &[u8]) -> Result<(), WriteVerifyError> {
-        self.write(address, data);
-        let got = self.read(address, data.len());
-        let bad_offsets: Vec<u64> = got
-            .iter()
-            .zip(data)
-            .enumerate()
-            .filter(|(_, (g, d))| g != d)
-            .map(|(i, _)| i as u64)
-            .collect();
-        if bad_offsets.is_empty() {
-            Ok(())
-        } else {
-            Err(WriteVerifyError { bad_offsets })
-        }
-    }
-
     /// Reads a line without the optical path (ground truth for RMW).
     fn read_line_raw(&mut self, address: u64) -> Vec<u8> {
         let flat = self.addr_map.decode(address);
@@ -391,56 +324,5 @@ mod tests {
     fn misaligned_line_write_rejected() {
         let mut mem = memory();
         mem.write_line(64, &[0u8; 128]);
-    }
-
-    #[test]
-    fn write_verify_passes_on_healthy_cells() {
-        let mut mem = memory();
-        let data: Vec<u8> = (0..300).map(|i| (i % 256) as u8).collect();
-        assert!(mem.write_verified(0x2000, &data).is_ok());
-    }
-
-    #[test]
-    fn write_verify_catches_stuck_cells() {
-        let mut mem = memory();
-        // Pin cell 6 of line 0 at level 0xF: whatever is written, the cell
-        // reads back 0xF. Cell 6 holds the high nibble of byte 3 (4 bits
-        // per cell, MSB-first).
-        mem.inject_stuck_cell(0, 6, 0xF);
-        let data = vec![0u8; 128];
-        let err = mem
-            .write_verified(0, &data)
-            .expect_err("stuck cell must fail verify");
-        assert_eq!(err.bad_offsets, vec![3]);
-        // The rest of the line stored fine.
-        let got = mem.read(0, 128);
-        assert_eq!(got[0], 0);
-        assert_eq!(got[3], 0xF0);
-        // An error formats usefully.
-        assert!(err.to_string().contains("1 byte offset"));
-    }
-
-    #[test]
-    fn stuck_cells_survive_rewrites() {
-        let mut mem = memory();
-        mem.inject_stuck_cell(0, 0, 0xA);
-        for pattern in [0x00u8, 0xFF, 0x55] {
-            mem.write(0, &[pattern; 16]);
-            let got = mem.read(0, 1);
-            // High nibble pinned at 0xA, low nibble takes the write.
-            assert_eq!(got[0], 0xA0 | (pattern & 0x0F), "pattern {pattern:#x}");
-        }
-    }
-
-    #[test]
-    fn verify_after_repair_is_clean() {
-        // A verify failure followed by remapping the data elsewhere (what a
-        // controller's spare-line table would do) succeeds.
-        let mut mem = memory();
-        mem.inject_stuck_cell(0, 0, 0xC);
-        let data: Vec<u8> = (0..128).collect();
-        assert!(mem.write_verified(0, &data).is_err());
-        // "Remap": same payload on a spare line.
-        assert!(mem.write_verified(1 << 20, &data).is_ok());
     }
 }

@@ -7,8 +7,8 @@
 //! arbitrary write/read interleavings.
 
 use comet::{
-    bitplane_deinterleave, bitplane_interleave, decode_levels, encode_bytes, AddressMapper,
-    CometConfig, CometMemory, Correction, GainLut, LevelCodec, Secded, Subarray,
+    decode_levels, encode_bytes, AddressMapper, CometConfig, CometMemory, GainLut, LevelCodec,
+    Subarray,
 };
 use comet_units::Decibels;
 use memsim::DecodedAddress;
@@ -133,80 +133,6 @@ proptest! {
         if lo / stage == hi / stage {
             prop_assert!(lut.gain_for_row(hi).value() >= lut.gain_for_row(lo).value() - 1e-9);
         }
-    }
-
-    // --- SECDED ECC + bit-plane interleaving -------------------------------------
-
-    #[test]
-    fn secded_roundtrips_any_word(data in any::<u64>()) {
-        let check = Secded::encode(data);
-        let (out, action) = Secded::decode(data, check).expect("clean decode");
-        prop_assert_eq!(out, data);
-        prop_assert_eq!(action, Correction::None);
-    }
-
-    #[test]
-    fn secded_corrects_any_single_flip(data in any::<u64>(), bit in 0u8..72) {
-        let check = Secded::encode(data);
-        let (c_data, c_check) = if bit < 64 {
-            (data ^ (1u64 << bit), check)
-        } else {
-            (data, check ^ (1u8 << (bit - 64)))
-        };
-        let (fixed, action) = Secded::decode(c_data, c_check).expect("single flip correctable");
-        prop_assert_eq!(fixed, data);
-        if bit < 64 {
-            prop_assert_eq!(action, Correction::Data(bit));
-        } else {
-            prop_assert_eq!(action, Correction::Check);
-        }
-    }
-
-    #[test]
-    fn secded_never_miscorrects_double_flips(
-        data in any::<u64>(),
-        b1 in 0u8..64,
-        b2 in 0u8..64,
-    ) {
-        prop_assume!(b1 != b2);
-        let check = Secded::encode(data);
-        let corrupted = data ^ (1u64 << b1) ^ (1u64 << b2);
-        // Double errors must be detected, never silently miscorrected.
-        prop_assert!(Secded::decode(corrupted, check).is_err());
-    }
-
-    #[test]
-    fn bitplane_roundtrips_any_levels(
-        levels in prop::collection::vec(0u8..16, 1usize..17).prop_map(|v| {
-            // Pad to a multiple of 16 cells.
-            let mut v = v;
-            while v.len() % 16 != 0 { v.push(0); }
-            v
-        }),
-    ) {
-        let words = bitplane_interleave(&levels);
-        prop_assert_eq!(bitplane_deinterleave(&words, levels.len()), levels);
-    }
-
-    #[test]
-    fn interleaved_stuck_cell_is_always_recoverable(
-        seed_levels in prop::collection::vec(0u8..16, 256..=256),
-        cell in 0usize..256,
-        stuck_at in 0u8..16,
-    ) {
-        // Any single stuck cell, any stored pattern: ECC over bit planes
-        // recovers the line exactly.
-        let words = bitplane_interleave(&seed_levels);
-        let checks: Vec<u8> = words.iter().map(|&w| Secded::encode(w)).collect();
-        let mut observed = seed_levels.clone();
-        observed[cell] = stuck_at;
-        let corrupted = bitplane_interleave(&observed);
-        let recovered: Vec<u64> = corrupted
-            .iter()
-            .zip(&checks)
-            .map(|(&w, &c)| Secded::decode(w, c).expect("≤1 flip per word").0)
-            .collect();
-        prop_assert_eq!(bitplane_deinterleave(&recovered, 256), seed_levels);
     }
 
     // --- functional subarray ----------------------------------------------------------

@@ -172,11 +172,6 @@ impl CosmosConfig {
         self.cols * self.bits_per_cell as u64 / self.cache_line.to_bits().value()
     }
 
-    /// Subarrays per bank (grid of `subarray_side²` cells each).
-    pub fn subarrays_per_bank(&self) -> u64 {
-        (self.rows / self.subarray_side) * (self.cols / self.subarray_side)
-    }
-
     /// SOA arrays per subarray from the worst-case in-array loss: the
     /// paper derives 6 for the corrected design (1.4 dB worst per-cell loss
     /// over 32 cells against 15.2 dB usable gain, row and column paths).
@@ -252,6 +247,5 @@ mod tests {
         let cfg = CosmosConfig::corrected();
         assert_eq!(cfg.cells_per_line(), 512);
         assert_eq!(cfg.line_slots_per_row(), 32);
-        assert_eq!(cfg.subarrays_per_bank(), 512 * 512);
     }
 }

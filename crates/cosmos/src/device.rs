@@ -18,7 +18,7 @@
 
 use crate::arch::CosmosConfig;
 use crate::power::CosmosPowerModel;
-use comet_units::{Energy, Power, Time};
+use comet_units::{Power, Time};
 use memsim::{AccessTiming, DecodedAddress, DeviceFactory, MemOp, MemoryDevice, Topology};
 use std::collections::HashMap;
 
@@ -182,12 +182,6 @@ impl MemoryDevice for CosmosDevice {
     fn interface_delay(&self) -> Time {
         self.config.timing.interface_delay
     }
-}
-
-/// Convenience: the per-line write energy of the corrected COSMOS (used in
-/// energy cross-checks).
-pub fn line_write_energy(config: &CosmosConfig) -> Energy {
-    config.write_energy * config.cells_per_line() as f64
 }
 
 #[cfg(test)]

@@ -37,5 +37,5 @@ mod power;
 pub use arch::{CosmosConfig, CosmosTiming};
 pub use corruption::{run_corruption_experiment, CorruptionReport, TestImage};
 pub use crossbar::Crossbar;
-pub use device::{line_write_energy, CosmosDevice};
+pub use device::CosmosDevice;
 pub use power::CosmosPowerModel;

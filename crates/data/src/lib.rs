@@ -64,5 +64,5 @@ mod policy;
 
 pub use codec::LineCodec;
 pub use cost::{Price, TransitionCostModel};
-pub use payload::{attach_payloads, rewrite_intensity, sample_lines, PayloadGen, PayloadSpec};
+pub use payload::{attach_payloads, PayloadGen, PayloadSpec};
 pub use policy::{DataPolicy, DataWriteModel};

@@ -256,42 +256,41 @@ pub fn attach_payloads(trace: &mut [MemRequest], spec: PayloadSpec, seed: u64) {
     spec.instantiate(seed).attach(trace);
 }
 
-/// The bytes a spec would stream for `n` lines of `line_bytes` at
-/// synthetic increasing addresses — a convenience for tests and entropy
-/// measurements.
-pub fn sample_lines(spec: PayloadSpec, seed: u64, n: usize, line_bytes: u64) -> Vec<LineData> {
-    let mut gen = spec.instantiate(seed);
-    (0..n)
-        .map(|i| gen.next_line((i as u64 % 8) * line_bytes, line_bytes))
-        .collect()
-}
-
-/// Mean fraction of byte positions that differ between consecutive writes
-/// to the same address — the "write intensity" a policy actually sees.
-pub fn rewrite_intensity(spec: PayloadSpec, seed: u64, writes: usize, line_bytes: u64) -> f64 {
-    let mut gen = spec.instantiate(seed);
-    let address = 0u64;
-    let mut prev = gen.next_line(address, line_bytes);
-    let mut changed = 0usize;
-    let mut total = 0usize;
-    for _ in 1..writes.max(2) {
-        let next = gen.next_line(address, line_bytes);
-        changed += prev
-            .bytes()
-            .iter()
-            .zip(next.bytes())
-            .filter(|(a, b)| a != b)
-            .count();
-        total += line_bytes as usize;
-        prev = next;
-    }
-    changed as f64 / total.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use comet_units::ByteCount;
+
+    /// The bytes a spec would stream for `n` lines of `line_bytes` at
+    /// synthetic increasing addresses.
+    fn sample_lines(spec: PayloadSpec, seed: u64, n: usize, line_bytes: u64) -> Vec<LineData> {
+        let mut gen = spec.instantiate(seed);
+        (0..n)
+            .map(|i| gen.next_line((i as u64 % 8) * line_bytes, line_bytes))
+            .collect()
+    }
+
+    /// Mean fraction of byte positions that differ between consecutive writes
+    /// to the same address — the "write intensity" a policy actually sees.
+    fn rewrite_intensity(spec: PayloadSpec, seed: u64, writes: usize, line_bytes: u64) -> f64 {
+        let mut gen = spec.instantiate(seed);
+        let address = 0u64;
+        let mut prev = gen.next_line(address, line_bytes);
+        let mut changed = 0usize;
+        let mut total = 0usize;
+        for _ in 1..writes.max(2) {
+            let next = gen.next_line(address, line_bytes);
+            changed += prev
+                .bytes()
+                .iter()
+                .zip(next.bytes())
+                .filter(|(a, b)| a != b)
+                .count();
+            total += line_bytes as usize;
+            prev = next;
+        }
+        changed as f64 / total.max(1) as f64
+    }
 
     #[test]
     fn generators_are_deterministic_per_seed() {

@@ -69,7 +69,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--requests" => {
                 args.requests = value("count")?
                     .parse()
-                    .map_err(|e| format!("--requests: {e}"))?
+                    .map_err(|e| format!("--requests: {e}"))?;
+                if args.requests == 0 {
+                    return Err("'requests' must be at least 1".into());
+                }
             }
             "--seed" => args.seed = value("seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--replicates" => {
@@ -357,5 +360,20 @@ fn execute(spec: CampaignSpec, threads: usize, out: &str) -> ExitCode {
             eprintln!("comet-lab: exported JSON does not parse: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_requests_are_a_usage_error() {
+        let argv = |n: &str| ["--requests", n].map(String::from);
+        assert_eq!(
+            parse_args(&argv("0")).err().as_deref(),
+            Some("'requests' must be at least 1")
+        );
+        assert_eq!(parse_args(&argv("1")).map(|a| a.requests), Ok(1));
     }
 }

@@ -555,12 +555,62 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         workloads,
         engines,
     };
+    check_byte_totals_fit(&spec)?;
     if spec.normalize_lines {
         check_footprints_hold_a_line(&spec)?;
     } else {
         check_payload_lines_fit(&spec)?;
     }
     Ok(spec)
+}
+
+/// A cell's report counts its bytes in bits, so the bytes a cell requests,
+/// times 8, must fit in a `u64`. Replay requests `requests × line_bytes` of
+/// its workload; serve requests the sum over tenants of `requests ×
+/// line_bytes`, each line from the tenant's own profile or else from the
+/// cell's workload. Line normalization rescales a budget to about the same
+/// bytes, so the bound holds with it too.
+fn check_byte_totals_fit(spec: &CampaignSpec) -> Result<(), SpecError> {
+    const MAX_BYTES: u128 = (u64::MAX / 8) as u128;
+    let too_many = |owner: String, total: u128| -> Result<(), SpecError> {
+        Err(schema(format!(
+            "{owner} total {total} bytes; a cell's bit count must fit in 64 bits \
+             (at most {MAX_BYTES} bytes)"
+        ))
+        .into())
+    };
+    let profiles = spec.workloads.iter().filter_map(|w| match w {
+        WorkloadSource::Profile(p) => Some(p),
+        WorkloadSource::Trace { .. } => None,
+    });
+    for w in profiles {
+        for engine in &spec.engines {
+            let Some(serve) = &engine.serve else {
+                let total = w.requests as u128 * w.line_bytes as u128;
+                if total > MAX_BYTES {
+                    let owner = format!(
+                        "workload '{}': {} requests of {} bytes",
+                        w.name, w.requests, w.line_bytes
+                    );
+                    return too_many(owner, total);
+                }
+                continue;
+            };
+            let mut total = 0u128;
+            for t in &serve.tenants {
+                let line = t.profile.as_ref().unwrap_or(w).line_bytes;
+                total += t.requests as u128 * line as u128;
+                if total > MAX_BYTES {
+                    let owner = format!(
+                        "serve engine '{}' on workload '{}': the tenants through '{}'",
+                        engine.label, w.name, t.name
+                    );
+                    return too_many(owner, total);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Without line normalization each profile keeps its own line, so a
@@ -903,6 +953,73 @@ mod tests {
         assert_eq!(run_campaign(&spec, 1).cells[0].stats.completed, 50);
         let payloadless = text(256, "null").replace(r#""payload": {"kind": "uniform"},"#, "");
         assert!(spec_from_json(&payloadless).is_ok());
+    }
+
+    #[test]
+    fn byte_totals_past_a_u64_bit_count_are_rejected() {
+        // One line per footprint on three devices, lines kept as given.
+        let text = |line: u64, requests: u64, engine: &str| {
+            format!(
+                r#"{{
+  "campaign": "huge", "seed": 1, "replicates": 1, "normalize_lines": false,
+  "devices": ["2D_DDR3", "COMET", "EPCM-DCW-FNW"],
+  "workloads": [{{
+    "name": "huge-lines", "read_fraction": 0.5, "footprint_bytes": {line},
+    "pattern": {{"kind": "random"}}, "interarrival_s": 2.0e-9,
+    "requests": {requests}, "line_bytes": {line}
+  }}],
+  "engines": [{engine}]
+}}"#
+            )
+        };
+        let saturation =
+            r#"{"label": "sat", "scheduler": {"kind": "fcfs"}, "replay": "saturation"}"#;
+        // 4 × 2^59 B is 2^64 bits, 8 × 2^62 B is 2^68 bits: both used to
+        // wrap to a zero bit count.
+        for (line, requests, total) in [
+            (1u64 << 59, 4u64, "2305843009213693952"),
+            (1 << 62, 8, "36893488147419103232"),
+        ] {
+            match spec_from_json(&text(line, requests, saturation)) {
+                Err(SpecError::Schema(m)) => assert_eq!(
+                    m,
+                    format!(
+                        "workload 'huge-lines': {requests} requests of {line} bytes total \
+                         {total} bytes; a cell's bit count must fit in 64 bits \
+                         (at most 2305843009213693951 bytes)"
+                    )
+                ),
+                other => panic!("an overflowing byte total must be a schema error, got {other:?}"),
+            }
+        }
+        // Serve sums its tenants, each on the workload's line.
+        let tenant = |name: &str| {
+            format!(
+                r#"{{"name": "{name}", "requests": 4, "profile": null,
+      "load": {{"kind": "closed", "clients": 1, "think_s": 0.0}}}}"#
+            )
+        };
+        let serve = format!(
+            r#"{{"label": "two", "serve": {{
+    "shards": 1, "scheduler": {{"kind": "fcfs"}}, "batch": null,
+    "tenants": [{}, {}]}}}}"#,
+            tenant("a"),
+            tenant("b")
+        );
+        match spec_from_json(&text(1 << 58, 1, &serve)) {
+            Err(SpecError::Schema(m)) => assert!(
+                m.starts_with(
+                    "serve engine 'two' on workload 'huge-lines': the tenants through 'b' \
+                     total 2305843009213693952 bytes;"
+                ),
+                "{m}"
+            ),
+            other => panic!("an overflowing serve total must be a schema error, got {other:?}"),
+        }
+        // A total under the bound parses, runs and counts its bits exactly.
+        let spec = spec_from_json(&text(1 << 58, 7, saturation)).expect("7 × 2^58 B fits");
+        let report = run_campaign(&spec, 1);
+        assert_eq!(report.cells[0].stats.bytes.to_bits().value(), 7 << 61);
     }
 
     #[test]

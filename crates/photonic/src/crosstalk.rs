@@ -92,49 +92,11 @@ impl CrossbarCrosstalk {
         }
         (margin / per_write).ceil().max(1.0) as u32
     }
-
-    /// [`CrossbarCrosstalk::writes_to_corruption`] with the level count
-    /// and crystalline-fraction span taken from a cell model — so the
-    /// disturb analysis runs against the same level grid (paper or
-    /// physics-derived) as the read-out path.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= bits <= 6`.
-    pub fn writes_to_corruption_for_cell(
-        &self,
-        write_energy: Energy,
-        bits: u8,
-        cell: &dyn crate::CellOpticalModel,
-    ) -> u32 {
-        assert!((1..=6).contains(&bits), "bits must be in 1..=6");
-        self.writes_to_corruption(write_energy, 1 << bits, cell.fraction_span())
-    }
 }
 
 impl Default for CrossbarCrosstalk {
     fn default() -> Self {
         Self::cosmos()
-    }
-}
-
-/// An isolated (MR-gated) cell's crosstalk: zero by construction.
-///
-/// COMET's cells only see light when their row MRs are tuned into
-/// resonance; adjacent writes cannot reach them. This type exists so
-/// architecture code can be generic over the disturb model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct IsolatedCell;
-
-impl IsolatedCell {
-    /// Leaked energy is always zero.
-    pub fn leaked_energy(&self, _write_energy: Energy) -> Energy {
-        Energy::ZERO
-    }
-
-    /// Fraction shift is always zero.
-    pub fn fraction_shift(&self, _write_energy: Energy) -> f64 {
-        0.0
     }
 }
 
@@ -174,16 +136,6 @@ mod tests {
         let n4 = xt.writes_to_corruption(Energy::from_picojoules(750.0), 16, 0.9);
         let n2 = xt.writes_to_corruption(Energy::from_picojoules(750.0), 4, 0.9);
         assert!(n2 > n4, "fewer levels should tolerate more writes");
-    }
-
-    #[test]
-    fn isolated_cell_never_shifts() {
-        let iso = IsolatedCell;
-        assert_eq!(iso.fraction_shift(Energy::from_picojoules(750.0)), 0.0);
-        assert_eq!(
-            iso.leaked_energy(Energy::from_picojoules(750.0)),
-            Energy::ZERO
-        );
     }
 
     #[test]

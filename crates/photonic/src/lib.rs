@@ -81,7 +81,7 @@ mod path;
 mod readout;
 
 pub use cell::{CellModelMode, CellOpticalModel, DerivedCellModel, PaperCellModel};
-pub use crosstalk::{CrossbarCrosstalk, IsolatedCell};
+pub use crosstalk::CrossbarCrosstalk;
 pub use elements::{MrTuning, PathElement};
 pub use laser::Laser;
 pub use link::{ModePenalty, WdmMdmLink};

@@ -72,14 +72,13 @@ pub use lorentz::{photon_energy_ev, ComplexIndex, LorentzModel, Oscillator};
 pub use materials::{
     reference_wavelength, PcmKind, PcmMaterial, Phase, Silicon, SiliconDioxide, ThermalProperties,
 };
-pub use mixing::{effective_index, fraction_for_kappa, lorentz_lorenz_mix};
+pub use mixing::{effective_index, lorentz_lorenz_mix};
 pub use program::{
-    fig6_case_studies, GenerateTableError, LevelSpec, ProgramMode, ProgramTable, ResetSpec,
-    CRYSTALLINE_GUARD, LEVEL_TRANSMITTANCE_FLOOR,
+    GenerateTableError, LevelSpec, ProgramMode, ProgramTable, ResetSpec, CRYSTALLINE_GUARD,
+    LEVEL_TRANSMITTANCE_FLOOR,
 };
 pub use spectra::{
-    c_band_end, c_band_start, c_band_wavelengths, cell_spectrum, material_spectra,
-    CellSpectrumPoint, MaterialSpectrumPoint,
+    c_band_end, c_band_start, c_band_wavelengths, material_spectra, MaterialSpectrumPoint,
 };
 pub use thermal::{
     CellState, CellThermalModel, PulseOutcome, PulseSpec, ThermalParams, TraceSample,

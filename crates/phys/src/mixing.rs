@@ -71,33 +71,6 @@ pub fn effective_index(material: &PcmMaterial, p: f64, lambda: Length) -> Comple
     ComplexIndex::from_permittivity(lorentz_lorenz_mix(eps_a, eps_c, p))
 }
 
-/// Finds the crystalline fraction whose effective extinction coefficient
-/// equals `kappa_target` at `lambda`, by bisection.
-///
-/// Returns `None` if the target lies outside the achievable
-/// `[κ(p=0), κ(p=1)]` range.
-pub fn fraction_for_kappa(
-    material: &PcmMaterial,
-    kappa_target: f64,
-    lambda: Length,
-) -> Option<f64> {
-    let k0 = effective_index(material, 0.0, lambda).kappa;
-    let k1 = effective_index(material, 1.0, lambda).kappa;
-    if kappa_target < k0 || kappa_target > k1 {
-        return None;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if effective_index(material, mid, lambda).kappa < kappa_target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(0.5 * (lo + hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,25 +117,6 @@ mod tests {
         let mid = effective_index(&m, 0.5, lambda);
         let linear = 0.5 * (a.n + c.n);
         assert!((mid.n - linear).abs() > 0.01, "expected nonlinearity");
-    }
-
-    #[test]
-    fn fraction_for_kappa_inverts() {
-        let lambda = reference_wavelength();
-        let m = gst();
-        for p_true in [0.1, 0.35, 0.6, 0.85] {
-            let k = effective_index(&m, p_true, lambda).kappa;
-            let p = fraction_for_kappa(&m, k, lambda).expect("in range");
-            assert!((p - p_true).abs() < 1e-9, "p={p} vs {p_true}");
-        }
-    }
-
-    #[test]
-    fn fraction_for_kappa_rejects_out_of_range() {
-        let lambda = reference_wavelength();
-        let m = gst();
-        assert!(fraction_for_kappa(&m, 5.0, lambda).is_none());
-        assert!(fraction_for_kappa(&m, -0.1, lambda).is_none());
     }
 
     #[test]

@@ -495,16 +495,6 @@ impl ProgramTable {
     }
 }
 
-/// Convenience: generate the paper's two Fig. 6 case studies for the COMET
-/// GST cell at 4 bits/cell.
-pub fn fig6_case_studies(
-    model: &CellThermalModel,
-) -> Result<(ProgramTable, ProgramTable), GenerateTableError> {
-    let case1 = ProgramTable::generate(model, ProgramMode::CrystallineReset, 4)?;
-    let case2 = ProgramTable::generate(model, ProgramMode::AmorphousReset, 4)?;
-    Ok((case1, case2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

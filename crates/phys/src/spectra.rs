@@ -3,9 +3,10 @@
 //! Fig. 3 plots n and κ of the three PCM candidates over the optical C-band
 //! (1530–1565 nm); Section III.B quotes the wavelength dependence of the
 //! cell loss (0.073 → 0.067 dB/mm) and a ≤1.4 % transmission-contrast
-//! variation. These helpers produce those series.
+//! variation. These helpers produce the wavelength grid and the material
+//! series; the cell's loss and contrast at each wavelength come from
+//! [`CellOpticalModel`](crate::CellOpticalModel).
 
-use crate::cell_optics::CellOpticalModel;
 use crate::lorentz::ComplexIndex;
 use crate::materials::{PcmKind, Phase};
 use comet_units::Length;
@@ -79,32 +80,10 @@ pub fn material_spectra(samples: usize) -> Vec<MaterialSpectrumPoint> {
     out
 }
 
-/// One sample of the cell wavelength-dependence sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CellSpectrumPoint {
-    /// Wavelength.
-    pub wavelength: Length,
-    /// Amorphous-cell loss, dB/mm.
-    pub amorphous_loss_db_per_mm: f64,
-    /// Transmission contrast between pure phases at this wavelength.
-    pub transmission_contrast: f64,
-}
-
-/// Sweeps the cell loss and contrast across the C-band (Section III.B text).
-pub fn cell_spectrum(model: &CellOpticalModel, samples: usize) -> Vec<CellSpectrumPoint> {
-    c_band_wavelengths(samples)
-        .into_iter()
-        .map(|lambda| CellSpectrumPoint {
-            wavelength: lambda,
-            amorphous_loss_db_per_mm: model.amorphous_loss_per_mm(lambda).value(),
-            transmission_contrast: model.transmission_contrast(lambda),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell_optics::CellOpticalModel;
 
     #[test]
     fn grid_is_even_and_inclusive() {
@@ -132,13 +111,13 @@ mod tests {
     fn cell_loss_falls_across_band() {
         // Paper: 0.073 dB/mm at 1530 nm -> 0.067 dB/mm at 1565 nm.
         let model = CellOpticalModel::comet_gst();
-        let sweep = cell_spectrum(&model, 8);
-        assert!(
-            sweep.first().unwrap().amorphous_loss_db_per_mm
-                > sweep.last().unwrap().amorphous_loss_db_per_mm
-        );
-        for p in &sweep {
-            assert!((0.05..=0.09).contains(&p.amorphous_loss_db_per_mm));
+        let loss: Vec<f64> = c_band_wavelengths(8)
+            .into_iter()
+            .map(|lambda| model.amorphous_loss_per_mm(lambda).value())
+            .collect();
+        assert!(loss.first().unwrap() > loss.last().unwrap());
+        for l in &loss {
+            assert!((0.05..=0.09).contains(l));
         }
     }
 
@@ -146,15 +125,12 @@ mod tests {
     fn contrast_variation_within_paper_bound() {
         // Paper: max wavelength-dependent contrast variation 1.4%.
         let model = CellOpticalModel::comet_gst();
-        let sweep = cell_spectrum(&model, 8);
-        let max = sweep
-            .iter()
-            .map(|p| p.transmission_contrast)
-            .fold(0.0, f64::max);
-        let min = sweep
-            .iter()
-            .map(|p| p.transmission_contrast)
-            .fold(f64::INFINITY, f64::min);
+        let contrast: Vec<f64> = c_band_wavelengths(8)
+            .into_iter()
+            .map(|lambda| model.transmission_contrast(lambda))
+            .collect();
+        let max = contrast.iter().copied().fold(0.0, f64::max);
+        let min = contrast.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(max - min < 0.02, "contrast varies by {}", max - min);
     }
 

@@ -140,12 +140,6 @@ impl CellGeometry {
         self
     }
 
-    /// Returns a copy with a different PCM patch length.
-    pub fn with_length(mut self, length: Length) -> Self {
-        self.length = length;
-        self
-    }
-
     /// The modal confinement factor Γ in the PCM film.
     ///
     /// Saturating-exponential fit in thickness (evanescent + partial-core
