@@ -11,6 +11,7 @@
 
 use crate::report::{CampaignReport, CellReport, TenantSummary};
 use crate::spec::{CampaignSpec, WorkloadSource};
+use crate::spec_json::check_byte_totals_fit;
 use memsim::run_simulation;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -43,7 +44,16 @@ pub fn default_threads() -> usize {
 /// assert_eq!(report.cells.len(), 4);
 /// assert_eq!(report.cells[0].stats.completed, 200);
 /// ```
+///
+/// # Panics
+///
+/// Before any cell runs, if a cell requests more bytes than its report
+/// can count in bits, with the error [`crate::spec_from_json`] returns
+/// for the same spec.
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignReport {
+    if let Err(e) = check_byte_totals_fit(spec) {
+        panic!("{e}");
+    }
     let n = spec.cells();
     let workers = threads.max(1).min(n.max(1));
     let next = AtomicUsize::new(0);
@@ -99,7 +109,10 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignReport {
 /// within half a line of the target bytes instead of silently truncating
 /// to an empty cell.
 fn rescale_requests(requests: usize, from: u64, to: u64) -> usize {
-    ((requests as u64 * from + to / 2) / to).max(1) as usize
+    let bytes = (requests as u64)
+        .checked_mul(from)
+        .expect("run_campaign bounds every budget's bytes");
+    ((bytes + to / 2) / to).max(1) as usize
 }
 
 /// Resizes a profile to a device-native cache line (see
@@ -301,6 +314,22 @@ mod tests {
         cfg.name = "EPCM-128".into();
         cfg.topology.line_bytes = 128;
         cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "spec schema error: workload 'huge': 4 requests of \
+                               576460752303423488 bytes total 2305843009213693952 bytes")]
+    fn a_code_built_byte_total_past_a_u64_bit_count_panics_before_running() {
+        // 4 × 2^59 B is 2^64 bits: the parser rejects this spec, and a spec
+        // built in code must not wrap the bit count either.
+        let WorkloadSource::Profile(mut huge) = small_profile("huge") else {
+            unreachable!("small_profile builds a profile")
+        };
+        (huge.requests, huge.line_bytes) = (4, 1 << 59);
+        let mut spec = small_spec();
+        spec.normalize_lines = false;
+        spec.workloads = vec![WorkloadSource::Profile(huge)];
+        run_campaign(&spec, 1);
     }
 
     #[test]

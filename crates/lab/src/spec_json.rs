@@ -568,9 +568,15 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 /// times 8, must fit in a `u64`. Replay requests `requests × line_bytes` of
 /// its workload; serve requests the sum over tenants of `requests ×
 /// line_bytes`, each line from the tenant's own profile or else from the
-/// cell's workload. Line normalization rescales a budget to about the same
-/// bytes, so the bound holds with it too.
-fn check_byte_totals_fit(spec: &CampaignSpec) -> Result<(), SpecError> {
+/// cell's workload. Totals are exact in `u128`: a product of a `usize` and a
+/// `u64` fits, and a sum stops at the first term past the bound. Line
+/// normalization rescales a budget to the same bytes give or take half a
+/// device line, so the bound holds with it too, short of a budget within
+/// half a line of it (whose bit count then panics rather than wraps).
+/// [`spec_from_json`] returns the error, and
+/// [`crate::run_campaign`] panics with it before any cell runs, so a spec
+/// built in code meets the same bound.
+pub(crate) fn check_byte_totals_fit(spec: &CampaignSpec) -> Result<(), SpecError> {
     const MAX_BYTES: u128 = (u64::MAX / 8) as u128;
     let too_many = |owner: String, total: u128| -> Result<(), SpecError> {
         Err(schema(format!(

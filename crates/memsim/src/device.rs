@@ -63,12 +63,15 @@ pub struct AccessTiming {
 /// [`MemoryDevice::bank_available`] and [`MemoryDevice::row_hit`] are
 /// *probes*: the scheduler asks them about candidates it may never issue,
 /// in any order and any number of times. A probe changes no state (no
-/// energy, no row closure, no bookkeeping), and the answers for a bank
-/// (a `(channel, bank)` pair) change only through an `access` to that
-/// bank. [`BankQueues`](crate::BankQueues) relies on both halves: it
-/// caches each bank's choice and re-probes a bank only after its own
-/// issue. (`bank_available` keeps its `&mut self` receiver so that
-/// wrappers may count or time calls; the model itself must not change.)
+/// energy, no row closure, no bookkeeping), the answers for a bank (a
+/// `(channel, bank)` pair) change only through an `access` to that bank,
+/// and a bank is never available before the time it is asked about:
+/// `bank_available(loc, at) >= at`. [`BankQueues`](crate::BankQueues)
+/// relies on all three: it caches each bank's choice, re-probes a bank
+/// only after its own issue, and skips unprobed any window entry whose
+/// floor (the time it is asked about) already rules it out.
+/// (`bank_available` keeps its `&mut self` receiver so that wrappers may
+/// count or time calls; the model itself must not change.)
 ///
 /// The `Send` supertrait lets sharded runners (the `comet-lab` campaign
 /// subsystem) move boxed devices onto worker threads; device models are
@@ -80,9 +83,10 @@ pub trait MemoryDevice: Send {
     /// The device shape.
     fn topology(&self) -> Topology;
 
-    /// Earliest time the bank could accept an access issued at `at`
-    /// (accounts for refresh windows and similar blackouts). The default
-    /// is no additional constraint. A probe: see the probe contract above.
+    /// Earliest time the bank could accept an access issued at `at`, never
+    /// before `at` (accounts for refresh windows and similar blackouts).
+    /// The default is no additional constraint. A probe: see the probe
+    /// contract above.
     fn bank_available(&mut self, _loc: &DecodedAddress, at: Time) -> Time {
         at
     }

@@ -15,6 +15,15 @@
 //!   [`MemoryDevice`] probe contract change only through an `access` to
 //!   that bank — i.e. again its own issue.
 //!
+//! Recomputing a bank's FR-FCFS choice probes only the window entries
+//! that can still win. By the probe contract an entry cannot issue before
+//! its floor, the later of the bank's free time and the entry's ready
+//! time; an entry whose floor is past the best time found so far, or at
+//! it behind a row-buffer hit, is skipped unprobed, and one at it behind a
+//! miss is asked `row_hit` before `bank_available`. In saturation, where
+//! a bank's entries share one floor, that leaves about one
+//! `bank_available` per issue instead of one per window entry.
+//!
 //! The cached choices sit at the leaves of a tournament tree whose inner
 //! nodes hold the winning bank of their subtree, so re-probing a bank
 //! replays only the `log2(banks)` matches on its path and the earliest
@@ -228,26 +237,57 @@ impl<T: Pending> BankQueues<T> {
     /// Computes `bank`'s choice by probing `device`: the FCFS head, or
     /// the FR-FCFS window entry that can issue earliest — a row-buffer
     /// hit beats a miss at equal times, then queue order decides.
+    ///
+    /// An entry's *floor* is `free.max(entry.ready())`, and by the probe
+    /// contract (`bank_available(loc, at) >= at`) it cannot issue before
+    /// its floor. So against the best `(t, hit)` found so far, an entry
+    /// whose floor is past `t`, or at `t` behind a chosen hit, cannot win
+    /// and is skipped unprobed; one whose floor is at `t` behind a chosen
+    /// miss wins only as a hit available exactly at `t`, so its cheaper
+    /// `row_hit` probe goes first. The pick is the full scan's.
     fn choose(&self, bank: usize, device: &mut dyn MemoryDevice) -> Option<(Time, usize)> {
         let free = self.free[bank];
-        let mut best: Option<(Time, usize, bool)> = None;
-        for (pos, entry) in self.queues[bank].iter().take(self.window).enumerate() {
-            let ready = device.bank_available(entry.loc(), free.max(entry.ready()));
-            if !self.first_ready {
-                return Some((ready, pos));
+        let mut window = self.queues[bank].iter().take(self.window).enumerate();
+        let (_, first) = window.next()?;
+        let ready = available(device, first.loc(), free.max(first.ready()));
+        if !self.first_ready {
+            return Some((ready, 0));
+        }
+        let (mut t, mut chosen, mut hit) = (ready, 0, device.row_hit(first.loc()));
+        for (pos, entry) in window {
+            let floor = free.max(entry.ready());
+            if floor > t || (floor == t && hit) {
+                continue;
             }
+            if floor == t {
+                if device.row_hit(entry.loc()) && available(device, entry.loc(), floor) == t {
+                    (chosen, hit) = (pos, true);
+                }
+                continue;
+            }
+            let ready = available(device, entry.loc(), floor);
             // Only an earlier entry, or a hit tying with a chosen miss,
             // can replace the choice; skip the row-buffer probe otherwise.
-            let contends = best.map_or(true, |(t, _, hit)| ready < t || (ready == t && !hit));
-            if contends {
-                let hit = device.row_hit(entry.loc());
-                if best.map_or(true, |(t, _, _)| ready < t || hit) {
-                    best = Some((ready, pos, hit));
+            if ready < t || (ready == t && !hit) {
+                let entry_hit = device.row_hit(entry.loc());
+                if ready < t || entry_hit {
+                    (t, chosen, hit) = (ready, pos, entry_hit);
                 }
             }
         }
-        best.map(|(ready, pos, _)| (ready, pos))
+        Some((t, chosen))
     }
+}
+
+/// When `device` can serve `loc` asked at `floor`: never before it, by the
+/// probe contract [`BankQueues::choose`]'s pruning stands on.
+fn available(device: &mut dyn MemoryDevice, loc: &DecodedAddress, floor: Time) -> Time {
+    let ready = device.bank_available(loc, floor);
+    debug_assert!(
+        ready >= floor,
+        "bank_available answered {ready} when asked at {floor}"
+    );
+    ready
 }
 
 #[cfg(test)]

@@ -747,12 +747,44 @@ proptest! {
     }
 
     #[test]
+    fn bank_available_never_answers_before_the_time_asked(
+        family in 0u8..5,
+        seed in any::<u64>(),
+    ) {
+        // The probe contract's floor, `bank_available(loc, at) >= at`,
+        // which lets the scheduler skip window entries unprobed: asked
+        // before, inside and past busy periods, refresh windows and
+        // programming, no device answers earlier than it was asked.
+        let mut device = device_family(family);
+        let topo = device.topology();
+        let mut rng = SplitMix(seed);
+        let hot = 1 + rng.below(topo.total_banks().min(4));
+        let mut now = 0u64;
+        for id in 0..60 {
+            for _ in 0..4 {
+                let probe = random_entry(&mut rng, id, topo, hot);
+                let at = Time::from_nanos(rng.below(now + 100_000) as f64);
+                let answer = device.bank_available(&probe.loc, at);
+                prop_assert!(answer >= at, "asked at {at}, available at {answer}");
+            }
+            let target = random_entry(&mut rng, id, topo, hot);
+            now += rng.below(3_000);
+            let issue = device.bank_available(&target.loc, Time::from_nanos(now as f64));
+            device.access(&target.loc, target.op, issue);
+        }
+    }
+
+    #[test]
     fn cached_choice_matches_brute_force_scan(
         family in 0u8..5,
         window in 0usize..17,
+        saturated in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // Window 0 stands for FCFS.
+        // Window 0 stands for FCFS. A saturated run queues every entry at
+        // t = 0 behind banks that start free together, so all of a bank's
+        // entries share one floor (replay-sat's case, where the pruned
+        // choice settles ties by row hits alone).
         let scheduler = match window {
             0 => Scheduler::Fcfs,
             window => Scheduler::FrFcfs { window },
@@ -763,13 +795,19 @@ proptest! {
         let hot = 1 + rng.below(topo.total_banks().min(6));
         let mut queues = BankQueues::new(topo, scheduler);
         let mut shadow = vec![VecDeque::new(); topo.total_banks() as usize];
-        let mut free: Vec<Time> = (0..shadow.len()).map(|_| rng.time(5_000)).collect();
+        let start = rng.time(5_000);
+        let mut free: Vec<Time> = (0..shadow.len())
+            .map(|_| if saturated { start } else { rng.time(5_000) })
+            .collect();
         for (bank, &at) in free.iter().enumerate() {
             queues.set_bank_free(bank, at);
         }
         let mut ids = 0..;
         let mut push = |rng: &mut SplitMix, queues: &mut BankQueues<Entry>, shadow: &mut Vec<VecDeque<Entry>>| {
-            let e = random_entry(rng, ids.next().expect("unbounded"), topo, hot);
+            let mut e = random_entry(rng, ids.next().expect("unbounded"), topo, hot);
+            if saturated {
+                e.ready = Time::ZERO;
+            }
             queues.push(e);
             shadow[queues.bank_of(&e.loc)].push_back(e);
         };

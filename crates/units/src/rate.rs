@@ -127,8 +127,16 @@ impl ByteCount {
     }
 
     /// The equivalent bit count.
+    ///
+    /// # Panics
+    ///
+    /// If the bit count does not fit in a `u64` (more than `u64::MAX / 8`
+    /// bytes), in every build profile.
     pub const fn to_bits(self) -> BitCount {
-        BitCount(self.0 * 8)
+        match self.0.checked_mul(8) {
+            Some(bits) => BitCount(bits),
+            None => panic!("the bit count of more than u64::MAX / 8 bytes overflows a u64"),
+        }
     }
 
     /// Expresses the count in mebibytes.

@@ -12,7 +12,8 @@
 # <work-dir>/src (default: a fresh temporary directory) and measures it
 # there, so two points from one host can be taken back to back.
 #
-# It builds perfbench and runs it three times at seed 1, each run lasting
+# It builds perfbench (the step it shares with bench_pair.sh, in
+# bench_common.sh) and runs it three times at seed 1, each run lasting
 # BENCHMARK.json's `run_seconds`:
 #   * `--trace 1` once (each pass times every workload through the
 #     per-layer wrappers, so one run covers replay-sat and serve-mixed);
@@ -30,34 +31,14 @@ if [[ $# -gt 2 ]]; then
     exit 2
 fi
 root=$(git rev-parse --show-toplevel)
+source "$root/scripts/bench_common.sh"
 seed=1
-seconds=$(sed -n 's/^ *"run_seconds": *\([0-9][0-9]*\).*/\1/p' "$root/BENCHMARK.json")
-if [[ -z $seconds ]]; then
-    echo "$0: no run_seconds in $root/BENCHMARK.json" >&2
-    exit 1
-fi
+seconds=$(bench_seconds "$root")
 
-if [[ $# -ge 1 ]]; then
-    rev=$(git -C "$root" rev-parse --short "$1")
-    work=${2:-$(mktemp -d)}
-    mkdir -p "$work/src"
-    work=$(cd "$work" && pwd)
-    git -C "$root" archive "$rev" | tar -x -C "$work/src"
-    tree=$work/src
-else
-    rev=$(git -C "$root" rev-parse --short HEAD)
-    diff=$(git -C "$root" diff HEAD -- . ':(exclude)*.md' ':(exclude)BENCH_*.json')
-    if [[ -n $diff ]]; then
-        rev=$rev-dirty-$(git hash-object --stdin <<<"$diff" | cut -c1-7)
-    fi
-    tree=$root
-fi
+bench_checkout "$root" "$@"
 target=${BENCH_TARGET_DIR:-$tree/.bench_build}
 out=$root/BENCH_$rev.json
-
-(cd "$tree" && CARGO_TARGET_DIR="$target" cargo build --release --offline --quiet \
-    --manifest-path perfbench/Cargo.toml)
-perfbench=$target/release/perfbench
+perfbench=$(bench_build "$tree" "$target")
 
 # Runs perfbench in the measured tree; its stdout goes to <log>.
 run() { # <log> <workload> <trace>
