@@ -151,6 +151,10 @@ impl MemoryDevice for CountingDevice {
         self.inner.access_line(loc, op, issue, data)
     }
 
+    fn reads_payloads(&self) -> bool {
+        self.inner.reads_payloads()
+    }
+
     fn row_hit(&self, loc: &DecodedAddress) -> bool {
         Counts::bump(&self.counts.row_hit);
         self.inner.row_hit(loc)
@@ -235,6 +239,10 @@ impl RequestSource for CountingSource {
         Counts::bump(&self.counts[2]);
         self.inner.on_complete(finished);
     }
+
+    fn skip_payloads(&mut self) {
+        self.inner.skip_payloads();
+    }
 }
 
 const SEED: u64 = 1;
@@ -295,8 +303,16 @@ const REPLAY: [(&str, &str, [u64; 3], u64); 8] = [
 /// with sparse-update payloads beside an 8-client closed loop with uniform
 /// payloads, write batching on. Per device: the device's
 /// `[bank_available, row_hit, access]`, each tenant's
-/// `[poll, take, on_complete]`, then the run's heap allocations (boxed
-/// payloads and, on EPCM, line-store chunks).
+/// `[poll, take, on_complete]`, then the run's heap allocations (on EPCM
+/// boxed payloads, the payload histories and line-store chunks).
+///
+/// COMET ignores payloads (`MemoryDevice::reads_payloads` is `false`), so
+/// its tenants generate none: its allocations fell from 798 to 424, the
+/// count of a payload-less run
+/// ([`comet_serve_allocates_nothing_for_payloads`]). EPCM-DCW-FNW's went
+/// from 1644 to 1652: the payload histories keep their lines in a slab
+/// that grows by doubling beside a map of slot indices, where one map
+/// held the lines before.
 ///
 /// The mux caches each tenant's poll until that tenant is taken from or
 /// completes, so a tenant is polled once at the start and at most once
@@ -313,13 +329,13 @@ const SERVE: [(&str, [u64; 3], [TenantCalls; 2], u64); 2] = [
         "COMET",
         [2030, 2041, 1999],
         [[2000, 1000, 1000], [2001, 1000, 1000]],
-        798,
+        424,
     ),
     (
         "EPCM-DCW-FNW",
         [5660, 16165, 3999],
         [[4000, 2000, 2000], [4001, 2000, 2000]],
-        1644,
+        1652,
     ),
 ];
 
@@ -374,67 +390,87 @@ fn replay_sat_work_counts_are_pinned() {
     );
 }
 
+/// One `serve-mixed` run on `device`, its tenants' stores carrying
+/// payloads or not: the device's work counts, each tenant's calls and the
+/// run's heap allocations.
+fn serve_mixed(device: &str, payloads: bool) -> ([u64; 3], [TenantCalls; 2], u64) {
+    let factory = CountingFactory::new(device);
+    let line = factory.device_topology().line_bytes;
+    let open = profile("gcc-like", 2000, line);
+    let closed = profile("mcf-like", 2000, line);
+    let mut spec = ServeSpec {
+        tenants: vec![
+            TenantSpec::open(
+                "poisson-sparse",
+                ArrivalProcess::poisson(20.0e6),
+                open.requests,
+            )
+            .with_profile(open),
+            TenantSpec::closed(
+                "closed8-uniform",
+                8,
+                Time::from_nanos(25.0),
+                closed.requests,
+            )
+            .with_profile(closed.clone()),
+        ],
+        scheduler: Scheduler::FrFcfs { window: 8 },
+        shards: 1,
+        batch: Some(BatchConfig::new(Time::from_nanos(100.0), 8)),
+    };
+    if payloads {
+        spec.tenants[0].payload = Some(PayloadSpec::SparseUpdate {
+            flip_fraction: 0.05,
+        });
+        spec.tenants[1].payload = Some(PayloadSpec::Uniform);
+    }
+    // The sources `run_service` would build, each wrapped to count.
+    let counts: Vec<Arc<SourceCounts>> = spec.tenants.iter().map(|_| Arc::default()).collect();
+    let sources = spec
+        .tenants
+        .iter()
+        .zip(&counts)
+        .enumerate()
+        .map(|(i, (t, counts))| {
+            Box::new(CountingSource {
+                inner: t.instantiate(&closed, SEED, i),
+                counts: counts.clone(),
+            }) as Box<dyn RequestSource>
+        })
+        .collect();
+    let (report, allocations) =
+        count_allocations(|| run_service_with_sources(&factory, sources, &spec, "serve-mixed"));
+    assert_eq!(
+        report.stats.completed,
+        spec.total_requests() as u64,
+        "{device}"
+    );
+    let calls =
+        |c: &SourceCounts| -> TenantCalls { std::array::from_fn(|i| c[i].load(Ordering::Relaxed)) };
+    let tenants = [calls(&counts[0]), calls(&counts[1])];
+    (factory.counts.snapshot(), tenants, allocations)
+}
+
 #[test]
 fn serve_mixed_work_counts_are_pinned() {
-    let mut measured = Vec::new();
-    for (device, _, _, _) in SERVE {
-        let factory = CountingFactory::new(device);
-        let line = factory.device_topology().line_bytes;
-        let open = profile("gcc-like", 2000, line);
-        let closed = profile("mcf-like", 2000, line);
-        let spec = ServeSpec {
-            tenants: vec![
-                TenantSpec::open(
-                    "poisson-sparse",
-                    ArrivalProcess::poisson(20.0e6),
-                    open.requests,
-                )
-                .with_profile(open)
-                .with_payload(PayloadSpec::SparseUpdate {
-                    flip_fraction: 0.05,
-                }),
-                TenantSpec::closed(
-                    "closed8-uniform",
-                    8,
-                    Time::from_nanos(25.0),
-                    closed.requests,
-                )
-                .with_profile(closed.clone())
-                .with_payload(PayloadSpec::Uniform),
-            ],
-            scheduler: Scheduler::FrFcfs { window: 8 },
-            shards: 1,
-            batch: Some(BatchConfig::new(Time::from_nanos(100.0), 8)),
-        };
-        // The sources `run_service` would build, each wrapped to count.
-        let tenants: Vec<Arc<SourceCounts>> = spec.tenants.iter().map(|_| Arc::default()).collect();
-        let sources = spec
-            .tenants
-            .iter()
-            .zip(&tenants)
-            .enumerate()
-            .map(|(i, (t, counts))| {
-                Box::new(CountingSource {
-                    inner: t.instantiate(&closed, SEED, i),
-                    counts: counts.clone(),
-                }) as Box<dyn RequestSource>
-            })
-            .collect();
-        let (report, allocations) =
-            count_allocations(|| run_service_with_sources(&factory, sources, &spec, "serve-mixed"));
-        assert_eq!(
-            report.stats.completed,
-            spec.total_requests() as u64,
-            "{device}"
-        );
-        let calls = |c: &SourceCounts| c.each_ref().map(|n| n.load(Ordering::Relaxed));
-        let tenants = [calls(&tenants[0]), calls(&tenants[1])];
-        measured.push((device, factory.counts.snapshot(), tenants, allocations));
-    }
+    let measured: Vec<_> = SERVE
+        .iter()
+        .map(|&(device, _, _, _)| {
+            let (counts, tenants, allocations) = serve_mixed(device, true);
+            (device, counts, tenants, allocations)
+        })
+        .collect();
     assert_eq!(
         measured,
         SERVE.to_vec(),
         "[bank_available, row_hit, access], per tenant [poll, take, on_complete], \
          then allocations"
     );
+}
+
+#[test]
+fn comet_serve_allocates_nothing_for_payloads() {
+    // COMET ignores payloads, so its tenants generate none: the run is the
+    // payload-less run, allocation for allocation.
+    assert_eq!(serve_mixed("COMET", true), serve_mixed("COMET", false));
 }

@@ -465,6 +465,10 @@ impl MemoryDevice for CometDevice {
         self.latched(self.slot_of(loc))
     }
 
+    fn reads_payloads(&self) -> bool {
+        false
+    }
+
     fn background_power(&self) -> Power {
         // Under dynamic management the manager accounts the whole stack
         // itself (drained at the end of the run).

@@ -19,8 +19,7 @@
 use crate::arch::CosmosConfig;
 use crate::power::CosmosPowerModel;
 use comet_units::{Power, Time};
-use memsim::{AccessTiming, DecodedAddress, DeviceFactory, MemOp, MemoryDevice, Topology};
-use std::collections::HashMap;
+use memsim::{AccessTiming, DecodedAddress, DeviceFactory, MemOp, MemoryDevice, MixMap, Topology};
 
 /// The COSMOS timing/energy device.
 ///
@@ -41,7 +40,9 @@ pub struct CosmosDevice {
     /// Latched PCM-switch subarray-row per bank.
     current_subrow: Vec<Option<u64>>,
     /// Lazily restoring rows: (bank, row) -> restore completion time.
-    restore_busy: HashMap<(u64, u64), Time>,
+    /// Never iterated, so the cheap deterministic hasher cannot reorder
+    /// any output.
+    restore_busy: MixMap<(u64, u64), Time>,
 }
 
 impl CosmosDevice {
@@ -58,7 +59,7 @@ impl CosmosDevice {
             config,
             background,
             current_subrow: vec![None; banks],
-            restore_busy: HashMap::new(),
+            restore_busy: MixMap::default(),
         }
     }
 
@@ -173,6 +174,10 @@ impl MemoryDevice for CosmosDevice {
 
     fn row_hit(&self, loc: &DecodedAddress) -> bool {
         self.current_subrow[loc.channel as usize] == Some(self.subarray_row_of(loc))
+    }
+
+    fn reads_payloads(&self) -> bool {
+        false
     }
 
     fn background_power(&self) -> Power {

@@ -13,8 +13,9 @@
 //! the final partial chunk is zero-padded on encode and the pad is
 //! discarded on decode.
 //!
-//! Encoding is on the write pricer's hot path, so it runs as one shift
-//! register over the bytes (no per-bit indexing), and
+//! Encoding is on the write pricer's hot path, so it never indexes single
+//! bits: when `bits` divides 8 each byte is cut into its whole cells,
+//! otherwise one shift register runs over the bytes; and
 //! [`LineCodec::encode_into`] writes straight into a caller's buffer —
 //! the pricer encodes into the very image the device stores.
 
@@ -31,6 +32,17 @@ fn ungray(mut g: u8) -> u8 {
         v ^= g;
     }
     v
+}
+
+/// The levels of `data` for `B`-bit cells, `B` dividing 8: each byte
+/// yields `8 / B` Gray-coded levels, most significant chunk first.
+fn encode_whole<const B: usize>(data: &[u8], out: &mut [u8]) {
+    let mask = (1u8 << B) - 1;
+    for (&byte, cells) in data.iter().zip(out.chunks_exact_mut(8 / B)) {
+        for (k, cell) in cells.iter_mut().enumerate() {
+            *cell = gray((byte >> (8 - B * (k + 1))) & mask);
+        }
+    }
 }
 
 /// Packs line bytes into MLC levels and back.
@@ -96,13 +108,21 @@ impl LineCodec {
     /// Writes the levels of `data` into `out`, which holds exactly
     /// [`LineCodec::cells_for`]`(data.len())` cells.
     ///
-    /// One shift register, MSB-first: `bits` bytes hold exactly eight
+    /// When `bits` divides 8 (1, 2 or 4), every byte holds `8 / bits`
+    /// whole cells and is cut directly ([`encode_whole`]). Otherwise one
+    /// shift register runs MSB-first: `bits` bytes hold exactly eight
     /// `bits`-wide chunks, so each group of `bits` bytes is appended to
     /// the register and emits eight levels; a short final group is
     /// zero-padded and emits only the cells its bits reach.
     pub(crate) fn encode_to(&self, data: &[u8], out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.cells_for(data.len()));
         let b = self.bits as usize;
+        match b {
+            1 => return encode_whole::<1>(data, out),
+            2 => return encode_whole::<2>(data, out),
+            4 => return encode_whole::<4>(data, out),
+            _ => {}
+        }
         let mask = (1u64 << b) - 1;
         for (group, cells) in data.chunks(b).zip(out.chunks_mut(8)) {
             let mut register = 0u64;

@@ -29,6 +29,7 @@ use dota::TransformerWorkload;
 use memsim::{LineData, MemOp, MemRequest, MixMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// A declarative, serializable payload source.
@@ -101,7 +102,7 @@ impl PayloadSpec {
         PayloadGen {
             spec: *self,
             rng: StdRng::seed_from_u64(seed ^ 0xDA7A_0DA7_A0DA_7A0D),
-            last: MixMap::default(),
+            last: History::default(),
         }
     }
 }
@@ -136,6 +137,34 @@ fn f16_bits(x: f32) -> u16 {
     sign | (((exp + 15) as u16) << 10) | (mantissa >> 13) as u16
 }
 
+/// The last line written at each address: a slab of lines and a map from
+/// each address to its line's slot. A store probes the map once and
+/// copies only its own line into the slot; the map's 16-byte entries are
+/// all a rehash moves.
+#[derive(Debug, Clone, Default)]
+struct History {
+    slots: MixMap<u64, u32>,
+    lines: Vec<LineData>,
+}
+
+impl History {
+    /// The slot of `address`'s line, for the caller to overwrite with the
+    /// line it writes now, and whether it holds an earlier line (`false`
+    /// on the first store to `address`).
+    fn slot(&mut self, address: u64) -> (&mut LineData, bool) {
+        let (slot, seen) = match self.slots.entry(address) {
+            Entry::Occupied(e) => (*e.get() as usize, true),
+            Entry::Vacant(e) => {
+                let slot = self.lines.len();
+                e.insert(u32::try_from(slot).expect("fewer than 2^32 written lines"));
+                self.lines.push(LineData::zeroes(0));
+                (slot, false)
+            }
+        };
+        (&mut self.lines[slot], seen)
+    }
+}
+
 /// A deterministic per-seed payload stream.
 ///
 /// Stateful sources ([`PayloadSpec::SparseUpdate`],
@@ -144,12 +173,12 @@ fn f16_bits(x: f32) -> u16 {
 /// intends; the memory is bounded by the workload footprint's line count.
 ///
 /// Each line is generated in place in the returned [`LineData`]; nothing
-/// is allocated per line.
+/// is allocated per line once its address has a history slot.
 #[derive(Debug, Clone)]
 pub struct PayloadGen {
     spec: PayloadSpec,
     rng: StdRng,
-    last: MixMap<u64, LineData>,
+    last: History,
 }
 
 impl PayloadGen {
@@ -173,15 +202,15 @@ impl PayloadGen {
         let mut line = LineData::zeroes(len);
         match self.spec {
             PayloadSpec::Zero => {}
-            PayloadSpec::Uniform => self.fill_uniform(line.bytes_mut()),
+            PayloadSpec::Uniform => fill_uniform(&mut self.rng, line.bytes_mut()),
             PayloadSpec::SparseUpdate { flip_fraction } => {
-                match self.last.get(&address) {
+                let (last, seen) = self.last.slot(address);
+                if seen {
                     // The last line, cut or zero-padded to this width.
-                    Some(prev) => {
-                        let kept = prev.len().min(len);
-                        line.bytes_mut()[..kept].copy_from_slice(&prev.bytes()[..kept]);
-                    }
-                    None => self.fill_uniform(line.bytes_mut()),
+                    let kept = last.len().min(len);
+                    line.bytes_mut()[..kept].copy_from_slice(&last.bytes()[..kept]);
+                } else {
+                    fill_uniform(&mut self.rng, line.bytes_mut());
                 }
                 let bytes = line.bytes_mut();
                 let touches = ((len as f64 * flip_fraction).ceil() as usize).clamp(1, len);
@@ -189,18 +218,18 @@ impl PayloadGen {
                     let i = self.rng.gen_range(0..len as u64) as usize;
                     bytes[i] = self.rng.gen_range(0u16..256) as u8;
                 }
-                self.last.insert(address, line);
+                *last = line;
             }
             PayloadSpec::ToggleWords => {
-                match self.last.get(&address) {
-                    Some(prev) => {
-                        for (b, &p) in line.bytes_mut().iter_mut().zip(prev.bytes()) {
-                            *b = !p;
-                        }
+                let (last, seen) = self.last.slot(address);
+                if seen {
+                    for (b, &p) in line.bytes_mut().iter_mut().zip(last.bytes()) {
+                        *b = !p;
                     }
-                    None => self.fill_uniform(line.bytes_mut()),
+                } else {
+                    fill_uniform(&mut self.rng, line.bytes_mut());
                 }
-                self.last.insert(address, line);
+                *last = line;
             }
             PayloadSpec::TransformerWeights { std } => {
                 // Odd line widths leave the last byte zero.
@@ -214,13 +243,6 @@ impl PayloadGen {
             }
         }
         line
-    }
-
-    /// Fills `bytes` with uniform random bytes, one draw each, in order.
-    fn fill_uniform(&mut self, bytes: &mut [u8]) {
-        for b in bytes {
-            *b = self.rng.gen_range(0u16..256) as u8;
-        }
     }
 
     /// Attaches payloads to every write of a trace, each in its own box
@@ -256,10 +278,95 @@ pub fn attach_payloads(trace: &mut [MemRequest], spec: PayloadSpec, seed: u64) {
     spec.instantiate(seed).attach(trace);
 }
 
+/// Fills `bytes` with uniform random bytes, one draw each, in order.
+fn fill_uniform(rng: &mut StdRng, bytes: &mut [u8]) {
+    for b in bytes {
+        *b = rng.gen_range(0u16..256) as u8;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use comet_units::ByteCount;
+    use proptest::prelude::*;
+
+    /// The stateful sources as first written, kept as the reference for
+    /// [`History`]: the last line per address in a map of whole lines,
+    /// read with `get` and replaced with `insert` on every store.
+    struct ReferenceGen {
+        spec: PayloadSpec,
+        rng: StdRng,
+        last: MixMap<u64, LineData>,
+    }
+
+    impl ReferenceGen {
+        fn new(spec: PayloadSpec, seed: u64) -> Self {
+            ReferenceGen {
+                spec,
+                rng: StdRng::seed_from_u64(seed ^ 0xDA7A_0DA7_A0DA_7A0D),
+                last: MixMap::default(),
+            }
+        }
+
+        fn next_line(&mut self, address: u64, line_bytes: u64) -> LineData {
+            let len = line_bytes as usize;
+            let mut line = LineData::zeroes(len);
+            match self.spec {
+                PayloadSpec::SparseUpdate { flip_fraction } => {
+                    match self.last.get(&address) {
+                        Some(prev) => {
+                            let kept = prev.len().min(len);
+                            line.bytes_mut()[..kept].copy_from_slice(&prev.bytes()[..kept]);
+                        }
+                        None => fill_uniform(&mut self.rng, line.bytes_mut()),
+                    }
+                    let bytes = line.bytes_mut();
+                    let touches = ((len as f64 * flip_fraction).ceil() as usize).clamp(1, len);
+                    for _ in 0..touches {
+                        let i = self.rng.gen_range(0..len as u64) as usize;
+                        bytes[i] = self.rng.gen_range(0u16..256) as u8;
+                    }
+                    self.last.insert(address, line);
+                }
+                PayloadSpec::ToggleWords => {
+                    match self.last.get(&address) {
+                        Some(prev) => {
+                            for (b, &p) in line.bytes_mut().iter_mut().zip(prev.bytes()) {
+                                *b = !p;
+                            }
+                        }
+                        None => fill_uniform(&mut self.rng, line.bytes_mut()),
+                    }
+                    self.last.insert(address, line);
+                }
+                other => unreachable!("{other} keeps no history"),
+            }
+            line
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn history_slab_matches_the_line_map(
+            seed in any::<u64>(),
+            flip_fraction in 0.01f64..1.0,
+            // Few addresses, so lines are revisited; every store picks its
+            // own width, so a revisit cuts or zero-pads the last line.
+            stores in proptest::collection::vec((0u64..12, 1u64..=128), 1..200),
+        ) {
+            for spec in [PayloadSpec::SparseUpdate { flip_fraction }, PayloadSpec::ToggleWords] {
+                let mut slab = spec.instantiate(seed);
+                let mut reference = ReferenceGen::new(spec, seed);
+                for &(line, width) in &stores {
+                    let address = line * 128;
+                    let got = slab.next_line(address, width);
+                    let want = reference.next_line(address, width);
+                    prop_assert_eq!(got.bytes(), want.bytes(), "{}", spec);
+                }
+            }
+        }
+    }
 
     /// The bytes a spec would stream for `n` lines of `line_bytes` at
     /// synthetic increasing addresses.

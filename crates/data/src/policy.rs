@@ -31,10 +31,15 @@
 //! stack buffer and the codec encodes the new ones straight into the
 //! image (exactly one level per cell plus one flip byte per word), every
 //! cell's price is an index into the [`TransitionCostModel`]'s
-//! precomputed matrix, and each word takes one pass that sums the keep
-//! and toggle options side by side — in cell order, flip cell last, so
-//! every energy sum is bit-equal to pricing the two options one after
-//! the other with [`TransitionCostModel::transition`]. A chosen flip
+//! precomputed matrix. Each word takes at most two passes: the first
+//! prices keeping the flip state and only counts the cells toggling would
+//! program; the second sums the toggle's energy only if that count can
+//! win (no more programmed cells than keeping), since otherwise the
+//! toggle is never chosen. Each option sums in cell order, flip cell
+//! last, and only over the cells it programs: a conserved cell's price
+//! is zero, and adding zero to a non-negative sum changes no bit. So every
+//! energy sum is bit-equal to pricing the two options one after the
+//! other with [`TransitionCostModel::transition`]. A chosen flip
 //! complements the word's levels in place. The allocating
 //! [`WritePricer::price_write`] is a wrapper over the same kernel.
 //!
@@ -194,12 +199,13 @@ struct Tally {
 }
 
 impl Tally {
-    /// Adds one cell's price; `programs` is false for a conserved cell,
-    /// whose zero price leaves the (non-negative) sums bit-equal.
-    fn add(&mut self, programs: bool, p: Price) {
+    /// Adds one programmed cell's price. A conserved cell is never added:
+    /// its price is zero, and adding zero to the (non-negative) sums
+    /// leaves them bit-equal, so skipping it changes no bit.
+    fn add(&mut self, p: Price) {
         let pulse = p.latency.as_seconds();
         debug_assert!(pulse.is_finite() && pulse.is_sign_positive());
-        self.cells += u64::from(programs);
+        self.cells += 1;
         self.energy += p.energy;
         self.slowest = self.slowest.max(pulse.to_bits());
     }
@@ -236,7 +242,7 @@ impl WritePricer for DataWriteModel {
             let table = self.costs.oblivious_table();
             let mut total = Tally::default();
             for &l in &levels[..cells] {
-                total.add(true, table[l as usize]);
+                total.add(table[l as usize]);
             }
             return WriteCost {
                 energy: total.energy,
@@ -282,22 +288,20 @@ impl WritePricer for DataWriteModel {
             .zip(flips.iter_mut())
         {
             let old_flip = *flip_cell != 0;
+            // The level each cell takes under the word's current flip
+            // state; toggling the flip stores its complement instead.
+            let same_level = |t: u8| if old_flip { flip_level(t, mask) } else { t };
 
-            // Keep and toggle side by side, cell by cell, then the flip
-            // cell: the order pricing each option alone would sum in.
+            // Pass 1 prices keeping the flip state (the DCW write) and only
+            // counts the cells toggling would program, flip cell included.
             let mut keep = Tally::default();
-            let mut toggle = Tally::default();
+            let mut toggle_cells = u64::from(fnw);
             for (&o, &t) in old.iter().zip(target.iter()) {
-                let (same, other) = if old_flip {
-                    (flip_level(t, mask), t)
-                } else {
-                    (t, flip_level(t, mask))
-                };
-                let row = o as usize * n;
-                keep.add(o != same, table[row + same as usize]);
-                if fnw {
-                    toggle.add(o != other, table[row + other as usize]);
+                let same = same_level(t);
+                if o != same {
+                    keep.add(table[o as usize * n + same as usize]);
                 }
+                toggle_cells += u64::from(fnw && o != flip_level(same, mask));
             }
 
             // Toggle only on a Pareto win with margin: no more programmed
@@ -314,11 +318,26 @@ impl WritePricer for DataWriteModel {
             // regret structurally — see the module docs — which is why the
             // swept ordering is asserted as a pinned-seed regression gate,
             // not claimed as a theorem.)
-            let toggled = fnw && {
-                toggle.add(true, if old_flip { flip_off } else { flip_on });
-                toggle.cells <= keep.cells && toggle.energy + flip_margin <= keep.energy
-            };
-            let chosen = if toggled { toggle } else { keep };
+            //
+            // Toggling can win only if it programs no more cells, so pass 2
+            // sums its energy only then, cell by cell and then the flip
+            // cell: the order pricing the option alone would sum in.
+            let toggle = (fnw && toggle_cells <= keep.cells)
+                .then(|| {
+                    let mut toggle = Tally::default();
+                    for (&o, &t) in old.iter().zip(target.iter()) {
+                        let other = flip_level(same_level(t), mask);
+                        if o != other {
+                            toggle.add(table[o as usize * n + other as usize]);
+                        }
+                    }
+                    toggle.add(if old_flip { flip_off } else { flip_on });
+                    debug_assert_eq!(toggle.cells, toggle_cells);
+                    toggle
+                })
+                .filter(|toggle| toggle.energy + flip_margin <= keep.energy);
+            let toggled = toggle.is_some();
+            let chosen = toggle.unwrap_or(keep);
             written += chosen.cells;
             energy += chosen.energy;
             pulse = pulse.max(chosen.latency());

@@ -23,7 +23,10 @@
 //!
 //! Devices that do not override
 //! [`MemoryDevice::access_line`](crate::MemoryDevice::access_line) ignore
-//! payloads entirely, so the flat-cost baseline stays the default.
+//! payloads entirely, so the flat-cost baseline stays the default; they
+//! say so through
+//! [`MemoryDevice::reads_payloads`](crate::MemoryDevice::reads_payloads),
+//! and the serve engine then generates no payloads for them.
 
 use comet_units::{Energy, Time};
 use std::fmt;

@@ -112,6 +112,19 @@ pub trait MemoryDevice: Send {
         self.access(loc, op, issue)
     }
 
+    /// Whether a payload passed to [`MemoryDevice::access_line`] can change
+    /// anything the device reports. A device that answers `false` must
+    /// time and price every access exactly as it would with `data: None`,
+    /// so the serve engine stops generating payloads for it.
+    ///
+    /// The default is `true`: always safe, since payloads are then
+    /// generated and passed as before. It is also the right answer for a
+    /// wrapper that forwards `access_line` without forwarding this method.
+    /// Devices that keep `access_line`'s default override it to `false`.
+    fn reads_payloads(&self) -> bool {
+        true
+    }
+
     /// Whether an access to `loc` would hit the row buffer the bank's last
     /// access left open — used by FR-FCFS scheduling. Devices without row
     /// buffers return `false`. A probe: see the probe contract above.

@@ -379,6 +379,10 @@ impl MemoryDevice for DramDevice {
         self.drain_refresh_energy()
     }
 
+    fn reads_payloads(&self) -> bool {
+        false
+    }
+
     fn background_power(&self) -> Power {
         self.config.energy.background
     }

@@ -374,6 +374,10 @@ impl MemoryDevice for EpcmDevice {
         self.write_timing(issue, cost.latency, cost.energy)
     }
 
+    fn reads_payloads(&self) -> bool {
+        self.data.is_some()
+    }
+
     fn background_power(&self) -> Power {
         self.config.background
     }

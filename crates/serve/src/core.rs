@@ -266,6 +266,7 @@ pub fn run_service_with_sources(
     let shard0 = factory.build();
     let topo = shard0.topology();
     let background = shard0.background_power();
+    let reads_payloads = shard0.reads_payloads();
     let mut ctl = Controller::new(shard0.as_ref(), spec.scheduler, workload_label);
 
     let shard_count = spec.shards.clamp(1, topo.channels as usize);
@@ -277,6 +278,11 @@ pub fn run_service_with_sources(
         .collect();
 
     let mut mux = TenantMux::new(sources);
+    if !reads_payloads {
+        // Nothing the device reports depends on a store's bytes, so none
+        // are generated (every shard is built from one factory).
+        mux.skip_payloads();
+    }
     let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
     let mut channels: Vec<ChannelStats> = (0..topo.channels).map(ChannelStats::new).collect();
     let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();

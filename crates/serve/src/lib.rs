@@ -13,7 +13,9 @@
 //!   a multi-tenant [`TenantMux`] with per-tenant accounting; tenants
 //!   optionally source *line payloads*
 //!   ([`TenantSpec::with_payload`], a `comet_data::PayloadSpec`) so
-//!   content-aware devices price every store from its actual bytes;
+//!   content-aware devices price every store from its actual bytes (a
+//!   device that ignores payloads gets none:
+//!   [`RequestSource::skip_payloads`]);
 //! * **A channel-sharded service core** ([`run_service`]) — an
 //!   event-driven driver over [`memsim::Controller`], the controller
 //!   trace replay uses too (address map, per-bank queues and

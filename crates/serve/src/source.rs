@@ -92,6 +92,16 @@ pub trait RequestSource: Send {
     /// (closed-loop sources schedule their next request from it; open-loop
     /// sources ignore it).
     fn on_complete(&mut self, finished: Time);
+
+    /// Tells the source that no payload it generates will be read: the
+    /// service core calls it once, before the first poll, when the device
+    /// ignores payloads ([`memsim::MemoryDevice::reads_payloads`]). From
+    /// then on the source may emit `payload: None` for its stores, but
+    /// everything else it emits (arrivals, operations, addresses, sizes)
+    /// must stay exactly as it would have been.
+    ///
+    /// The default keeps generating payloads, which is always correct.
+    fn skip_payloads(&mut self) {}
 }
 
 /// An open-loop source: arrivals from an [`ArrivalProcess`], oblivious to
@@ -161,6 +171,12 @@ impl RequestSource for OpenLoopSource {
     }
 
     fn on_complete(&mut self, _finished: Time) {}
+
+    /// Drops the payload generator: it draws from its own RNG, so the
+    /// arrivals and accesses stay the same.
+    fn skip_payloads(&mut self) {
+        self.payload = None;
+    }
 }
 
 /// Materializes the payload of one access: stores of payload-carrying
@@ -256,6 +272,12 @@ impl RequestSource for ClosedLoopSource {
     fn on_complete(&mut self, finished: Time) {
         self.ready
             .push(Reverse(OrdTime((finished + self.think).as_seconds())));
+    }
+
+    /// Drops the payload generator: it draws from its own RNG, so the
+    /// arrivals and accesses stay the same.
+    fn skip_payloads(&mut self) {
+        self.payload = None;
     }
 }
 
@@ -367,6 +389,14 @@ impl TenantMux {
     pub fn on_complete(&mut self, tenant: usize, finished: Time) {
         self.forget(tenant);
         self.tenants[tenant].on_complete(finished);
+    }
+
+    /// Tells every tenant that its payloads will not be read
+    /// ([`RequestSource::skip_payloads`]).
+    pub fn skip_payloads(&mut self) {
+        for tenant in &mut self.tenants {
+            tenant.skip_payloads();
+        }
     }
 
     /// Drops the cached polls `tenant`'s next call may change.

@@ -11,8 +11,10 @@
 # bench_snapshot.sh, in bench_common.sh). Then, for each workload
 # BENCHMARK.json lists, it runs BENCH_PAIRS (default 20) pairs of
 # `perfbench --child` instances, one cold process per side, pair i at
-# seed i. Pairs alternate which side runs first (base first, then
-# working tree first, ...), so the host's drift falls on both sides alike.
+# seed BENCH_FIRST_SEED + i - 1 (default 1: pair i at seed i), so a claim
+# can be checked again on seeds not used while the change was built.
+# Pairs alternate which side runs first (base first, then working tree
+# first, ...), so the host's drift falls on both sides alike.
 #
 # For run_s, setup_s and peak_rss_kib a pair's ratio is base / working
 # tree: above 1 the working tree is faster or smaller, and that pair is a
@@ -26,6 +28,13 @@
 # checks: otherwise the script exits 1 after writing the file. Set
 # BENCH_OUTPUT_CHANGES=1 for a change that moves outputs on purpose; the
 # file still records whether the fingerprints matched.
+#
+# With BENCH_TRACED=k (default 0: none) it also runs k traced passes per
+# side, `perfbench --trace 1` for one pass each, alternating which side
+# runs first (pass i at the seed of pair i), and writes under "traced" each per-layer
+# metric's median on both sides and their ratio, base / working tree
+# (above 1 the working tree's figure is lower). The traced passes'
+# fingerprints are checked like the pairs'.
 #
 # A null pair, `scripts/bench_pair.sh HEAD` on an unchanged tree,
 # measures the host's noise band: a change claims a gain only outside it.
@@ -41,6 +50,16 @@ source "$root/scripts/bench_common.sh"
 pairs=${BENCH_PAIRS:-20}
 if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
     echo "$0: BENCH_PAIRS must be a positive integer (got '$pairs')" >&2
+    exit 2
+fi
+first_seed=${BENCH_FIRST_SEED:-1}
+if ! [[ $first_seed =~ ^[1-9][0-9]*$ ]]; then
+    echo "$0: BENCH_FIRST_SEED must be a positive integer (got '$first_seed')" >&2
+    exit 2
+fi
+traced=${BENCH_TRACED:-0}
+if ! [[ $traced =~ ^(0|[1-9][0-9]*)$ ]]; then
+    echo "$0: BENCH_TRACED must be a non-negative integer (got '$traced')" >&2
     exit 2
 fi
 
@@ -73,6 +92,42 @@ child() {
     fi
 }
 
+# One traced pass: <side> <seed> appends its per-layer metrics to
+# <data>/<side>.traced, one "<metric> <value>" a line, and its
+# fingerprints to <data>/<side>.fingerprint.
+traced_pass() {
+    local side=$1 tree bin doc
+    if [[ $side == base ]]; then tree=$base_tree bin=$base_bin; else tree=$new_tree bin=$new_bin; fi
+    doc=$(cd "$tree" && "$bin" --workload replay-sat --seed "$2" --seconds 1 --trace 1)
+    grep '^fingerprint ' <<<"$doc" >>"$data/$side.fingerprint"
+    tail -n 1 <<<"$doc" | grep -o '"[^"]*": {"value": [^,}]*' |
+        sed 's/^"\([^"]*\)": {"value": /\1 /' >>"$data/$side.traced"
+    if ! tail -n 1 <<<"$doc" | grep -q '^{"correct": true'; then
+        echo "$side traced pass seed $2: checks failed" >&2
+        failed=1
+    fi
+}
+
+# "<metric> <median>" for each metric of <file>'s "<metric> <value>"
+# lines, in the order the metrics first appear.
+layer_medians() {
+    awk '
+        !($1 in n) { order[++m] = $1 }
+        { v[$1, ++n[$1]] = $2 + 0 }
+        END {
+            for (j = 1; j <= m; j++) {
+                k = order[j]; c = n[k]
+                for (a = 2; a <= c; a++) {
+                    x = v[k, a]
+                    for (b = a - 1; b >= 1 && v[k, b] > x; b--) v[k, b + 1] = v[k, b]
+                    v[k, b + 1] = x
+                }
+                med = c % 2 ? v[k, (c + 1) / 2] : (v[k, c / 2] + v[k, c / 2 + 1]) / 2
+                printf "%s %.6g\n", k, med
+            }
+        }' "$1"
+}
+
 # "median q1 q3 wins" of the numbers in <file>, one a line; quartiles
 # interpolate linearly between order statistics, a win is a value above 1.
 summary() {
@@ -98,12 +153,13 @@ sections=()
 for w in $workloads; do
     data=$(mktemp -d)
     for ((i = 1; i <= pairs; i++)); do
+        seed=$((first_seed + i - 1))
         if ((i % 2)); then
-            child base "$w" "$i"
-            child new "$w" "$i"
+            child base "$w" "$seed"
+            child new "$w" "$seed"
         else
-            child new "$w" "$i"
-            child base "$w" "$i"
+            child new "$w" "$seed"
+            child base "$w" "$seed"
         fi
     done
     same=true
@@ -131,11 +187,50 @@ for w in $workloads; do
     rm -rf "$data"
 done
 
+if ((traced > 0)); then
+    data=$(mktemp -d)
+    for ((i = 1; i <= traced; i++)); do
+        seed=$((first_seed + i - 1))
+        if ((i % 2)); then
+            traced_pass base "$seed"
+            traced_pass new "$seed"
+        else
+            traced_pass new "$seed"
+            traced_pass base "$seed"
+        fi
+    done
+    same=true
+    if ! cmp -s "$data/base.fingerprint" "$data/new.fingerprint"; then
+        same=false
+        if [[ ${BENCH_OUTPUT_CHANGES:-0} != 1 ]]; then
+            echo "traced passes: fingerprints differ between $base_rev and $new_rev:" >&2
+            diff "$data/base.fingerprint" "$data/new.fingerprint" >&2 || true
+            failed=1
+        fi
+    fi
+    echo "traced: $traced passes per side, fingerprints identical: $same (per-layer medians, base / new)"
+    layer_medians "$data/base.traced" >"$data/base.medians"
+    layer_medians "$data/new.traced" >"$data/new.medians"
+    # "<metric> <base> <new> <ratio>", the ratio "null" where new is 0.
+    awk 'NR == FNR { base[$1] = $2; next }
+        ($1 in base) {
+            ratio = $2 != 0 ? sprintf("%.6g", base[$1] / $2) : "null"
+            print $1, base[$1], $2, ratio
+        }' "$data/base.medians" "$data/new.medians" >"$data/layers"
+    awk '{ printf "  %-44s %12s %12s  ratio %s\n", $1, $2, $3, $4 }' "$data/layers"
+    section="  \"traced\": {\n    \"passes\": $traced,\n    \"fingerprints_identical\": $same,"
+    section+="\n    \"metrics\": {\n"
+    section+=$(awk '{ printf "%s      \"%s\": {\"base\": %s, \"new\": %s, \"ratio\": %s}",
+        (NR > 1 ? ",\\n" : ""), $1, $2, $3, $4 }' "$data/layers")
+    sections+=("$section\n    }\n  }")
+    rm -rf "$data"
+fi
+
 rustc=$(cd "$new_tree" && rustc --version)
 {
     printf '{\n  "rev": "%s",\n  "base": "%s",\n' "$new_rev" "$base_rev"
     printf '  "host": {"cores": %s, "rustc": "%s"},\n' "$(nproc)" "$rustc"
-    printf '  "pairs": %s,\n' "$pairs"
+    printf '  "pairs": %s,\n  "first_seed": %s,\n' "$pairs" "$first_seed"
     printf '  "ratio": "base / working tree per pair; above 1 the working tree is faster or smaller",\n'
     joined=$(printf '%s,\n' "${sections[@]}")
     printf '%b\n}\n' "${joined%,}"
