@@ -13,9 +13,7 @@
 //! later, COMET last.
 //!
 //! Pass `--requests N` (default 3000) for trace length per cell, `--seed
-//! S`, `--threads T` (report is thread-count invariant), `--shards K` to
-//! partition each simulation across channel backends (report is also
-//! shard-count invariant).
+//! S` and `--threads T` (report is thread-count invariant).
 //!
 //! The final block checks the queueing sanity condition the subsystem's
 //! acceptance rests on: per device, p99 latency is monotonically
@@ -51,7 +49,6 @@ fn main() -> ExitCode {
     let requests = parse_flag(&args, "--requests", 3000) as usize;
     let seed = parse_flag(&args, "--seed", 42);
     let threads = parse_flag(&args, "--threads", default_threads() as u64) as usize;
-    let shards = parse_flag(&args, "--shards", 1) as usize;
 
     header(
         "fig_latency_vs_load",
@@ -74,9 +71,6 @@ fn main() -> ExitCode {
         vec![WorkloadSource::Profile(workload)],
     );
     spec.engines = serve_load_axis(&rates, requests);
-    for engine in &mut spec.engines {
-        engine.serve.as_mut().expect("load axis is serve").shards = shards;
-    }
     let report = run_campaign(&spec, threads);
 
     let mut table = Table::new(vec![

@@ -121,7 +121,7 @@ mod tests {
             .map(String::from)
             .into();
         assert_eq!(try_parse_flag(&args, "--requests", 6000), Ok(2000));
-        assert_eq!(try_parse_flag(&args, "--shards", 1), Ok(1));
+        assert_eq!(try_parse_flag(&args, "--replicates", 1), Ok(1));
         assert_eq!(
             try_parse_flag(&args, "--seed", 42),
             Err("--seed: '2k' is not an unsigned integer".to_string())

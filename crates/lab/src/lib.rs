@@ -24,8 +24,8 @@
 //!
 //! Engine points cover two engines: trace replay (`memsim`) and the
 //! event-driven `comet-serve` service core ([`EnginePoint::serve`]), whose
-//! open/closed-loop scenarios make arrival rate, tenant mix, channel-shard
-//! count and write batching sweepable campaign axes (see
+//! open/closed-loop scenarios make arrival rate, tenant mix, client count
+//! and write batching sweepable campaign axes (see
 //! [`serve_load_axis`], [`serve_mix_axis`], [`serve_concurrency_axis`]).
 //!
 //! # Quick start

@@ -5,14 +5,12 @@
 //!           [--seed S] [--replicates R] [--engine paced|saturation|both]
 //!           [--threads T] [--name NAME] [--out DIR] [--list]
 //! comet-lab run SPEC.json [--threads T] [--out DIR] [--name NAME]
-//!           [--shards S]
 //! ```
 //!
 //! The `run` form loads a full campaign spec — including `comet-serve`
 //! service scenarios — from a JSON file (the format `spec_to_json`
-//! emits). `--shards` overrides the channel-shard count of every serve
-//! engine point; like `--threads` it is a simulation-infrastructure knob,
-//! so the report is byte-identical for any value (CI asserts this).
+//! emits). Like the other form, its report is byte-identical for any
+//! `--threads` value (CI asserts this).
 //!
 //! Both forms write `DIR/NAME.json` and `DIR/NAME.csv`, then re-parse the
 //! JSON and verify it reconstructs the in-memory report exactly (so a
@@ -100,12 +98,9 @@ const USAGE: &str =
     "usage: comet-lab [--devices A,B,..] [--workloads all|name,..] [--requests N]\n\
                  [--seed S] [--replicates R] [--engine paced|saturation|both]\n\
                  [--threads T] [--name NAME] [--out DIR] [--list]\n\
-       comet-lab run SPEC.json [--threads T] [--out DIR] [--name NAME] [--shards S]\n\
+       comet-lab run SPEC.json [--threads T] [--out DIR] [--name NAME]\n\
 \n\
   --list      print every registered device and workload name\n\
-  --shards S  (run form) override the channel-shard count of every serve\n\
-              engine point; like --threads it is simulation infrastructure,\n\
-              so the report is byte-identical for any value\n\
 \n\
   Data-plane axes: devices EPCM-oblivious | EPCM-DCW | EPCM-DCW-FNW sweep\n\
   the content-aware write policies (EPCM-MM stays the flat-cost baseline);\n\
@@ -119,7 +114,6 @@ struct RunArgs {
     threads: usize,
     out: String,
     name: Option<String>,
-    shards: Option<usize>,
 }
 
 fn parse_run_args(argv: &[String]) -> Result<RunArgs, String> {
@@ -133,7 +127,6 @@ fn parse_run_args(argv: &[String]) -> Result<RunArgs, String> {
         threads: default_threads(),
         out: "results".into(),
         name: None,
-        shards: None,
     };
     while let Some(flag) = it.next() {
         let mut value = |what: &str| {
@@ -149,13 +142,6 @@ fn parse_run_args(argv: &[String]) -> Result<RunArgs, String> {
             }
             "--out" => args.out = value("dir")?,
             "--name" => args.name = Some(value("name")?),
-            "--shards" => {
-                args.shards = Some(
-                    value("count")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                )
-            }
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -192,13 +178,6 @@ fn run_from_spec(argv: &[String]) -> ExitCode {
     };
     if let Some(name) = args.name {
         spec.name = name;
-    }
-    if let Some(shards) = args.shards {
-        for engine in &mut spec.engines {
-            if let Some(serve) = &mut engine.serve {
-                serve.shards = shards;
-            }
-        }
     }
     execute(spec, args.threads, &args.out)
 }

@@ -11,7 +11,7 @@
 
 use crate::report::{CampaignReport, CellReport, TenantSummary};
 use crate::spec::{CampaignSpec, WorkloadSource};
-use crate::spec_json::check_byte_totals_fit;
+use crate::spec_json::{check_byte_totals_fit, check_one_shard};
 use memsim::run_simulation;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -47,11 +47,11 @@ pub fn default_threads() -> usize {
 ///
 /// # Panics
 ///
-/// Before any cell runs, if a cell requests more bytes than its report
-/// can count in bits, with the error [`crate::spec_from_json`] returns
-/// for the same spec.
+/// Before any cell runs, if a serve engine point sets `shards` other than
+/// 1, or a cell requests more bytes than its report can count in bits,
+/// with the error [`crate::spec_from_json`] returns for the same spec.
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignReport {
-    if let Err(e) = check_byte_totals_fit(spec) {
+    if let Err(e) = check_one_shard(spec).and_then(|()| check_byte_totals_fit(spec)) {
         panic!("{e}");
     }
     let n = spec.cells();
@@ -442,6 +442,18 @@ mod tests {
         spec.normalize_lines = false;
         let raw = run_campaign(&spec, 1);
         assert_eq!(completed(&raw.cells[1]), [150, 100]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "serve engine 'serve': 'shards' is 2, but channel sharding was removed"
+    )]
+    fn a_code_built_shard_count_panics_before_running() {
+        let mut serve = comet_serve::ServeSpec::closed_loop(1, Time::ZERO, 10);
+        serve.shards = 2;
+        let mut spec = small_spec();
+        spec.engines = vec![EnginePoint::serve("serve", serve)];
+        run_campaign(&spec, 1);
     }
 
     #[test]

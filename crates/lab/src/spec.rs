@@ -71,7 +71,7 @@ impl WorkloadSource {
 /// One point on the engine-configuration axis: a trace-replay engine
 /// (scheduler × replay mode), or — when [`EnginePoint::serve`] is used —
 /// a `comet-serve` service scenario (tenant mix × arrival process ×
-/// sharding × batching) run through the event-driven core instead.
+/// batching) run through the event-driven core instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePoint {
     /// Report label (e.g. `"frfcfs8-paced"`).

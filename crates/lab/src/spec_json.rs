@@ -555,6 +555,7 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         workloads,
         engines,
     };
+    check_one_shard(&spec)?;
     check_byte_totals_fit(&spec)?;
     if spec.normalize_lines {
         check_footprints_hold_a_line(&spec)?;
@@ -562,6 +563,27 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         check_payload_lines_fit(&spec)?;
     }
     Ok(spec)
+}
+
+/// A serve run drives one device: channel sharding was removed, and
+/// `"shards"` stays in the schema only as the value 1. [`spec_from_json`]
+/// returns the error and [`crate::run_campaign`] panics with it before any
+/// cell runs.
+pub(crate) fn check_one_shard(spec: &CampaignSpec) -> Result<(), SpecError> {
+    for engine in &spec.engines {
+        match &engine.serve {
+            Some(serve) if serve.shards != 1 => {
+                return Err(schema(format!(
+                    "serve engine '{}': 'shards' is {}, but channel sharding was removed \
+                     and a serve run drives one device; it must be 1",
+                    engine.label, serve.shards
+                ))
+                .into())
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// A cell's report counts its bytes in bits, so the bytes a cell requests,
@@ -816,6 +838,7 @@ mod tests {
                 "\"rate_rps\": 0.5".into(),
                 "rate_rps",
             ),
+            ("\"shards\": 1", "\"shards\": 4".into(), "shards"),
             (poisson, bursty("1e300", "0.0"), "on_s"),
             (poisson, bursty("1e-7", "1e299"), "off_s"),
         ] {

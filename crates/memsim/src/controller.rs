@@ -43,7 +43,7 @@ use comet_units::{Energy, Power, Time};
 ///     let loc = ctl.decode(request.address);
 ///     ctl.push(Req(request, loc));
 /// }
-/// while let Some((issued, bank)) = ctl.next_issue(&mut [&mut dev]) {
+/// while let Some((issued, bank)) = ctl.next_issue(&mut dev) {
 ///     let Req(request, loc) = ctl.take(bank);
 ///     let (finished, _) = ctl.access(&mut dev, &loc, request.op, issued, None);
 ///     ctl.record(&CompletedRequest { request, issued, finished });
@@ -122,8 +122,8 @@ impl<T: Pending> Controller<T> {
     /// The request that can issue earliest, as `(issue time, bank)`, or
     /// `None` when nothing is queued (see [`BankQueues::earliest`]).
     #[inline]
-    pub fn next_issue(&mut self, devices: &mut [&mut dyn MemoryDevice]) -> Option<(Time, usize)> {
-        self.queues.earliest(devices)
+    pub fn next_issue(&mut self, device: &mut dyn MemoryDevice) -> Option<(Time, usize)> {
+        self.queues.earliest(device)
     }
 
     /// Removes and returns the request [`Controller::next_issue`] chose

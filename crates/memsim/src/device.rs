@@ -73,7 +73,7 @@ pub struct AccessTiming {
 /// (`bank_available` keeps its `&mut self` receiver so that wrappers may
 /// count or time calls; the model itself must not change.)
 ///
-/// The `Send` supertrait lets sharded runners (the `comet-lab` campaign
+/// The `Send` supertrait lets parallel runners (the `comet-lab` campaign
 /// subsystem) move boxed devices onto worker threads; device models are
 /// plain data, so the bound costs implementations nothing.
 pub trait MemoryDevice: Send {
@@ -151,7 +151,7 @@ pub trait MemoryDevice: Send {
 
 /// Constructs fresh, identically configured [`MemoryDevice`] instances.
 ///
-/// Parallel experiment runners need one device per shard (device models are
+/// Parallel experiment runners need one device per cell (device models are
 /// stateful), so experiments are described by *factories* rather than device
 /// instances. A factory is `Send + Sync`: one factory is shared by every
 /// worker thread and asked for a private device per simulation cell.

@@ -287,11 +287,6 @@ impl DramDevice {
             self.next_refresh[idx] += self.config.timings.t_refi;
         }
     }
-
-    /// Takes (and clears) refresh energy accumulated since the last call.
-    pub fn drain_refresh_energy(&mut self) -> Energy {
-        std::mem::replace(&mut self.refresh_energy, Energy::ZERO)
-    }
 }
 
 impl DeviceFactory for DramConfig {
@@ -376,7 +371,7 @@ impl MemoryDevice for DramDevice {
     }
 
     fn drain_accumulated_energy(&mut self) -> Energy {
-        self.drain_refresh_energy()
+        std::mem::replace(&mut self.refresh_energy, Energy::ZERO)
     }
 
     fn reads_payloads(&self) -> bool {
@@ -458,10 +453,13 @@ mod tests {
         // The access performs the refresh: it costs one refresh op and
         // closes the row the first access left open.
         let after = dev.access(&loc(0, 0), MemOp::Read, avail);
-        assert_eq!(dev.drain_refresh_energy(), dev.config().energy.refresh_op);
+        assert_eq!(
+            dev.drain_accumulated_energy(),
+            dev.config().energy.refresh_op
+        );
         assert_eq!(after.energy, row_open.energy, "the row was re-activated");
         // Drained: second call returns zero.
-        assert_eq!(dev.drain_refresh_energy(), Energy::ZERO);
+        assert_eq!(dev.drain_accumulated_energy(), Energy::ZERO);
     }
 
     #[test]
@@ -470,7 +468,7 @@ mod tests {
         let t_refi = dev.config().timings.t_refi;
         // Jump 10 intervals ahead: all missed refreshes charged.
         let _ = dev.access(&loc(0, 0), MemOp::Read, t_refi * 10.5);
-        let e = dev.drain_refresh_energy();
+        let e = dev.drain_accumulated_energy();
         let per_op = dev.config().energy.refresh_op;
         assert!((e.as_joules() / per_op.as_joules() - 10.0).abs() < 0.5);
     }

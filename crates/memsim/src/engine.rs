@@ -139,7 +139,7 @@ pub fn run_simulation(
         });
     }
 
-    while let Some((issued, bank)) = ctl.next_issue(&mut [&mut *device]) {
+    while let Some((issued, bank)) = ctl.next_issue(device) {
         let Queued { idx, arrival, loc } = ctl.take(bank);
         let req = &requests[idx];
         let (finished, _) = ctl.access(device, &loc, req.op, issued, req.payload.as_deref());

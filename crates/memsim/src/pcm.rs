@@ -121,8 +121,7 @@ fn erased_chunk(stride: usize) -> Box<[u8]> {
 /// those jumps fall.
 ///
 /// A line's bytes past its current image are zero, so a later, longer
-/// image reads them as erased. Each line lives in exactly one channel, so
-/// channel-sharded service runs stay byte-identical for any shard count.
+/// image reads them as erased.
 #[derive(Debug)]
 struct LineStore {
     /// Banks, rows and columns of the device: the radices of a line index.

@@ -264,7 +264,7 @@ fn reference_run(
     let mut bus_free = vec![Time::ZERO; topo.channels as usize];
     let mut stats = SimStats::new(device.name(), config.workload.clone());
     let mut latencies = Vec::new();
-    while let Some((issue, bank)) = queues.earliest(&mut [&mut *device]) {
+    while let Some((issue, bank)) = queues.earliest(&mut *device) {
         let RefQueued { idx, arrival, loc } = queues.take(bank);
         let req = &requests[idx];
         let timing = device.access_line(&loc, req.op, issue, req.payload.as_deref());
@@ -819,7 +819,7 @@ proptest! {
             if rng.below(4) == 0 {
                 push(&mut rng, &mut queues, &mut shadow);
             }
-            let cached = queues.earliest(&mut [device.as_mut()]);
+            let cached = queues.earliest(device.as_mut());
             let scanned = brute_force_scan(&shadow, &free, device.as_mut(), scheduler);
             prop_assert_eq!(cached, scanned.map(|(at, bank, _)| (at, bank)));
             let Some((at, bank, pos)) = scanned else { break };

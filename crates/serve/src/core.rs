@@ -1,10 +1,10 @@
-//! The event-driven, channel-sharded service core.
+//! The event-driven service core.
 //!
 //! Where `memsim::run_simulation` replays a pre-materialized trace,
 //! [`run_service`] runs a *service*: sources generate requests online
 //! (closed-loop ones react to completions), a write-coalescing batch stage
-//! sits in front of the per-bank command queues, and one logical device is
-//! partitioned across several backend instances by channel.
+//! sits in front of the per-bank command queues, and one device serves
+//! every channel.
 //!
 //! Both are drivers over one [`memsim::Controller`]: it decodes addresses,
 //! holds the per-bank queues and their FCFS / FR-FCFS choice (re-probing a
@@ -12,9 +12,9 @@
 //! sound because device probes are pure queries — the
 //! [`memsim::MemoryDevice`] probe contract), applies channel-bus
 //! contention, and keeps the aggregate [`memsim::SimStats`]. This core
-//! adds the sources, the mux, the batcher, the completion heap, tenant and
-//! channel accounting, and sharding. It records each request when it
-//! completes, in completion order.
+//! adds the sources, the mux, the batcher, the completion heap, and tenant
+//! and channel accounting. It records each request when it completes, in
+//! completion order.
 //!
 //! # In-flight records
 //!
@@ -32,30 +32,14 @@
 //! smallest; ties resolve in that fixed priority order. Every decision is a
 //! function of the spec, the seed and the event history, so a run is
 //! deterministic.
-//!
-//! # Channel sharding
-//!
-//! `shards` backend instances are built from the same factory and the
-//! logical device's channels are partitioned across them (`channel mod
-//! shards`). Each instance only ever sees accesses for the channels it
-//! owns. Because every provided [`memsim::MemoryDevice`] keeps its mutable
-//! state per `(channel, bank)` (open rows, refresh deadlines, subarray
-//! reservations), the partitioned instances evolve exactly as the
-//! corresponding slices of one monolithic instance would — so the report
-//! is **identical for any shard count**, which is what makes sharding a
-//! deployment knob rather than a model change. Background power is counted
-//! once (the instances are partitions of one device, not replicas);
-//! accumulated energy (e.g. DRAM refresh) is drained from every shard and
-//! summed, which never double-counts because each bank lives in exactly
-//! one shard.
 
 use crate::batch::{BatchConfig, WriteBatcher};
 use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
 use crate::stats::{ChannelStats, ServeReport, TenantStats};
-use comet_units::{ByteCount, Energy, Time};
+use comet_units::{ByteCount, Time};
 use memsim::{
     CompletedRequest, Controller, DecodedAddress, DeviceFactory, LineData, MemOp, MemRequest,
-    MemoryDevice, Pending, Scheduler, WorkloadProfile,
+    Pending, Scheduler, WorkloadProfile,
 };
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -158,9 +142,9 @@ impl InFlight {
     }
 }
 
-/// A declarative service scenario: tenant mix, scheduling, sharding and
-/// batching — everything a campaign engine point needs to run one cell
-/// through the service core.
+/// A declarative service scenario: tenant mix, scheduling and batching —
+/// everything a campaign engine point needs to run one cell through the
+/// service core.
 ///
 /// # Examples
 ///
@@ -180,8 +164,9 @@ pub struct ServeSpec {
     pub tenants: Vec<TenantSpec>,
     /// Command scheduling policy for the per-bank queues.
     pub scheduler: Scheduler,
-    /// Backend instances to partition the device's channels across
-    /// (clamped to `1..=channels`; the report is identical for any value).
+    /// Must be 1: a serve run drives one device, and channel sharding was
+    /// removed. Kept only because `perfbench` still sets it; [`run_service`]
+    /// panics on any other value.
     pub shards: usize,
     /// Write-coalescing batch stage; `None` sends writes straight to the
     /// queues.
@@ -217,12 +202,6 @@ impl ServeSpec {
         self
     }
 
-    /// Sets the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Enables the write-coalescing batch stage.
     pub fn with_batch(mut self, batch: BatchConfig) -> Self {
         self.batch = Some(batch);
@@ -235,7 +214,7 @@ impl ServeSpec {
     }
 }
 
-/// Runs the scenario against devices built from `factory`, shaping
+/// Runs the scenario against one device built from `factory`, shaping
 /// profile-less tenants with `fallback`, and labels the aggregate stats
 /// with `workload_label`.
 pub fn run_service(
@@ -263,24 +242,15 @@ pub fn run_service_with_sources(
     spec: &ServeSpec,
     workload_label: &str,
 ) -> ServeReport {
-    let shard0 = factory.build();
-    let topo = shard0.topology();
-    let background = shard0.background_power();
-    let reads_payloads = shard0.reads_payloads();
-    let mut ctl = Controller::new(shard0.as_ref(), spec.scheduler, workload_label);
-
-    let shard_count = spec.shards.clamp(1, topo.channels as usize);
-    let mut shards: Vec<Box<dyn MemoryDevice>> = vec![shard0];
-    shards.extend((1..shard_count).map(|_| factory.build()));
-    let mut devices: Vec<&mut dyn MemoryDevice> = shards
-        .iter_mut()
-        .map(|d| d.as_mut() as &mut dyn MemoryDevice)
-        .collect();
+    assert_eq!(spec.shards, 1, "a serve run drives one device");
+    let mut device = factory.build();
+    let topo = device.topology();
+    let mut ctl = Controller::new(device.as_ref(), spec.scheduler, workload_label);
 
     let mut mux = TenantMux::new(sources);
-    if !reads_payloads {
+    if !device.reads_payloads() {
         // Nothing the device reports depends on a store's bytes, so none
-        // are generated (every shard is built from one factory).
+        // are generated.
         mux.skip_payloads();
     }
     let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
@@ -303,7 +273,7 @@ pub fn run_service_with_sources(
             MuxPoll::Ready { at, .. } => Some(at),
             _ => None,
         };
-        let issue = ctl.next_issue(&mut devices);
+        let issue = ctl.next_issue(device.as_mut());
         let t_issue = issue.map(|(t, _)| t);
 
         // Pick the earliest candidate; iteration order is the tie-break
@@ -418,9 +388,8 @@ pub fn run_service_with_sources(
                 let (_, bank) = issue.expect("issue candidate present");
                 let q = ctl.take(bank);
                 let ch = q.loc.channel as usize;
-                let device = &mut *devices[ch % shard_count];
                 let (finished, occupancy) =
-                    ctl.access(device, &q.loc, q.op, now, q.payload.as_deref());
+                    ctl.access(device.as_mut(), &q.loc, q.op, now, q.payload.as_deref());
                 channels[ch].busy += occupancy;
                 completions.push(Reverse(Completion {
                     finished,
@@ -438,19 +407,8 @@ pub fn run_service_with_sources(
         .as_ref()
         .map_or(true, |b| b.is_empty() && b.held() == 0));
 
-    // Drained (refresh / managed) energy accrues in per-shard accumulators,
-    // and f64 addition is not associative — summing K partial sums can land
-    // one ULP away from the monolithic accumulator. Quantizing each shard's
-    // drain to integer femtojoules (~10⁻⁶ of a single DRAM refresh op, far
-    // below model fidelity) makes the total independent of how banks were
-    // partitioned, which the shard-invariance guarantee requires exactly.
-    let mut drained_fj: f64 = 0.0;
-    for shard in &mut devices {
-        drained_fj += (shard.drain_accumulated_energy().as_joules() * 1e15).round();
-    }
-    // The shard instances partition one device, so its background power
-    // burns once, not per shard.
-    let stats = ctl.finish(Energy::from_joules(drained_fj * 1e-15), background);
+    let drained = device.drain_accumulated_energy();
+    let stats = ctl.finish(drained, device.background_power());
 
     ServeReport {
         stats,
@@ -459,7 +417,6 @@ pub fn run_service_with_sources(
         max_depth,
         batched_writes,
         coalesced_writes: batcher.as_ref().map_or(0, WriteBatcher::coalesced),
-        shards: shard_count,
     }
 }
 
@@ -467,7 +424,7 @@ pub fn run_service_with_sources(
 mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
-    use memsim::{AccessPattern, DramConfig, EpcmConfig};
+    use memsim::{AccessPattern, EpcmConfig};
 
     fn profile(name: &str, read_fraction: f64) -> WorkloadProfile {
         WorkloadProfile {
@@ -602,30 +559,5 @@ mod tests {
         // All requests complete even though the window (10 us) is far
         // longer than the run would otherwise take — reads force flushes.
         assert_eq!(report.stats.completed, 100);
-    }
-
-    #[test]
-    fn shard_count_does_not_change_the_report() {
-        // A 4-channel DRAM variant exercises real partitioning.
-        let mut cfg = DramConfig::ddr3_1600_2d();
-        cfg.name = "DDR3-4ch".into();
-        cfg.topology.channels = 4;
-        let p = profile("shard-test", 0.7);
-        let mk = |shards: usize| {
-            let spec = ServeSpec::closed_loop(8, Time::from_nanos(10.0), 600).with_shards(shards);
-            run_service(&cfg, &spec, &p, 11, "shard-test")
-        };
-        let one = mk(1);
-        for shards in [2, 3, 4, 16] {
-            let sharded = mk(shards);
-            assert_eq!(sharded.stats, one.stats, "shards={shards}");
-            assert_eq!(sharded.tenants, one.tenants, "shards={shards}");
-            assert_eq!(sharded.channels, one.channels, "shards={shards}");
-            assert_eq!(sharded.shards, shards.min(4));
-        }
-        // Channel totals decompose the aggregate.
-        assert_eq!(one.channel_total(), one.stats.completed);
-        let bytes: u64 = one.channels.iter().map(|c| c.bytes.value()).sum();
-        assert_eq!(bytes, one.stats.bytes.value());
     }
 }

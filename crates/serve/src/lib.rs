@@ -16,15 +16,13 @@
 //!   content-aware devices price every store from its actual bytes (a
 //!   device that ignores payloads gets none:
 //!   [`RequestSource::skip_payloads`]);
-//! * **A channel-sharded service core** ([`run_service`]) — an
-//!   event-driven driver over [`memsim::Controller`], the controller
-//!   trace replay uses too (address map, per-bank queues and
-//!   [`memsim::Scheduler`], channel-bus contention, statistics). It adds
-//!   the completion heap, a write-coalescing batch stage
+//! * **A service core** ([`run_service`]) — an event-driven driver over
+//!   [`memsim::Controller`], the controller trace replay uses too
+//!   (address map, per-bank queues and [`memsim::Scheduler`], channel-bus
+//!   contention, statistics), in front of one [`memsim::MemoryDevice`].
+//!   It adds the completion heap and a write-coalescing batch stage
 //!   ([`BatchConfig`]) that merges same-row/same-line writes within a
-//!   window — exploiting PCM's read/write asymmetry — and the partition
-//!   of one logical device across channel-owned [`memsim::MemoryDevice`]
-//!   backends;
+//!   window — exploiting PCM's read/write asymmetry;
 //! * **Tail accounting** — the aggregate lands in the same
 //!   [`memsim::SimStats`] shape trace replay reports, with p50/p95/p99
 //!   from its [`memsim::LatencyHistogram`], so `comet-lab` campaigns

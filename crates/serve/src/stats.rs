@@ -85,11 +85,10 @@ impl TenantStats {
     }
 }
 
-/// Per-logical-channel accounting (sums over channels must equal the
-/// aggregate — the sharding soundness check).
+/// Per-channel accounting (sums over channels equal the aggregate).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelStats {
-    /// Logical channel index.
+    /// Channel index.
     pub channel: u64,
     /// Requests completed on the channel.
     pub completed: u64,
@@ -120,7 +119,7 @@ pub struct ServeReport {
     pub stats: SimStats,
     /// Per-tenant accounting, in tenant index order.
     pub tenants: Vec<TenantStats>,
-    /// Per-logical-channel accounting.
+    /// Per-channel accounting.
     pub channels: Vec<ChannelStats>,
     /// The most requests in the system (admitted, not yet completed) at
     /// any instant.
@@ -129,8 +128,6 @@ pub struct ServeReport {
     pub batched_writes: u64,
     /// Same-line writes coalesced away (completed by another access).
     pub coalesced_writes: u64,
-    /// Backend instances the simulation was partitioned across.
-    pub shards: usize,
 }
 
 impl ServeReport {

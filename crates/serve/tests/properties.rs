@@ -1,16 +1,16 @@
 //! Property-based tests for the traffic subsystem.
 //!
 //! Invariants: arrival processes are deterministic per seed and monotone
-//! in time; the multi-tenant mux preserves per-tenant ordering; one
-//! simulation partitioned across channel shards produces the identical
-//! report for any shard count, and per-channel stats decompose the
-//! aggregate exactly; closed loops bound in-flight depth by their client
+//! in time; the multi-tenant mux preserves per-tenant ordering;
+//! per-channel and per-tenant stats decompose the aggregate exactly, with
+//! and without payloads; closed loops bound in-flight depth by their client
 //! count; the batch stage never loses requests; a single tenant's tail
 //! percentiles are the cell's.
 
 use comet_data::{DataPolicy, DataWriteModel, PayloadSpec};
 use comet_serve::{
-    run_service, ArrivalProcess, BatchConfig, MuxPoll, ServeSpec, SourcePoll, TenantMux, TenantSpec,
+    run_service, ArrivalProcess, BatchConfig, MuxPoll, ServeReport, ServeSpec, SourcePoll,
+    TenantMux, TenantSpec,
 };
 use comet_units::{ByteCount, Time};
 use memsim::{
@@ -51,6 +51,17 @@ fn profile(name: &str, read_fraction: f64, pattern: AccessPattern) -> WorkloadPr
         requests: 0,
         line_bytes: 64,
     }
+}
+
+/// Per-channel completions and bytes, and per-tenant completions, each
+/// sum to the aggregate.
+fn prop_assert_sums(report: &ServeReport) -> Result<(), TestCaseError> {
+    prop_assert_eq!(report.channel_total(), report.stats.completed);
+    let bytes: u64 = report.channels.iter().map(|c| c.bytes.value()).sum();
+    prop_assert_eq!(bytes, report.stats.bytes.value());
+    let tenant_total: u64 = report.tenants.iter().map(|t| t.completed).sum();
+    prop_assert_eq!(tenant_total, report.stats.completed);
+    Ok(())
 }
 
 proptest! {
@@ -154,11 +165,10 @@ proptest! {
         prop_assert_eq!(seen, standalone, "per-tenant streams survive muxing");
     }
 
-    // --- channel sharding ----------------------------------------------------
+    // --- channel and tenant accounting ---------------------------------------
 
     #[test]
-    fn sharded_totals_equal_channel_sums_for_any_shard_count(
-        shards in 1usize..=8,
+    fn channel_and_tenant_sums_equal_the_aggregate(
         pattern in any_pattern(),
         read_fraction in 0.0f64..=1.0,
         clients in 1usize..=8,
@@ -166,36 +176,23 @@ proptest! {
         let mut cfg = DramConfig::ddr3_1600_2d();
         cfg.name = "DDR3-4ch".into();
         cfg.topology.channels = 4;
-        let p = profile("shard-prop", read_fraction, pattern);
-        let run = |shards: usize| {
-            let spec = ServeSpec::closed_loop(clients, Time::from_nanos(5.0), 160)
-                .with_shards(shards);
-            run_service(&cfg, &spec, &p, 97, "shard-prop")
-        };
-        let baseline = run(1);
-        let sharded = run(shards);
-        prop_assert_eq!(&sharded.stats, &baseline.stats, "shard invariance");
-        prop_assert_eq!(&sharded.channels, &baseline.channels);
-        // Per-channel stats decompose the aggregate exactly.
-        prop_assert_eq!(sharded.channel_total(), sharded.stats.completed);
-        let bytes: u64 = sharded.channels.iter().map(|c| c.bytes.value()).sum();
-        prop_assert_eq!(bytes, sharded.stats.bytes.value());
-        let tenant_total: u64 = sharded.tenants.iter().map(|t| t.completed).sum();
-        prop_assert_eq!(tenant_total, sharded.stats.completed);
+        let p = profile("sums-prop", read_fraction, pattern);
+        let spec = ServeSpec::closed_loop(clients, Time::from_nanos(5.0), 160).with_tenant(
+            TenantSpec::open("open", ArrivalProcess::poisson(1.0e8), 60),
+        );
+        let report = run_service(&cfg, &spec, &p, 97, "sums-prop");
+        prop_assert_eq!(report.stats.completed, 220);
+        prop_assert_eq!(report.channels.len(), 4);
+        prop_assert_sums(&report)?;
     }
 
-    // --- payload-carrying traffic --------------------------------------------
-
     #[test]
-    fn payload_enabled_runs_are_shard_invariant(
-        shards in 1usize..=8,
+    fn payload_enabled_channel_and_tenant_sums_equal_the_aggregate(
         payload_index in 0usize..5,
         read_fraction in 0.0f64..=0.9,
     ) {
-        // A 4-channel content-aware EPCM: each shard owns disjoint
-        // channels, each channel's line store sees exactly its own lines,
-        // so the report — including DCW-priced write energy — must be
-        // identical for any shard count.
+        // A 4-channel content-aware EPCM: every store is priced from its
+        // payload against the channel's line store.
         let payload = PayloadSpec::entropy_sweep()[payload_index];
         let factory = FnFactory::new("EPCM-4ch-DCW", || {
             let mut cfg = EpcmConfig::epcm_mm();
@@ -208,19 +205,12 @@ proptest! {
         });
         let mut p = profile("payload-prop", read_fraction, AccessPattern::Random);
         p.footprint = ByteCount::new(64 * 64); // revisit lines fast
-        let run = |shards: usize| {
-            let spec = ServeSpec::open_loop(ArrivalProcess::poisson(2.0e8), 200)
-                .with_shards(shards);
-            let mut spec = spec;
-            spec.tenants[0] = spec.tenants[0].clone().with_payload(payload);
-            run_service(&factory, &spec, &p, 31, "payload-prop")
-        };
-        let baseline = run(1);
-        let sharded = run(shards);
-        prop_assert_eq!(&sharded.stats, &baseline.stats, "{}", payload);
-        prop_assert_eq!(&sharded.tenants, &baseline.tenants);
-        prop_assert_eq!(&sharded.channels, &baseline.channels);
-        prop_assert!(baseline.stats.energy.access > comet_units::Energy::ZERO);
+        let mut spec = ServeSpec::open_loop(ArrivalProcess::poisson(2.0e8), 200);
+        spec.tenants[0] = spec.tenants[0].clone().with_payload(payload);
+        let report = run_service(&factory, &spec, &p, 31, "payload-prop");
+        prop_assert_eq!(report.stats.completed, 200);
+        prop_assert_sums(&report)?;
+        prop_assert!(report.stats.energy.access > comet_units::Energy::ZERO);
     }
 
     // --- closed loops and batching -------------------------------------------

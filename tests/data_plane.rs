@@ -1,5 +1,5 @@
 //! End-to-end data-plane scenarios: payloads generated at the serve
-//! layer, carried through the batch stage and the channel-sharded core,
+//! layer, carried through the batch stage and the service core,
 //! priced per cell transition by the content-aware EPCM device from the
 //! physics layer's programming table, and exported by campaigns.
 
@@ -74,45 +74,6 @@ fn write_energy_orders_policies_at_every_entropy_point() {
         assert_eq!(cell.tenants.len(), 1, "{}", cell.engine);
         assert_eq!(cell.tenants[0].name, "data");
         assert_eq!(cell.tenants[0].completed, cell.stats.completed);
-    }
-}
-
-/// Payload-enabled serve runs stay byte-identical across shard counts:
-/// the content-aware device keeps its line store per channel, every
-/// channel lives in exactly one shard, and payload generation happens at
-/// the source — before sharding exists.
-#[test]
-fn payload_enabled_serve_reports_are_shard_invariant() {
-    let factory = FnFactory::new("EPCM-4ch-FNW", || {
-        let mut cfg = EpcmConfig::epcm_mm();
-        cfg.name = "EPCM-4ch-FNW".into();
-        cfg.topology.channels = 4;
-        Box::new(EpcmDevice::with_pricer(
-            cfg,
-            Box::new(DataWriteModel::gst(4, DataPolicy::DcwFnw)),
-        ))
-    });
-    let mut profile = hot_write_profile(500);
-    profile.read_fraction = 0.3; // reads force row flushes through the batcher
-    let mk = |shards: usize| {
-        let mut spec = ServeSpec::open_loop(ArrivalProcess::poisson(1.0e8), 500)
-            .with_shards(shards)
-            .with_batch(BatchConfig::default());
-        spec.tenants[0] = spec.tenants[0]
-            .clone()
-            .with_payload(PayloadSpec::SparseUpdate {
-                flip_fraction: 0.05,
-            });
-        run_service(&factory, &spec, &profile, 17, "payload-shards")
-    };
-    let one = mk(1);
-    assert_eq!(one.stats.completed, 500);
-    assert!(one.batched_writes > 0);
-    for shards in [2usize, 4, 9] {
-        let sharded = mk(shards);
-        assert_eq!(sharded.stats, one.stats, "shards={shards}");
-        assert_eq!(sharded.tenants, one.tenants, "shards={shards}");
-        assert_eq!(sharded.channels, one.channels, "shards={shards}");
     }
 }
 

@@ -38,30 +38,6 @@ fn transformer_and_spec_tenants_share_comet() {
     assert_eq!(report.channel_total(), report.stats.completed);
 }
 
-/// One logical COMET simulation partitioned across backend shards is the
-/// same simulation: the report is identical for every shard count, and it
-/// survives the campaign JSON round trip.
-#[test]
-fn comet_service_is_shard_invariant_end_to_end() {
-    let profile = &spec_like_suite(500)[1]; // lbm-like (write-rich)
-    let mk = |shards| {
-        let spec = ServeSpec::closed_loop(8, Time::from_nanos(25.0), 500)
-            .with_shards(shards)
-            .with_batch(BatchConfig::default());
-        run_service(&CometConfig::comet_4b(), &spec, profile, 7, "lbm-closed")
-    };
-    let one = mk(1);
-    // COMET-4b exposes 4 channels (one per MDM mode): 2 and 4 shards are
-    // real partitions, 9 clamps to 4.
-    for shards in [2usize, 4, 9] {
-        let sharded = mk(shards);
-        assert_eq!(sharded.stats, one.stats, "shards={shards}");
-        assert_eq!(sharded.tenants, one.tenants, "shards={shards}");
-        assert_eq!(sharded.channels, one.channels, "shards={shards}");
-    }
-    assert!(one.batched_writes > 0);
-}
-
 /// The write-coalescing batch stage saves work on a write-heavy tenant
 /// without losing requests, on electronic and photonic devices alike.
 #[test]
