@@ -314,13 +314,19 @@ const REPLAY: [(&str, &str, [u64; 3], u64); 8] = [
 /// that grows by doubling beside a map of slot indices, where one map
 /// held the lines before. Both then fell by 2 (to 422 and 1650) when the
 /// core stopped building a `Vec` of devices and a `Vec` of their borrows
-/// for its one device.
+/// for its one device. Both fell again (to 416 and 1646) when the core
+/// began recording each request at issue: no slab of in-flight records
+/// grows any more, and each tenant's `SimStats` adds one device label.
 ///
 /// The mux caches each tenant's poll until that tenant is taken from or
 /// completes, so a tenant is polled once at the start and at most once
 /// after each take from it and each completion routed to it. Before that
 /// it was polled on every service event: the poll counts were 6358 and
-/// 6358 on COMET, 12518 and 12518 on EPCM-DCW-FNW.
+/// 6358 on COMET, 12518 and 12518 on EPCM-DCW-FNW. Since each request
+/// has its own completion event, a coalesced access completes its
+/// requests one event at a time, and the open-loop tenant is polled once
+/// more between two of them (2000 to 2001 on COMET, 4000 to 4001 on
+/// EPCM-DCW-FNW); polls are pure, so nothing else moves.
 ///
 /// The pruned FR-FCFS choice (see [`REPLAY`]) cut `bank_available` from
 /// 16165 to 5660 on EPCM-DCW-FNW, whose held writes share release times,
@@ -330,14 +336,14 @@ const SERVE: [(&str, [u64; 3], [TenantCalls; 2], u64); 2] = [
     (
         "COMET",
         [2030, 2041, 1999],
-        [[2000, 1000, 1000], [2001, 1000, 1000]],
-        422,
+        [[2001, 1000, 1000], [2001, 1000, 1000]],
+        416,
     ),
     (
         "EPCM-DCW-FNW",
         [5660, 16165, 3999],
-        [[4000, 2000, 2000], [4001, 2000, 2000]],
-        1650,
+        [[4001, 2000, 2000], [4001, 2000, 2000]],
+        1646,
     ),
 ];
 

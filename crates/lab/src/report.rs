@@ -9,15 +9,15 @@
 //! shortest-round-trip precision).
 
 use crate::json::{f64_field, field, schema, str_field, u64_field, Json, JsonError, SchemaError};
-use comet_serve::TenantStats;
 use comet_units::{ByteCount, Energy, Time};
 use memsim::{EnergyBreakdown, LatencyHistogram, SimStats};
 use std::fmt;
 
 /// Per-tenant results of one serve cell, in tenant index order — the
-/// exportable subset of [`comet_serve::TenantStats`] (plain scalars; the
-/// tail percentiles are read from the tenant's histogram at capture
-/// time, by the rule the cell's own percentiles follow).
+/// exportable subset of a tenant's [`SimStats`] in
+/// [`comet_serve::ServeReport::tenants`] (plain scalars; the name is the
+/// tenant stats' workload label, and the tail percentiles are the ones
+/// finalized from its histogram, by the rule the cell's own follow).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSummary {
     /// Tenant name.
@@ -45,18 +45,18 @@ pub struct TenantSummary {
 
 impl TenantSummary {
     /// Captures a serve run's tenant accounting.
-    pub fn from_stats(t: &TenantStats) -> Self {
+    pub fn from_stats(t: &SimStats) -> Self {
         TenantSummary {
-            name: t.name.clone(),
+            name: t.workload.clone(),
             completed: t.completed,
             reads: t.reads,
             writes: t.writes,
             bytes: t.bytes,
             total_latency: t.total_latency,
             max_latency: t.max_latency,
-            p50_latency: t.percentile(50.0),
-            p95_latency: t.percentile(95.0),
-            p99_latency: t.percentile(99.0),
+            p50_latency: t.p50_latency,
+            p95_latency: t.p95_latency,
+            p99_latency: t.p99_latency,
         }
     }
 

@@ -144,7 +144,7 @@ fn normalize_serve(
     serve
 }
 
-/// Runs one cell: private device(s), seeded trace or service scenario,
+/// Runs one cell: a private device, seeded trace or service scenario,
 /// sequential engine.
 fn run_cell(spec: &CampaignSpec, index: usize) -> CellReport {
     let c = spec.coords(index);

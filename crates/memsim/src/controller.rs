@@ -7,8 +7,9 @@
 //! ([`BankQueues`]), per-channel data-bus contention, the device's
 //! interface delay, and the statistics with their latency histogram. An
 //! engine decodes and pushes requests, asks for the next issue, performs
-//! it through [`Controller::access`], records each completion in its own
-//! order, and calls [`Controller::finish`] once.
+//! it through [`Controller::access`], records the request at once (its
+//! finish time is known at issue, so both engines record in issue order),
+//! and calls [`Controller::finish`] once.
 
 use crate::addr::{AddressMap, DecodedAddress, Interleave};
 use crate::data::LineData;
@@ -45,7 +46,7 @@ use comet_units::{Energy, Power, Time};
 /// }
 /// while let Some((issued, bank)) = ctl.next_issue(&mut dev) {
 ///     let Req(request, loc) = ctl.take(bank);
-///     let (finished, _) = ctl.access(&mut dev, &loc, request.op, issued, None);
+///     let finished = ctl.access(&mut dev, &loc, request.op, issued, None);
 ///     ctl.record(&CompletedRequest { request, issued, finished });
 /// }
 /// let refresh = dev.drain_accumulated_energy();
@@ -136,8 +137,8 @@ impl<T: Pending> Controller<T> {
     /// Performs an access to `loc` issued at `issue`: the device serves
     /// it, the data transfer waits for the channel's bus, the bank frees
     /// up when the device says so, and the access energy is counted.
-    /// Returns when the requester sees the data (transfer end plus the
-    /// interface delay) and the bus occupancy of the transfer.
+    /// Returns when the requester sees the data: transfer end plus the
+    /// interface delay.
     #[inline]
     pub fn access(
         &mut self,
@@ -146,7 +147,7 @@ impl<T: Pending> Controller<T> {
         op: MemOp,
         issue: Time,
         payload: Option<&LineData>,
-    ) -> (Time, Time) {
+    ) -> Time {
         let timing = device.access_line(loc, op, issue, payload);
         let bus_free = &mut self.bus_free[loc.channel as usize];
         let transfer_end = timing.data_ready_at.max(*bus_free) + timing.bus_occupancy;
@@ -158,11 +159,12 @@ impl<T: Pending> Controller<T> {
         let bank = self.queues.bank_of(loc);
         self.queues.set_bank_free(bank, timing.bank_free_at);
         self.stats.energy.access += timing.energy;
-        (transfer_end + self.interface_delay, timing.bus_occupancy)
+        transfer_end + self.interface_delay
     }
 
     /// Folds one completed request into the statistics. The order of
-    /// calls is the order latencies are summed in.
+    /// calls is the order latencies are summed in: both engines call it
+    /// as each request issues.
     #[inline]
     pub fn record(&mut self, done: &CompletedRequest) {
         self.stats.record(done);

@@ -142,7 +142,7 @@ pub fn run_simulation(
     while let Some((issued, bank)) = ctl.next_issue(device) {
         let Queued { idx, arrival, loc } = ctl.take(bank);
         let req = &requests[idx];
-        let (finished, _) = ctl.access(device, &loc, req.op, issued, req.payload.as_deref());
+        let finished = ctl.access(device, &loc, req.op, issued, req.payload.as_deref());
         ctl.record(&CompletedRequest {
             request: MemRequest::new(req.id, arrival, req.op, req.address, req.size),
             issued,

@@ -13,16 +13,18 @@
 //! [`memsim::MemoryDevice`] probe contract), applies channel-bus
 //! contention, and keeps the aggregate [`memsim::SimStats`]. This core
 //! adds the sources, the mux, the batcher, the completion heap, and tenant
-//! and channel accounting. It records each request when it completes, in
-//! completion order.
+//! and channel accounting.
 //!
-//! # In-flight records
+//! # Recording at issue
 //!
-//! An issued request's record (with its boxed payload and any coalesced
-//! writes) waits in a slab — a `Vec` of slots plus a free list — until it
-//! completes. The completion heap orders only 32-byte
-//! `(finished, seq, issued, slot)` keys, so sifting the heap never moves a
-//! record.
+//! A request's finish time is known the moment it issues, so the core
+//! records it then — the host access first, then every write it absorbed
+//! — into the aggregate, its tenant and its channel, in the order
+//! `run_simulation` records in. A trace fed through this core with no
+//! batcher therefore reports the replay engine's [`memsim::SimStats`] bit
+//! for bit. The completion heap keeps only `(finished, seq, tenant)` keys,
+//! one per request, for [`RequestSource::on_complete`] and the in-system
+//! depth.
 //!
 //! # Event order and determinism
 //!
@@ -34,18 +36,18 @@
 //! deterministic.
 
 use crate::batch::{BatchConfig, WriteBatcher};
-use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
-use crate::stats::{ChannelStats, ServeReport, TenantStats};
+use crate::source::{MuxPoll, OrdTime, RequestSource, TenantMux, TenantSpec};
+use crate::stats::{ChannelStats, ServeReport};
 use comet_units::{ByteCount, Time};
 use memsim::{
     CompletedRequest, Controller, DecodedAddress, DeviceFactory, LineData, MemOp, MemRequest,
-    Pending, Scheduler, WorkloadProfile,
+    Pending, Scheduler, SimStats, WorkloadProfile,
 };
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// An admitted request: held by the batcher, queued at its bank, or, once
-/// issued, parked in the in-flight slab until it completes.
+/// An admitted request, held by the batcher or queued at its bank until it
+/// issues.
 #[derive(Debug, Clone)]
 pub(crate) struct Queued {
     pub(crate) id: u64,
@@ -76,71 +78,9 @@ impl Pending for Queued {
     }
 }
 
-/// A scheduled completion event: the key of an in-flight record.
-#[derive(Debug)]
-struct Completion {
-    finished: Time,
-    /// Monotone sequence number — the deterministic tie-break.
-    seq: u64,
-    issued: Time,
-    /// The record's index in the [`InFlight`] slab.
-    slot: usize,
-}
-
-impl PartialEq for Completion {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Completion {}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.finished
-            .as_seconds()
-            .total_cmp(&other.finished.as_seconds())
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Issued requests awaiting completion, in reusable slots.
-#[derive(Debug, Default)]
-struct InFlight {
-    slots: Vec<Option<Queued>>,
-    free: Vec<usize>,
-}
-
-impl InFlight {
-    /// Parks `q` and returns its slot.
-    fn insert(&mut self, q: Queued) -> usize {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(q);
-                slot
-            }
-            None => {
-                self.slots.push(Some(q));
-                self.slots.len() - 1
-            }
-        }
-    }
-
-    /// Takes the record out of `slot`, freeing the slot.
-    fn remove(&mut self, slot: usize) -> Queued {
-        let q = self.slots[slot]
-            .take()
-            .expect("completion of an empty slot");
-        self.free.push(slot);
-        q
-    }
-}
+/// A scheduled completion, `(finished, seq, tenant)`: `seq` numbers the
+/// requests in issue order, the deterministic tie-break.
+type Completion = Reverse<(OrdTime, u64, usize)>;
 
 /// A declarative service scenario: tenant mix, scheduling and batching —
 /// everything a campaign engine point needs to run one cell through the
@@ -253,20 +193,25 @@ pub fn run_service_with_sources(
         // are generated.
         mux.skip_payloads();
     }
-    let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
+    let mut tenants: Vec<SimStats> = mux
+        .names()
+        .into_iter()
+        .map(|name| SimStats::new(device.name(), name))
+        .collect();
     let mut channels: Vec<ChannelStats> = (0..topo.channels).map(ChannelStats::new).collect();
-    let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
-    let mut in_flight = InFlight::default();
+    let mut completions: BinaryHeap<Completion> = BinaryHeap::new();
     let mut batcher = spec.batch.map(WriteBatcher::new);
 
     let mut next_id: u64 = 0;
-    let mut comp_seq: u64 = 0;
+    let mut seq: u64 = 0;
     let mut in_system: u64 = 0;
     let mut max_depth: u64 = 0;
     let mut batched_writes: u64 = 0;
 
     loop {
-        let t_complete = completions.peek().map(|Reverse(c)| c.finished);
+        let t_complete = completions
+            .peek()
+            .map(|Reverse((finished, ..))| Time::from_seconds(finished.0));
         let t_release = batcher.as_ref().and_then(WriteBatcher::next_release);
         let poll = mux.poll();
         let t_arrival = match poll {
@@ -301,32 +246,9 @@ pub fn run_service_with_sources(
             }
             Some((now, 0)) => {
                 // Completion.
-                let Reverse(Completion {
-                    finished,
-                    issued,
-                    slot,
-                    ..
-                }) = completions.pop().expect("peeked");
-                debug_assert_eq!(finished, now);
-                let q = in_flight.remove(slot);
-                let ch = q.loc.channel as usize;
-                let mut complete_one = |id: u64, tenant: usize, arrival: Time| {
-                    let done = CompletedRequest {
-                        request: MemRequest::new(id, arrival, q.op, q.address, q.size),
-                        issued,
-                        finished,
-                    };
-                    ctl.record(&done);
-                    tenants[tenant].record(q.op, q.size, done.latency());
-                    channels[ch].completed += 1;
-                    channels[ch].bytes += q.size;
-                    mux.on_complete(tenant, finished);
-                    in_system -= 1;
-                };
-                complete_one(q.id, q.tenant, q.arrival);
-                for &(id, tenant, arrival) in &q.absorbed {
-                    complete_one(id, tenant, arrival);
-                }
+                let Reverse((_, _, tenant)) = completions.pop().expect("peeked");
+                mux.on_complete(tenant, now);
+                in_system -= 1;
             }
             Some((now, 1)) => {
                 // Batch release: held writes become issuable at `now`.
@@ -387,17 +309,25 @@ pub fn run_service_with_sources(
                 // Issue.
                 let (_, bank) = issue.expect("issue candidate present");
                 let q = ctl.take(bank);
-                let ch = q.loc.channel as usize;
-                let (finished, occupancy) =
-                    ctl.access(device.as_mut(), &q.loc, q.op, now, q.payload.as_deref());
-                channels[ch].busy += occupancy;
-                completions.push(Reverse(Completion {
-                    finished,
-                    seq: comp_seq,
-                    issued: now,
-                    slot: in_flight.insert(q),
-                }));
-                comp_seq += 1;
+                let finished = ctl.access(device.as_mut(), &q.loc, q.op, now, q.payload.as_deref());
+                let channel = &mut channels[q.loc.channel as usize];
+                let mut record = |id: u64, tenant: usize, arrival: Time| {
+                    let done = CompletedRequest {
+                        request: MemRequest::new(id, arrival, q.op, q.address, q.size),
+                        issued: now,
+                        finished,
+                    };
+                    ctl.record(&done);
+                    tenants[tenant].record(&done);
+                    channel.completed += 1;
+                    channel.bytes += q.size;
+                    completions.push(Reverse((OrdTime(finished.as_seconds()), seq, tenant)));
+                    seq += 1;
+                };
+                record(q.id, q.tenant, q.arrival);
+                for &(id, tenant, arrival) in &q.absorbed {
+                    record(id, tenant, arrival);
+                }
             }
         }
     }
@@ -409,6 +339,9 @@ pub fn run_service_with_sources(
 
     let drained = device.drain_accumulated_energy();
     let stats = ctl.finish(drained, device.background_power());
+    for tenant in &mut tenants {
+        tenant.finalize_percentiles();
+    }
 
     ServeReport {
         stats,
@@ -440,37 +373,8 @@ mod tests {
 
     #[test]
     fn completion_heap_entries_stay_small() {
-        // The heap orders keys; the records stay put in the slab.
-        assert!(std::mem::size_of::<Reverse<Completion>>() <= 32);
-    }
-
-    #[test]
-    fn in_flight_slots_are_reused() {
-        let q = |id| Queued {
-            id,
-            tenant: 0,
-            op: MemOp::Read,
-            address: 0,
-            size: ByteCount::new(64),
-            arrival: Time::ZERO,
-            ready: Time::ZERO,
-            loc: DecodedAddress {
-                channel: 0,
-                bank: 0,
-                row: 0,
-                column: 0,
-            },
-            payload: None,
-            absorbed: Vec::new(),
-        };
-        let mut slab = InFlight::default();
-        let (a, b) = (slab.insert(q(0)), slab.insert(q(1)));
-        assert_ne!(a, b);
-        assert_eq!(slab.remove(a).id, 0);
-        assert_eq!(slab.insert(q(2)), a, "a freed slot is reused");
-        assert_eq!(slab.remove(b).id, 1);
-        assert_eq!(slab.remove(a).id, 2);
-        assert_eq!(slab.slots.len(), 2);
+        // The heap holds keys only; each request is recorded at issue.
+        assert!(std::mem::size_of::<Completion>() <= 24);
     }
 
     #[test]
@@ -519,9 +423,9 @@ mod tests {
         let report = run_service(&EpcmConfig::epcm_mm(), &spec, &p, 9, "mix");
         assert_eq!(report.stats.completed, 500);
         assert_eq!(report.tenants.len(), 2);
-        assert_eq!(report.tenants[0].name, "open");
+        assert_eq!(report.tenants[0].workload, "open");
         assert_eq!(report.tenants[0].completed, 300);
-        assert_eq!(report.tenants[1].name, "batch-tenant");
+        assert_eq!(report.tenants[1].workload, "batch-tenant");
         assert_eq!(report.tenants[1].completed, 200);
         let tenant_total: u64 = report.tenants.iter().map(|t| t.completed).sum();
         assert_eq!(tenant_total, report.stats.completed);

@@ -26,10 +26,9 @@
 //! * **Tail accounting** — the aggregate lands in the same
 //!   [`memsim::SimStats`] shape trace replay reports, with p50/p95/p99
 //!   from its [`memsim::LatencyHistogram`], so `comet-lab` campaigns
-//!   export serve cells and replay cells uniformly; each tenant's
-//!   latencies stream into a histogram of the same type, and the report
-//!   keeps per-tenant throughput, per-channel totals and the peak
-//!   in-system depth.
+//!   export serve cells and replay cells uniformly; each tenant is
+//!   accounted by a `SimStats` of its own, and the report keeps
+//!   per-channel totals and the peak in-system depth.
 //!
 //! # Quick start
 //!
@@ -44,9 +43,9 @@
 //! assert_eq!(report.stats.completed, 400);
 //! assert!(report.stats.p99_latency >= report.stats.p50_latency);
 //! println!(
-//!     "p99 {:.0} ns at {:.2} Mrps",
+//!     "p99 {:.0} ns, tenant mean {:.0} ns",
 //!     report.stats.p99_latency.as_nanos(),
-//!     report.tenants[0].throughput_rps(report.stats.makespan) / 1e6,
+//!     report.tenants[0].avg_latency().as_nanos(),
 //! );
 //! ```
 
@@ -66,4 +65,4 @@ pub use source::{
     ClosedLoopSource, MuxPoll, OpenLoopSource, RequestSource, SourcePoll, Sourced, TenantLoad,
     TenantMux, TenantSpec,
 };
-pub use stats::{ChannelStats, ServeReport, TenantStats};
+pub use stats::{ChannelStats, ServeReport};

@@ -14,9 +14,11 @@ use comet_serve::{
 };
 use comet_units::{ByteCount, Time};
 use memsim::{
-    AccessPattern, DramConfig, EpcmConfig, EpcmDevice, FnFactory, StreamShape, WorkloadProfile,
+    AccessPattern, DramConfig, EpcmConfig, EpcmDevice, FnFactory, LatencyHistogram, SimStats,
+    StreamShape, WorkloadProfile,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn any_process() -> impl Strategy<Value = ArrivalProcess> {
     prop_oneof![
@@ -53,14 +55,51 @@ fn profile(name: &str, read_fraction: f64, pattern: AccessPattern) -> WorkloadPr
     }
 }
 
-/// Per-channel completions and bytes, and per-tenant completions, each
-/// sum to the aggregate.
+/// Each nonzero bucket of `h` as `lower bound in ps -> count`: a bucket
+/// is 1 ps wide below 256 ps, and 2^-7 of its power of two above.
+fn buckets(h: &LatencyHistogram) -> BTreeMap<u64, u64> {
+    let mut floor = h.first_ps();
+    let mut out = BTreeMap::new();
+    for &count in h.counts() {
+        if count > 0 {
+            out.insert(floor, count);
+        }
+        floor += if floor < 256 {
+            1
+        } else {
+            1 << (63 - floor.leading_zeros() - 7)
+        };
+    }
+    out
+}
+
+/// Per-channel completions and bytes sum to the aggregate, and the
+/// tenants partition it exactly: completions, reads, writes and bytes
+/// sum to the aggregate's, the largest tenant latency is its maximum, and
+/// the tenant histograms add up bucket by bucket to its histogram.
 fn prop_assert_sums(report: &ServeReport) -> Result<(), TestCaseError> {
-    prop_assert_eq!(report.channel_total(), report.stats.completed);
+    let s = &report.stats;
+    prop_assert_eq!(report.channel_total(), s.completed);
     let bytes: u64 = report.channels.iter().map(|c| c.bytes.value()).sum();
-    prop_assert_eq!(bytes, report.stats.bytes.value());
-    let tenant_total: u64 = report.tenants.iter().map(|t| t.completed).sum();
-    prop_assert_eq!(tenant_total, report.stats.completed);
+    prop_assert_eq!(bytes, s.bytes.value());
+    let tenants = &report.tenants;
+    let sum = |f: fn(&SimStats) -> u64| tenants.iter().map(f).sum::<u64>();
+    prop_assert_eq!(sum(|t| t.completed), s.completed);
+    prop_assert_eq!(sum(|t| t.reads), s.reads);
+    prop_assert_eq!(sum(|t| t.writes), s.writes);
+    prop_assert_eq!(sum(|t| t.bytes.value()), s.bytes.value());
+    let max = tenants
+        .iter()
+        .map(|t| t.max_latency)
+        .fold(Time::ZERO, Time::max);
+    prop_assert_eq!(max, s.max_latency);
+    let mut merged = BTreeMap::new();
+    for t in tenants {
+        for (floor, count) in buckets(&t.histogram) {
+            *merged.entry(floor).or_insert(0) += count;
+        }
+    }
+    prop_assert_eq!(merged, buckets(&s.histogram));
     Ok(())
 }
 
@@ -276,8 +315,9 @@ proptest! {
         };
         let (s, t) = (&report.stats, &report.tenants[0]);
         prop_assert_eq!(&t.histogram, &s.histogram);
+        prop_assert_eq!(t.total_latency, s.total_latency);
         prop_assert_eq!(
-            (t.percentile(50.0), t.percentile(95.0), t.percentile(99.0)),
+            (t.p50_latency, t.p95_latency, t.p99_latency),
             (s.p50_latency, s.p95_latency, s.p99_latency)
         );
         prop_assert!(s.p50_latency <= s.p95_latency && s.p95_latency <= s.p99_latency);
