@@ -317,16 +317,22 @@ const REPLAY: [(&str, &str, [u64; 3], u64); 8] = [
 /// for its one device. Both fell again (to 416 and 1646) when the core
 /// began recording each request at issue: no slab of in-flight records
 /// grows any more, and each tenant's `SimStats` adds one device label.
+/// They fell once more (to 412 and 1643) when the core began telling each
+/// source its request's finish time at issue: the heap of completion
+/// events it no longer keeps grew by doubling.
 ///
 /// The mux caches each tenant's poll until that tenant is taken from or
 /// completes, so a tenant is polled once at the start and at most once
-/// after each take from it and each completion routed to it. Before that
+/// after each take from it and each finish time routed to it. Before that
 /// it was polled on every service event: the poll counts were 6358 and
-/// 6358 on COMET, 12518 and 12518 on EPCM-DCW-FNW. Since each request
-/// has its own completion event, a coalesced access completes its
-/// requests one event at a time, and the open-loop tenant is polled once
-/// more between two of them (2000 to 2001 on COMET, 4000 to 4001 on
-/// EPCM-DCW-FNW); polls are pure, so nothing else moves.
+/// 6358 on COMET, 12518 and 12518 on EPCM-DCW-FNW. The core routes every
+/// finish time of one access (the host request's and each absorbed
+/// write's) in the same step, when the access issues, so a coalesced
+/// access costs each of its tenants one re-poll. While each request had a
+/// completion event of its own, the open-loop tenant was polled once more
+/// between two same-tenant requests of one coalesced access (2001 on
+/// COMET, 4001 on EPCM-DCW-FNW, now 2000 and 4000); polls are pure, so
+/// nothing else moved.
 ///
 /// The pruned FR-FCFS choice (see [`REPLAY`]) cut `bank_available` from
 /// 16165 to 5660 on EPCM-DCW-FNW, whose held writes share release times,
@@ -336,14 +342,14 @@ const SERVE: [(&str, [u64; 3], [TenantCalls; 2], u64); 2] = [
     (
         "COMET",
         [2030, 2041, 1999],
-        [[2001, 1000, 1000], [2001, 1000, 1000]],
-        416,
+        [[2000, 1000, 1000], [2001, 1000, 1000]],
+        412,
     ),
     (
         "EPCM-DCW-FNW",
         [5660, 16165, 3999],
-        [[4001, 2000, 2000], [4001, 2000, 2000]],
-        1646,
+        [[4000, 2000, 2000], [4001, 2000, 2000]],
+        1643,
     ),
 ];
 

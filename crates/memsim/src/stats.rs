@@ -217,7 +217,10 @@ pub struct SimStats {
     pub writes: u64,
     /// Bytes transferred.
     pub bytes: ByteCount,
-    /// Wall-clock span from first arrival to last completion.
+    /// Simulated time from zero to the last completion (the latest
+    /// `finished` recorded). A paced trace whose first arrival comes after
+    /// zero counts its idle lead-in here, and so in [`SimStats::bandwidth`]
+    /// and the background energy.
     pub makespan: Time,
     /// Sum of request latencies.
     pub total_latency: Time,
@@ -397,6 +400,22 @@ mod tests {
         s.finalize_background(Power::from_watts(1.0));
         // 1 W * 1 us = 1 uJ.
         assert!((s.energy.background.as_joules() - 1e-6).abs() < 1e-15);
+    }
+
+    #[test]
+    fn makespan_runs_from_time_zero_not_the_first_arrival() {
+        // Paced arrivals 1 us apart, the first at 1 us, each served in
+        // 100 ns: the lead-in before the first arrival counts.
+        let mut s = SimStats::new("dev", "wl");
+        for i in 0..3 {
+            let arrival = 1000.0 * (i + 1) as f64;
+            s.record(&done(i, arrival, arrival + 100.0, MemOp::Read));
+        }
+        assert_eq!(s.makespan, Time::from_nanos(3100.0));
+        // 192 B / 3100 ns, and 1 W over 3100 ns.
+        assert!((s.bandwidth().as_gigabytes_per_second() - 192.0 / 3100.0).abs() < 1e-12);
+        s.finalize_background(Power::from_watts(1.0));
+        assert!((s.energy.background.as_joules() - 3.1e-6).abs() < 1e-18);
     }
 
     /// A histogram holding `ns` nanosecond samples.

@@ -2,7 +2,7 @@
 //!
 //! Where `memsim::run_simulation` replays a pre-materialized trace,
 //! [`run_service`] runs a *service*: sources generate requests online
-//! (closed-loop ones react to completions), a write-coalescing batch stage
+//! (closed-loop ones react to finish times), a write-coalescing batch stage
 //! sits in front of the per-bank command queues, and one device serves
 //! every channel.
 //!
@@ -12,8 +12,8 @@
 //! sound because device probes are pure queries — the
 //! [`memsim::MemoryDevice`] probe contract), applies channel-bus
 //! contention, and keeps the aggregate [`memsim::SimStats`]. This core
-//! adds the sources, the mux, the batcher, the completion heap, and tenant
-//! and channel accounting.
+//! adds the sources, the mux, the batcher, and tenant and channel
+//! accounting.
 //!
 //! # Recording at issue
 //!
@@ -22,29 +22,27 @@
 //! — into the aggregate, its tenant and its channel, in the order
 //! `run_simulation` records in. A trace fed through this core with no
 //! batcher therefore reports the replay engine's [`memsim::SimStats`] bit
-//! for bit. The completion heap keeps only `(finished, seq, tenant)` keys,
-//! one per request, for [`RequestSource::on_complete`] and the in-system
-//! depth.
+//! for bit. Each request's tenant hears its finish time at the same moment,
+//! through [`RequestSource::on_complete`], so no completion is ever an
+//! event of its own: a closed-loop client schedules its next arrival, at or
+//! after that finish time, before the loop moves on.
 //!
 //! # Event order and determinism
 //!
-//! The core is a single discrete-event loop. At every step it knows four
-//! candidate times — the next completion, the next batch release, the next
-//! arrival, and the earliest possible command issue — and processes the
-//! smallest; ties resolve in that fixed priority order. Every decision is a
-//! function of the spec, the seed and the event history, so a run is
-//! deterministic.
+//! The core is a single discrete-event loop. At every step it knows three
+//! candidate times — the next batch release, the next arrival, and the
+//! earliest possible command issue — and processes the smallest; ties
+//! resolve in that fixed priority order. Every decision is a function of
+//! the spec, the seed and the event history, so a run is deterministic.
 
 use crate::batch::{BatchConfig, WriteBatcher};
-use crate::source::{MuxPoll, OrdTime, RequestSource, TenantMux, TenantSpec};
+use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
 use crate::stats::{ChannelStats, ServeReport};
 use comet_units::{ByteCount, Time};
 use memsim::{
     CompletedRequest, Controller, DecodedAddress, DeviceFactory, LineData, MemOp, MemRequest,
     Pending, Scheduler, SimStats, WorkloadProfile,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// An admitted request, held by the batcher or queued at its bank until it
 /// issues.
@@ -77,10 +75,6 @@ impl Pending for Queued {
         self.ready
     }
 }
-
-/// A scheduled completion, `(finished, seq, tenant)`: `seq` numbers the
-/// requests in issue order, the deterministic tie-break.
-type Completion = Reverse<(OrdTime, u64, usize)>;
 
 /// A declarative service scenario: tenant mix, scheduling and batching —
 /// everything a campaign engine point needs to run one cell through the
@@ -199,19 +193,12 @@ pub fn run_service_with_sources(
         .map(|name| SimStats::new(device.name(), name))
         .collect();
     let mut channels: Vec<ChannelStats> = (0..topo.channels).map(ChannelStats::new).collect();
-    let mut completions: BinaryHeap<Completion> = BinaryHeap::new();
     let mut batcher = spec.batch.map(WriteBatcher::new);
 
     let mut next_id: u64 = 0;
-    let mut seq: u64 = 0;
-    let mut in_system: u64 = 0;
-    let mut max_depth: u64 = 0;
     let mut batched_writes: u64 = 0;
 
     loop {
-        let t_complete = completions
-            .peek()
-            .map(|Reverse((finished, ..))| Time::from_seconds(finished.0));
         let t_release = batcher.as_ref().and_then(WriteBatcher::next_release);
         let poll = mux.poll();
         let t_arrival = match poll {
@@ -222,12 +209,9 @@ pub fn run_service_with_sources(
         let t_issue = issue.map(|(t, _)| t);
 
         // Pick the earliest candidate; iteration order is the tie-break
-        // priority (completion, release, arrival, issue).
+        // priority (release, arrival, issue).
         let mut chosen: Option<(Time, u8)> = None;
-        for (i, t) in [t_complete, t_release, t_arrival, t_issue]
-            .into_iter()
-            .enumerate()
-        {
+        for (i, t) in [t_release, t_arrival, t_issue].into_iter().enumerate() {
             if let Some(t) = t {
                 if chosen.map_or(true, |(best, _)| t < best) {
                     chosen = Some((t, i as u8));
@@ -239,18 +223,12 @@ pub fn run_service_with_sources(
             None => {
                 match poll {
                     MuxPoll::Exhausted => break,
-                    // Unreachable: Blocked implies an outstanding request,
-                    // whose completion event is in the heap.
+                    // Unreachable: Blocked implies a request admitted but
+                    // not issued, which the batcher or a bank queue holds.
                     other => unreachable!("service stalled with mux state {other:?}"),
                 }
             }
             Some((now, 0)) => {
-                // Completion.
-                let Reverse((_, _, tenant)) = completions.pop().expect("peeked");
-                mux.on_complete(tenant, now);
-                in_system -= 1;
-            }
-            Some((now, 1)) => {
                 // Batch release: held writes become issuable at `now`.
                 let released = batcher
                     .as_mut()
@@ -261,7 +239,7 @@ pub fn run_service_with_sources(
                     ctl.push(w);
                 }
             }
-            Some((now, 2)) => {
+            Some((now, 1)) => {
                 // Arrival.
                 let tenant = match poll {
                     MuxPoll::Ready { tenant, .. } => tenant,
@@ -283,8 +261,6 @@ pub fn run_service_with_sources(
                     absorbed: Vec::new(),
                 };
                 next_id += 1;
-                in_system += 1;
-                max_depth = max_depth.max(in_system);
                 match (&mut batcher, s.op) {
                     (Some(b), MemOp::Write) => {
                         batched_writes += 1;
@@ -321,8 +297,7 @@ pub fn run_service_with_sources(
                     tenants[tenant].record(&done);
                     channel.completed += 1;
                     channel.bytes += q.size;
-                    completions.push(Reverse((OrdTime(finished.as_seconds()), seq, tenant)));
-                    seq += 1;
+                    mux.on_complete(tenant, finished);
                 };
                 record(q.id, q.tenant, q.arrival);
                 for &(id, tenant, arrival) in &q.absorbed {
@@ -332,7 +307,6 @@ pub fn run_service_with_sources(
         }
     }
 
-    debug_assert_eq!(in_system, 0, "all admitted requests completed");
     debug_assert!(batcher
         .as_ref()
         .map_or(true, |b| b.is_empty() && b.held() == 0));
@@ -347,7 +321,6 @@ pub fn run_service_with_sources(
         stats,
         tenants,
         channels,
-        max_depth,
         batched_writes,
         coalesced_writes: batcher.as_ref().map_or(0, WriteBatcher::coalesced),
     }
@@ -369,12 +342,6 @@ mod tests {
             requests: 0,
             line_bytes: 64,
         }
-    }
-
-    #[test]
-    fn completion_heap_entries_stay_small() {
-        // The heap holds keys only; each request is recorded at issue.
-        assert!(std::mem::size_of::<Completion>() <= 24);
     }
 
     #[test]
@@ -410,8 +377,6 @@ mod tests {
             ca.stats.p99_latency,
             oa.stats.p99_latency
         );
-        // Closed-loop in-flight never exceeds the client count.
-        assert!(ca.max_depth <= 4);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   [`memsim::Controller`], the controller trace replay uses too
 //!   (address map, per-bank queues and [`memsim::Scheduler`], channel-bus
 //!   contention, statistics), in front of one [`memsim::MemoryDevice`].
-//!   It adds the completion heap and a write-coalescing batch stage
+//!   It tells each source its request's finish time when the request
+//!   issues, and adds a write-coalescing batch stage
 //!   ([`BatchConfig`]) that merges same-row/same-line writes within a
 //!   window — exploiting PCM's read/write asymmetry;
 //! * **Tail accounting** — the aggregate lands in the same
@@ -28,7 +29,7 @@
 //!   from its [`memsim::LatencyHistogram`], so `comet-lab` campaigns
 //!   export serve cells and replay cells uniformly; each tenant is
 //!   accounted by a `SimStats` of its own, and the report keeps
-//!   per-channel totals and the peak in-system depth.
+//!   per-channel totals.
 //!
 //! # Quick start
 //!

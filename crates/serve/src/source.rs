@@ -1,11 +1,12 @@
 //! Request sources: open-loop, closed-loop, and the multi-tenant mux.
 //!
 //! A [`RequestSource`] is the demand side of the service core: polled for
-//! its next arrival, asked to materialize the request, and notified of
-//! completions (which is how closed-loop clients pace themselves). The
-//! [`TenantMux`] interleaves named sources by arrival time — ties resolve
-//! to the lowest tenant index, so the interleaving is deterministic — while
-//! preserving each tenant's own request order.
+//! its next arrival, asked to materialize the request, and told each
+//! request's finish time when the request issues (which is how closed-loop
+//! clients pace themselves). The [`TenantMux`] interleaves named sources by
+//! arrival time — ties resolve to the lowest tenant index, so the
+//! interleaving is deterministic — while preserving each tenant's own
+//! request order.
 
 use crate::arrival::{ArrivalClock, ArrivalProcess};
 use comet_data::{PayloadGen, PayloadSpec};
@@ -37,8 +38,8 @@ impl Ord for OrdTime {
 pub enum SourcePoll {
     /// A request is ready to arrive at this time.
     Ready(Time),
-    /// Nothing until an outstanding request completes (closed-loop with
-    /// all clients in flight).
+    /// Nothing until an outstanding request issues and its finish time is
+    /// known (closed-loop with all clients in flight).
     Blocked,
     /// The source's request budget is spent.
     Exhausted,
@@ -66,7 +67,7 @@ pub struct Sourced {
 /// The demand side of the service core.
 ///
 /// Implementations must be deterministic: the sequence of polls, takes and
-/// completions fully determines the generated stream.
+/// finish-time notices fully determines the generated stream.
 pub trait RequestSource: Send {
     /// Tenant name used in per-tenant reports.
     fn name(&self) -> &str;
@@ -77,7 +78,7 @@ pub trait RequestSource: Send {
     /// and [`RequestSource::on_complete`] calls: until one of them, every
     /// poll returns the same answer. [`TenantMux`] relies on this and
     /// polls a tenant again only after taking from it or routing it a
-    /// completion.
+    /// finish time.
     fn poll(&mut self) -> SourcePoll;
 
     /// Consumes and materializes the request last reported ready.
@@ -88,9 +89,12 @@ pub trait RequestSource: Send {
     /// [`SourcePoll::Ready`].
     fn take(&mut self) -> Sourced;
 
-    /// Notifies the source that one of its requests finished at `finished`
-    /// (closed-loop sources schedule their next request from it; open-loop
-    /// sources ignore it).
+    /// Tells the source when one of its requests finishes: `finished` is
+    /// the time its data reaches the requester. The service core calls it
+    /// once per request, when the request issues — before simulated time
+    /// reaches `finished` — so a source must not schedule an arrival
+    /// earlier than `finished` (closed-loop sources schedule their next
+    /// request from it; open-loop sources ignore it).
     fn on_complete(&mut self, finished: Time);
 
     /// Tells the source that no payload it generates will be read: the
@@ -196,7 +200,9 @@ fn payload_for(
 /// A closed-loop source: `clients` independent clients, each keeping one
 /// request in flight and re-issuing `think` after its completion — the
 /// classic fixed-concurrency load generator whose offered rate self-limits
-/// at the service rate.
+/// at the service rate. A client's next arrival, `finished + think`, is
+/// scheduled as soon as [`RequestSource::on_complete`] reports the finish
+/// time, i.e. when its request issues.
 #[derive(Debug)]
 pub struct ClosedLoopSource {
     name: String,
@@ -292,7 +298,7 @@ pub enum MuxPoll {
         /// Arrival time of its next request.
         at: Time,
     },
-    /// Every non-exhausted tenant is waiting on completions.
+    /// Every non-exhausted tenant is waiting for a request to issue.
     Blocked,
     /// Every tenant's budget is spent.
     Exhausted,
@@ -304,8 +310,9 @@ pub enum MuxPoll {
 /// own [`TenantMux::take`] or [`TenantMux::on_complete`]: a source's
 /// answer cannot change in between (the [`RequestSource::poll`]
 /// contract), so a tenant is polled once after each take from it or
-/// completion routed to it rather than once per service event. The
-/// mux's own answer is cached until either call.
+/// finish time routed to it rather than once per service event. The
+/// service core routes each request's finish time when the request
+/// issues. The mux's own answer is cached until either call.
 pub struct TenantMux {
     tenants: Vec<Box<dyn RequestSource>>,
     polls: Vec<Option<SourcePoll>>,
@@ -385,7 +392,8 @@ impl TenantMux {
         self.tenants[tenant].take()
     }
 
-    /// Routes a completion back to its tenant.
+    /// Routes a request's finish time to its tenant (the service core
+    /// calls this when the request issues).
     pub fn on_complete(&mut self, tenant: usize, finished: Time) {
         self.forget(tenant);
         self.tenants[tenant].on_complete(finished);

@@ -45,9 +45,6 @@ pub struct ServeReport {
     pub tenants: Vec<SimStats>,
     /// Per-channel accounting.
     pub channels: Vec<ChannelStats>,
-    /// The most requests in the system (admitted, not yet completed) at
-    /// any instant.
-    pub max_depth: u64,
     /// Writes that entered the batch stage.
     pub batched_writes: u64,
     /// Same-line writes coalesced away (completed by another access).

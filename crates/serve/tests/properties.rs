@@ -9,8 +9,8 @@
 
 use comet_data::{DataPolicy, DataWriteModel, PayloadSpec};
 use comet_serve::{
-    run_service, ArrivalProcess, BatchConfig, MuxPoll, ServeReport, ServeSpec, SourcePoll,
-    TenantMux, TenantSpec,
+    run_service, run_service_with_sources, ArrivalProcess, BatchConfig, MuxPoll, RequestSource,
+    ServeReport, ServeSpec, SourcePoll, Sourced, TenantMux, TenantSpec,
 };
 use comet_units::{ByteCount, Time};
 use memsim::{
@@ -19,6 +19,7 @@ use memsim::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 fn any_process() -> impl Strategy<Value = ArrivalProcess> {
     prop_oneof![
@@ -101,6 +102,34 @@ fn prop_assert_sums(report: &ServeReport) -> Result<(), TestCaseError> {
     }
     prop_assert_eq!(merged, buckets(&s.histogram));
     Ok(())
+}
+
+/// Wraps a tenant's source, logging each arrival it hands out (`+1`, at
+/// `take`) and each finish time it is told (`-1`, at `on_complete`).
+struct Logged {
+    inner: Box<dyn RequestSource>,
+    log: Arc<Mutex<Vec<(Time, i8)>>>,
+}
+
+impl RequestSource for Logged {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn poll(&mut self) -> SourcePoll {
+        self.inner.poll()
+    }
+
+    fn take(&mut self) -> Sourced {
+        let s = self.inner.take();
+        self.log.lock().unwrap().push((s.arrival, 1));
+        s
+    }
+
+    fn on_complete(&mut self, finished: Time) {
+        self.log.lock().unwrap().push((finished, -1));
+        self.inner.on_complete(finished);
+    }
 }
 
 proptest! {
@@ -259,12 +288,45 @@ proptest! {
         clients in 1usize..=16,
         think_ns in 0.0f64..100.0,
     ) {
+        // The depth is measured from outside the core: the source's own
+        // log of arrivals and finish times.
         let p = profile("depth-prop", 0.7, AccessPattern::Random);
-        let spec = ServeSpec::closed_loop(clients, Time::from_nanos(think_ns), 200);
-        let report = run_service(&EpcmConfig::epcm_mm(), &spec, &p, 5, "depth");
+        let think = Time::from_nanos(think_ns);
+        let spec = ServeSpec::closed_loop(clients, think, 200);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let source = Box::new(Logged {
+            inner: spec.tenants[0].instantiate(&p, 5, 0),
+            log: log.clone(),
+        });
+        let report =
+            run_service_with_sources(&EpcmConfig::epcm_mm(), vec![source], &spec, "depth");
         prop_assert_eq!(report.stats.completed, 200);
-        prop_assert!(report.max_depth <= clients as u64,
-            "in-flight {} exceeds {clients} clients", report.max_depth);
+        let mut events = log.lock().unwrap().clone();
+        // By time, a finish before an arrival at the same instant.
+        events.sort_by(|a, b| a.0.as_seconds().total_cmp(&b.0.as_seconds()).then(a.1.cmp(&b.1)));
+        let mut depth = 0i64;
+        for &(at, step) in &events {
+            depth += i64::from(step);
+            prop_assert!(depth <= clients as i64,
+                "{depth} in flight at {at} exceeds {clients} clients");
+        }
+        prop_assert_eq!(depth, 0, "every arrival finishes");
+        // The schedule itself: the arrivals are the 200 earliest of the
+        // clients' starts at zero and each finish plus the think time.
+        let times = |step| events.iter().filter(move |e| e.1 == step).map(|e| e.0);
+        let mut due: Vec<Time> = std::iter::repeat(Time::ZERO)
+            .take(clients)
+            .chain(times(-1).map(|finished| finished + think))
+            .collect();
+        due.sort_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()));
+        due.truncate(200);
+        prop_assert_eq!(times(1).collect::<Vec<_>>(), due, "closed-loop arrivals");
+        // The finish times told are the ones recorded: together they span
+        // the tenant's summed latency.
+        let sum = |step| times(step).map(Time::as_seconds).sum::<f64>();
+        let latency = report.tenants[0].total_latency.as_seconds();
+        prop_assert!((sum(-1) - sum(1) - latency).abs() <= 1e-9 * latency,
+            "told finishes span {} s, recorded latency {latency} s", sum(-1) - sum(1));
     }
 
     #[test]

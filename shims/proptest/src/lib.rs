@@ -37,8 +37,10 @@ macro_rules! proptest {
     )*};
 }
 
-/// Fallible assertion: fails the current case (with generated inputs
-/// reported by the runner) instead of unwinding immediately.
+/// Fallible assertion: fails the current case instead of unwinding
+/// immediately. The runner reports the failing case's number and this
+/// message, not the generated inputs; the inputs are drawn from a seed
+/// fixed by the test name, so a rerun reproduces the case exactly.
 #[macro_export]
 macro_rules! prop_assert {
     ($cond:expr $(,)?) => {
@@ -53,7 +55,8 @@ macro_rules! prop_assert {
     };
 }
 
-/// Fallible equality assertion, formatting both operands with `{:?}`.
+/// Fallible equality assertion, formatting both operands with `{:?}` —
+/// after the custom message, when one is given, as `assert_eq!` does.
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($left:expr, $right:expr $(,)?) => {{
@@ -67,7 +70,13 @@ macro_rules! prop_assert_eq {
     }};
     ($left:expr, $right:expr, $($fmt:tt)+) => {{
         let (__l, __r) = (&$left, &$right);
-        $crate::prop_assert!(*__l == *__r, $($fmt)+);
+        $crate::prop_assert!(
+            *__l == *__r,
+            "assertion failed: `(left == right)`: {}\n  left: `{:?}`\n right: `{:?}`",
+            format_args!($($fmt)+),
+            __l,
+            __r
+        );
     }};
 }
 
@@ -90,4 +99,37 @@ macro_rules! prop_oneof {
             $($crate::strategy::Strategy::boxed($strategy)),+
         ])
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::test_runner::TestCaseError;
+
+    fn failure(case: impl FnOnce() -> Result<(), TestCaseError>) -> String {
+        match case() {
+            Err(TestCaseError::Fail(message)) => message,
+            other => panic!("expected a failed case, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn prop_assert_eq_prints_both_operands_after_a_custom_message() {
+        let message = failure(|| {
+            let clients = 4;
+            prop_assert_eq!(3 + 4, 8, "depth over {clients} clients");
+            Ok(())
+        });
+        assert_eq!(
+            message,
+            "assertion failed: `(left == right)`: depth over 4 clients\n  left: `7`\n right: `8`"
+        );
+        let plain = failure(|| {
+            prop_assert_eq!("a", "b");
+            Ok(())
+        });
+        assert!(
+            plain.ends_with("  left: `\"a\"`\n right: `\"b\"`"),
+            "{plain}"
+        );
+    }
 }
