@@ -142,32 +142,6 @@ impl SubarrayIndex {
     }
 }
 
-/// Per-access pulse energies (derived from the physics layer's programming
-/// tables; defaults match the Fig. 6 GST cell).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PulseEnergies {
-    /// Average per-cell write pulse energy.
-    pub write_per_cell: Energy,
-    /// Per-cell read pulse energy (low-power probe).
-    pub read_per_cell: Energy,
-    /// Per-cell erase share (amorphous reset amortized per write when
-    /// erases run in the background).
-    pub erase_per_cell: Energy,
-}
-
-impl Default for PulseEnergies {
-    fn default() -> Self {
-        PulseEnergies {
-            // ~1 mW × ~85 ns average level pulse.
-            write_per_cell: Energy::from_picojoules(85.0),
-            // 0.1 mW × 10 ns.
-            read_per_cell: Energy::from_picojoules(1.0),
-            // 280 pJ amorphous reset.
-            erase_per_cell: Energy::from_picojoules(280.0),
-        }
-    }
-}
-
 /// The COMET timing/energy device.
 ///
 /// # Examples
@@ -205,21 +179,16 @@ pub struct CometDevice {
 }
 
 impl CometDevice {
-    /// Creates a device with the configuration's power stack as background.
-    pub fn new(config: CometConfig) -> Self {
-        let background = CometPowerModel::new(config.clone()).stack().total();
-        Self::with_background(config, background)
-    }
-
-    /// Creates a device with an explicit background power (for ablations,
-    /// e.g. dynamic laser power management studies).
+    /// Creates a device with the configuration's power stack as background
+    /// and the Fig. 6 GST cell's pulse energies.
     ///
     /// # Panics
     ///
     /// If `subarray_rows`, `subarray_cols` or `subarray_stripe` is not a
     /// nonzero power of two (which [`CometConfig::validate`] also rejects):
     /// the subarray lookup resolves them to masks and shifts.
-    pub fn with_background(config: CometConfig, background: Power) -> Self {
+    pub fn new(config: CometConfig) -> Self {
+        let background = CometPowerModel::new(config.clone()).stack().total();
         let index = SubarrayIndex::new(&config);
         let slots = (config.banks * config.subarrays) as usize;
         assert!(
@@ -228,20 +197,27 @@ impl CometDevice {
             config.banks,
             config.subarrays
         );
-        let mut dev = CometDevice {
+        // Per-cell pulse energies: ~1 mW × ~85 ns average level pulse,
+        // a 0.1 mW × 10 ns read probe, and a 280 pJ amorphous reset that
+        // lands on each write unless erases run in the background.
+        let cells = config.cells_per_line() as f64;
+        let read_energy = Energy::from_picojoules(1.0) * cells;
+        let mut write_energy = Energy::from_picojoules(85.0) * cells;
+        if !config.timing.background_erase {
+            write_energy += Energy::from_picojoules(280.0) * cells;
+        }
+        CometDevice {
             index,
             background,
-            read_energy: Energy::ZERO,
-            write_energy: Energy::ZERO,
+            read_energy,
+            write_energy,
             subarrays: config.subarrays,
             slots: vec![Slot::default(); slots],
             windows: vec![Window::EMPTY; config.banks as usize],
             manager: None,
             horizon: Time::ZERO,
             config,
-        };
-        dev.set_pulse_energies(PulseEnergies::default());
-        dev
+        }
     }
 
     /// Creates a device under a laser power-management policy (the paper's
@@ -271,16 +247,6 @@ impl CometDevice {
     /// The configuration.
     pub fn config(&self) -> &CometConfig {
         &self.config
-    }
-
-    /// Overrides the per-access pulse energies.
-    pub fn set_pulse_energies(&mut self, energies: PulseEnergies) {
-        let cells = self.config.cells_per_line() as f64;
-        self.read_energy = energies.read_per_cell * cells;
-        self.write_energy = energies.write_per_cell * cells;
-        if !self.config.timing.background_erase {
-            self.write_energy += energies.erase_per_cell * cells;
-        }
     }
 
     /// The slot of the (bank, subarray) a flat controller address targets.

@@ -62,7 +62,7 @@ mod timing;
 
 pub use arch::{CometConfig, ConfigError};
 pub use cell::{decode_levels, encode_bytes, LevelCodec, Subarray};
-pub use device::{CometDevice, PulseEnergies};
+pub use device::CometDevice;
 pub use endurance::{EnduranceModel, StartGapRemapper, WearTracker};
 pub use laser::{LaserPolicy, LaserPowerManager, WindowedPolicy};
 pub use lut::{paper_loss_tolerance, GainLut};

@@ -49,11 +49,6 @@ impl CosmosDevice {
     /// Creates a device with the configuration's power stack as background.
     pub fn new(config: CosmosConfig) -> Self {
         let background = CosmosPowerModel::new(config.clone()).stack().total();
-        Self::with_background(config, background)
-    }
-
-    /// Creates a device with an explicit background power.
-    pub fn with_background(config: CosmosConfig, background: Power) -> Self {
         let banks = config.banks as usize;
         CosmosDevice {
             config,

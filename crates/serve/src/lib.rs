@@ -6,11 +6,13 @@
 //! throughput-and-queueing claims, and queueing only exists under a
 //! request process:
 //!
-//! * **Request sources** ([`RequestSource`]) — open-loop arrival processes
-//!   ([`ArrivalProcess`]: deterministic-rate, Poisson, bursty on/off) and
-//!   closed-loop clients (fixed concurrency with think time), each seeded,
-//!   deterministic and shaped by a [`memsim::StreamShape`], interleaved by
-//!   a multi-tenant [`TenantMux`] with per-tenant accounting; tenants
+//! * **Request sources** ([`RequestSource`]) — declarative tenants
+//!   ([`TenantSpec`]) offering open-loop load from an arrival process
+//!   ([`ArrivalProcess`]: deterministic-rate, Poisson, bursty on/off) or
+//!   closed-loop load from fixed concurrency with think time
+//!   ([`TenantLoad`]), each instantiated as one seeded, deterministic
+//!   source shaped by a [`memsim::StreamShape`], interleaved by a
+//!   multi-tenant [`TenantMux`] with per-tenant accounting; tenants
 //!   optionally source *line payloads*
 //!   ([`TenantSpec::with_payload`], a `comet_data::PayloadSpec`) so
 //!   content-aware devices price every store from its actual bytes (a
@@ -62,8 +64,5 @@ mod stats;
 pub use arrival::{ArrivalClock, ArrivalProcess};
 pub use batch::BatchConfig;
 pub use core::{run_service, run_service_with_sources, ServeSpec};
-pub use source::{
-    ClosedLoopSource, MuxPoll, OpenLoopSource, RequestSource, SourcePoll, Sourced, TenantLoad,
-    TenantMux, TenantSpec,
-};
+pub use source::{MuxPoll, RequestSource, SourcePoll, Sourced, TenantLoad, TenantMux, TenantSpec};
 pub use stats::{ChannelStats, ServeReport};

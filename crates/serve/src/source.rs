@@ -1,12 +1,13 @@
-//! Request sources: open-loop, closed-loop, and the multi-tenant mux.
+//! Request sources: the tenant source and the multi-tenant mux.
 //!
 //! A [`RequestSource`] is the demand side of the service core: polled for
 //! its next arrival, asked to materialize the request, and told each
 //! request's finish time when the request issues (which is how closed-loop
-//! clients pace themselves). The [`TenantMux`] interleaves named sources by
-//! arrival time — ties resolve to the lowest tenant index, so the
-//! interleaving is deterministic — while preserving each tenant's own
-//! request order.
+//! clients pace themselves). [`TenantSpec::instantiate`] builds every
+//! declarative tenant as one source type, open or closed loop by its
+//! [`TenantLoad`]. The [`TenantMux`] interleaves named sources by arrival
+//! time — ties resolve to the lowest tenant index, so the interleaving is
+//! deterministic — while preserving each tenant's own request order.
 
 use crate::arrival::{ArrivalClock, ArrivalProcess};
 use comet_data::{PayloadGen, PayloadSpec};
@@ -17,7 +18,7 @@ use std::collections::BinaryHeap;
 
 /// Totally ordered wrapper for event times (f64 seconds under `total_cmp`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdTime(pub f64);
+struct OrdTime(f64);
 
 impl Eq for OrdTime {}
 
@@ -66,6 +67,11 @@ pub struct Sourced {
 
 /// The demand side of the service core.
 ///
+/// [`TenantSpec::instantiate`] builds the crate's own implementation, open
+/// or closed loop by the tenant's [`TenantLoad`]; callers may drive the
+/// core with their own (a trace, or a wrapper that counts or logs calls)
+/// through [`crate::run_service_with_sources`].
+///
 /// Implementations must be deterministic: the sequence of polls, takes and
 /// finish-time notices fully determines the generated stream.
 pub trait RequestSource: Send {
@@ -108,47 +114,40 @@ pub trait RequestSource: Send {
     fn skip_payloads(&mut self) {}
 }
 
-/// An open-loop source: arrivals from an [`ArrivalProcess`], oblivious to
-/// service progress.
-#[derive(Debug)]
-pub struct OpenLoopSource {
+/// How a [`TenantSource`] schedules its arrivals, mirroring [`TenantLoad`].
+enum Arrivals {
+    /// Open loop: arrivals from an [`ArrivalProcess`], oblivious to
+    /// service progress. A poll stages the clock's next arrival until it
+    /// is taken.
+    Open {
+        clock: ArrivalClock,
+        staged: Option<Time>,
+    },
+    /// Closed loop: a fixed number of clients, each keeping one request in
+    /// flight and re-issuing `think` after its finish time — the classic
+    /// fixed-concurrency load generator whose offered rate self-limits at
+    /// the service rate. A client's next arrival, `finished + think`, is
+    /// scheduled as soon as [`RequestSource::on_complete`] reports the
+    /// finish time, i.e. when its request issues.
+    Closed {
+        think: Time,
+        /// Times at which a client is ready to issue (min-heap).
+        ready: BinaryHeap<Reverse<OrdTime>>,
+    },
+}
+
+/// The source [`TenantSpec::instantiate`] builds: a tenant's budget of
+/// accesses of one [`StreamShape`], arriving as its [`TenantLoad`] says,
+/// with a payload generator for its stores if the tenant has one.
+struct TenantSource {
     name: String,
     shape: StreamShape,
-    clock: ArrivalClock,
-    staged: Option<Time>,
+    arrivals: Arrivals,
     remaining: usize,
     payload: Option<PayloadGen>,
 }
 
-impl OpenLoopSource {
-    /// A source emitting `requests` accesses of `shape` at the process's
-    /// arrival times.
-    pub fn new(
-        name: impl Into<String>,
-        shape: StreamShape,
-        process: ArrivalProcess,
-        requests: usize,
-        seed: u64,
-    ) -> Self {
-        OpenLoopSource {
-            name: name.into(),
-            shape,
-            clock: process.clock(seed),
-            staged: None,
-            remaining: requests,
-            payload: None,
-        }
-    }
-
-    /// Attaches a payload generator: every store this source emits carries
-    /// a line generated by it.
-    pub fn with_payload(mut self, payload: PayloadGen) -> Self {
-        self.payload = Some(payload);
-        self
-    }
-}
-
-impl RequestSource for OpenLoopSource {
+impl RequestSource for TenantSource {
     fn name(&self) -> &str {
         &self.name
     }
@@ -157,127 +156,42 @@ impl RequestSource for OpenLoopSource {
         if self.remaining == 0 {
             return SourcePoll::Exhausted;
         }
-        let at = *self.staged.get_or_insert_with(|| self.clock.next_arrival());
-        SourcePoll::Ready(at)
+        match &mut self.arrivals {
+            Arrivals::Open { clock, staged } => {
+                SourcePoll::Ready(*staged.get_or_insert_with(|| clock.next_arrival()))
+            }
+            Arrivals::Closed { ready, .. } => match ready.peek() {
+                Some(Reverse(t)) => SourcePoll::Ready(Time::from_seconds(t.0)),
+                None => SourcePoll::Blocked,
+            },
+        }
     }
 
     fn take(&mut self) -> Sourced {
-        let arrival = self.staged.take().expect("take() without a Ready poll");
+        let arrival = match &mut self.arrivals {
+            Arrivals::Open { staged, .. } => staged.take(),
+            Arrivals::Closed { ready, .. } => ready.pop().map(|Reverse(t)| Time::from_seconds(t.0)),
+        }
+        .expect("take() without a Ready poll");
         self.remaining -= 1;
         let (op, address, size) = self.shape.next_access();
+        let payload = match &mut self.payload {
+            Some(gen) if !op.is_read() => Some(Box::new(gen.next_line(address, size.value()))),
+            _ => None,
+        };
         Sourced {
             arrival,
             op,
             address,
             size,
-            payload: payload_for(&mut self.payload, op, address, size),
-        }
-    }
-
-    fn on_complete(&mut self, _finished: Time) {}
-
-    /// Drops the payload generator: it draws from its own RNG, so the
-    /// arrivals and accesses stay the same.
-    fn skip_payloads(&mut self) {
-        self.payload = None;
-    }
-}
-
-/// Materializes the payload of one access: stores of payload-carrying
-/// sources get a generated line, everything else `None`.
-fn payload_for(
-    gen: &mut Option<PayloadGen>,
-    op: MemOp,
-    address: u64,
-    size: ByteCount,
-) -> Option<Box<LineData>> {
-    match gen {
-        Some(gen) if !op.is_read() => Some(Box::new(gen.next_line(address, size.value()))),
-        _ => None,
-    }
-}
-
-/// A closed-loop source: `clients` independent clients, each keeping one
-/// request in flight and re-issuing `think` after its completion — the
-/// classic fixed-concurrency load generator whose offered rate self-limits
-/// at the service rate. A client's next arrival, `finished + think`, is
-/// scheduled as soon as [`RequestSource::on_complete`] reports the finish
-/// time, i.e. when its request issues.
-#[derive(Debug)]
-pub struct ClosedLoopSource {
-    name: String,
-    shape: StreamShape,
-    think: Time,
-    /// Times at which a client is ready to issue (min-heap).
-    ready: BinaryHeap<Reverse<OrdTime>>,
-    remaining: usize,
-    payload: Option<PayloadGen>,
-}
-
-impl ClosedLoopSource {
-    /// A source of `requests` total accesses from `clients` clients with
-    /// the given think time. All clients are ready at time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is zero (the source could never issue).
-    pub fn new(
-        name: impl Into<String>,
-        shape: StreamShape,
-        clients: usize,
-        think: Time,
-        requests: usize,
-    ) -> Self {
-        assert!(clients > 0, "closed loop needs at least one client");
-        ClosedLoopSource {
-            name: name.into(),
-            shape,
-            think,
-            ready: (0..clients).map(|_| Reverse(OrdTime(0.0))).collect(),
-            remaining: requests,
-            payload: None,
-        }
-    }
-
-    /// Attaches a payload generator: every store this source emits carries
-    /// a line generated by it.
-    pub fn with_payload(mut self, payload: PayloadGen) -> Self {
-        self.payload = Some(payload);
-        self
-    }
-}
-
-impl RequestSource for ClosedLoopSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn poll(&mut self) -> SourcePoll {
-        if self.remaining == 0 {
-            return SourcePoll::Exhausted;
-        }
-        match self.ready.peek() {
-            Some(Reverse(t)) => SourcePoll::Ready(Time::from_seconds(t.0)),
-            None => SourcePoll::Blocked,
-        }
-    }
-
-    fn take(&mut self) -> Sourced {
-        let Reverse(t) = self.ready.pop().expect("take() without a Ready poll");
-        self.remaining -= 1;
-        let (op, address, size) = self.shape.next_access();
-        Sourced {
-            arrival: Time::from_seconds(t.0),
-            op,
-            address,
-            size,
-            payload: payload_for(&mut self.payload, op, address, size),
+            payload,
         }
     }
 
     fn on_complete(&mut self, finished: Time) {
-        self.ready
-            .push(Reverse(OrdTime((finished + self.think).as_seconds())));
+        if let Arrivals::Closed { think, ready } = &mut self.arrivals {
+            ready.push(Reverse(OrdTime((finished + *think).as_seconds())));
+        }
     }
 
     /// Drops the payload generator: it draws from its own RNG, so the
@@ -340,17 +254,6 @@ impl TenantMux {
             tenants,
             answer: None,
         }
-    }
-
-    /// Number of tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Whether the mux has no tenants (never true — construction requires
-    /// at least one).
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
     }
 
     /// The tenant names, in index order.
@@ -432,7 +335,9 @@ pub enum TenantLoad {
 }
 
 /// A declarative tenant: instantiated per campaign cell with the cell's
-/// seed and (unless it carries its own) the cell's workload profile.
+/// seed and (unless it carries its own) the cell's workload profile. Open-
+/// and closed-loop tenants differ only in [`TenantLoad`]; both become the
+/// same source type ([`TenantSpec::instantiate`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Tenant name (report label; also folded into the tenant's seed).
@@ -485,9 +390,15 @@ impl TenantSpec {
         self
     }
 
-    /// Builds the tenant's source. `fallback` supplies the shape when the
-    /// spec carries none; `seed` is the cell seed, decorrelated per tenant
-    /// by index and name.
+    /// Builds the tenant's source: `requests` accesses of the tenant's
+    /// shape, arriving open or closed loop as `load` says, each store
+    /// carrying a generated line if the tenant has a payload source.
+    /// `fallback` supplies the shape when the spec carries none; `seed` is
+    /// the cell seed, decorrelated per tenant by index and name.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a closed loop with zero clients (it could never issue).
     pub fn instantiate(
         &self,
         fallback: &WorkloadProfile,
@@ -498,35 +409,31 @@ impl TenantSpec {
         let tenant_seed =
             seed.wrapping_add((index as u64 + 1).wrapping_mul(SEED_STRIDE)) ^ hash_name(&self.name);
         let shape = StreamShape::from_profile(profile, tenant_seed);
-        // A third stream off the tenant seed (the shape takes it raw, the
-        // arrival clock rotated by 32), so payload bytes never correlate
-        // with addresses or arrival times.
-        let payload = self
-            .payload
-            .map(|spec| spec.instantiate(tenant_seed.rotate_left(48) ^ SEED_STRIDE));
-        match self.load {
-            TenantLoad::Open(process) => {
-                let mut source = OpenLoopSource::new(
-                    &self.name,
-                    shape,
-                    process,
-                    self.requests,
-                    tenant_seed.rotate_left(32) ^ SEED_STRIDE,
-                );
-                if let Some(payload) = payload {
-                    source = source.with_payload(payload);
-                }
-                Box::new(source)
-            }
+        let arrivals = match self.load {
+            TenantLoad::Open(process) => Arrivals::Open {
+                clock: process.clock(tenant_seed.rotate_left(32) ^ SEED_STRIDE),
+                staged: None,
+            },
             TenantLoad::Closed { clients, think } => {
-                let mut source =
-                    ClosedLoopSource::new(&self.name, shape, clients, think, self.requests);
-                if let Some(payload) = payload {
-                    source = source.with_payload(payload);
+                assert!(clients > 0, "closed loop needs at least one client");
+                Arrivals::Closed {
+                    think,
+                    ready: (0..clients).map(|_| Reverse(OrdTime(0.0))).collect(),
                 }
-                Box::new(source)
             }
-        }
+        };
+        Box::new(TenantSource {
+            name: self.name.clone(),
+            shape,
+            arrivals,
+            remaining: self.requests,
+            // A third stream off the tenant seed (the shape takes it raw,
+            // the arrival clock rotated by 32), so payload bytes never
+            // correlate with addresses or arrival times.
+            payload: self
+                .payload
+                .map(|spec| spec.instantiate(tenant_seed.rotate_left(48) ^ SEED_STRIDE)),
+        })
     }
 }
 
@@ -554,6 +461,15 @@ mod tests {
     fn sourced_requests_stay_small() {
         // The payload rides in a box; an inline line would add 128 B.
         assert!(std::mem::size_of::<Sourced>() <= 40);
+    }
+
+    #[test]
+    fn queued_requests_are_pinned_at_120_bytes() {
+        // The core holds one per admitted request until it issues, so a
+        // saturated trace sits in the bank queues whole; replay's entry is
+        // 48 B (trace index, arrival, decoded address). ROADMAP item 2
+        // counts the difference against peak RSS.
+        assert_eq!(std::mem::size_of::<crate::core::Queued>(), 120);
     }
 
     #[test]

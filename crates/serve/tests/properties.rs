@@ -1,7 +1,9 @@
 //! Property-based tests for the traffic subsystem.
 //!
 //! Invariants: arrival processes are deterministic per seed and monotone
-//! in time; the multi-tenant mux preserves per-tenant ordering;
+//! in time; a tenant source answers repeated polls alike until its next
+//! take or finish time, and skipping payloads changes nothing else it
+//! emits; the multi-tenant mux preserves per-tenant ordering;
 //! per-channel and per-tenant stats decompose the aggregate exactly, with
 //! and without payloads; closed loops bound in-flight depth by their client
 //! count; the batch stage never loses requests; a single tenant's tail
@@ -10,7 +12,7 @@
 use comet_data::{DataPolicy, DataWriteModel, PayloadSpec};
 use comet_serve::{
     run_service, run_service_with_sources, ArrivalProcess, BatchConfig, MuxPoll, RequestSource,
-    ServeReport, ServeSpec, SourcePoll, Sourced, TenantMux, TenantSpec,
+    ServeReport, ServeSpec, SourcePoll, Sourced, TenantLoad, TenantMux, TenantSpec,
 };
 use comet_units::{ByteCount, Time};
 use memsim::{
@@ -31,6 +33,18 @@ fn any_process() -> impl Strategy<Value = ArrivalProcess> {
         ((7.0f64..10.0), (5.0f64..100.0), (0.0f64..200.0)).prop_map(|(e, gaps, off)| {
             let rate = 10f64.powf(e);
             ArrivalProcess::bursty(rate, Time::from_seconds(gaps / rate), Time::from_nanos(off))
+        }),
+    ]
+}
+
+/// Every load a tenant can offer: each open-loop process, or a closed loop
+/// of 1..=8 clients.
+fn any_load() -> impl Strategy<Value = TenantLoad> {
+    prop_oneof![
+        any_process().prop_map(TenantLoad::Open),
+        (1usize..=8, 0.0f64..100.0).prop_map(|(clients, think)| TenantLoad::Closed {
+            clients,
+            think: Time::from_nanos(think),
         }),
     ]
 }
@@ -173,6 +187,55 @@ proptest! {
         // Bursty edge effects and Poisson variance stay well within 2x.
         prop_assert!(achieved > expect * 0.5 && achieved < expect * 2.0,
             "achieved {achieved} vs mean {expect}");
+    }
+
+    // --- tenant sources -------------------------------------------------------
+
+    #[test]
+    fn polls_repeat_until_the_next_take_or_finish(
+        load in any_load(),
+        payload_index in 0usize..5,
+        seed in any::<u64>(),
+        steps in proptest::collection::vec((any::<bool>(), 1usize..4, 0.0f64..500.0, any::<usize>()), 1..200),
+    ) {
+        // Two sources of one tenant, one told to skip its payloads, driven
+        // through the same random takes and finish times.
+        let spec = TenantSpec {
+            name: "poll-prop".into(),
+            profile: None,
+            load,
+            requests: 60,
+            payload: Some(PayloadSpec::entropy_sweep()[payload_index]),
+        };
+        let p = profile("poll-prop", 0.5, AccessPattern::Random);
+        let mut full = spec.instantiate(&p, seed, 0);
+        let mut bare = spec.instantiate(&p, seed, 0);
+        bare.skip_payloads();
+        let mut in_flight: Vec<Time> = Vec::new();
+        for (take, repeats, latency_ns, pick) in steps {
+            let answer = full.poll();
+            for _ in 0..repeats {
+                prop_assert_eq!(full.poll(), answer, "a repeated poll changed its answer");
+            }
+            prop_assert_eq!(bare.poll(), answer, "skipping payloads moved an arrival");
+            match answer {
+                SourcePoll::Ready(at) if take || in_flight.is_empty() => {
+                    let (a, b) = (full.take(), bare.take());
+                    prop_assert_eq!(a.arrival, at);
+                    prop_assert_eq!((a.arrival, a.op, a.address, a.size), (b.arrival, b.op, b.address, b.size));
+                    prop_assert_eq!(a.payload.is_some(), !a.op.is_read(), "only stores carry a line");
+                    prop_assert!(b.payload.is_none(), "a skipped payload was generated");
+                    in_flight.push(at + Time::from_nanos(latency_ns));
+                }
+                _ if !in_flight.is_empty() => {
+                    let finished = in_flight.swap_remove(pick % in_flight.len());
+                    full.on_complete(finished);
+                    bare.on_complete(finished);
+                }
+                SourcePoll::Exhausted => break,
+                other => prop_assert!(false, "{:?} with nothing in flight", other),
+            }
+        }
     }
 
     // --- the multi-tenant mux ------------------------------------------------
