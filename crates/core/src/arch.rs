@@ -10,7 +10,6 @@
 use crate::timing::CometTiming;
 use comet_units::{BitCount, ByteCount};
 use photonic::{CellModelMode, CellOpticalModel, OpticalParams, WdmMdmLink};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from configuration validation.
@@ -86,7 +85,7 @@ impl std::error::Error for ConfigError {}
 /// assert_eq!(cfg.wavelengths(), 256);
 /// # Ok::<(), comet::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CometConfig {
     /// Banks `B` (= MDM degree).
     pub banks: u64,

@@ -9,7 +9,6 @@
 use comet_units::{Decibels, Transmittance};
 use opcm_phys::ProgramTable;
 use photonic::{CellOpticalModel, PaperCellModel};
-use serde::{Deserialize, Serialize};
 
 /// Maps level indices to read-out transmittances and back.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let drifted = codec.apply_loss(t, Decibels::new(0.1));
 /// assert_eq!(codec.decode(drifted), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelCodec {
     bits: u8,
     /// Transmittance per level, index 0 = most transmissive.
@@ -201,7 +200,7 @@ pub fn decode_levels(levels: &[u8], bits: u8) -> Vec<u8> {
 }
 
 /// A functional subarray: an `rows × cols` grid of level-holding cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subarray {
     rows: u64,
     cols: u64,

@@ -19,10 +19,9 @@
 
 use crate::arch::CometConfig;
 use memsim::DecodedAddress;
-use serde::{Deserialize, Serialize};
 
 /// A location in COMET's subarray-structured address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CometAddress {
     /// Channel (pass-through).
     pub channel: u64,
@@ -53,7 +52,7 @@ pub struct CometAddress {
 /// assert_eq!(loc.column, 17);
 /// assert_eq!(mapper.unmap(loc), flat);      // bijective
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapper {
     subarray_rows: u64,
     subarray_cols: u64,

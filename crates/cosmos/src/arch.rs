@@ -16,10 +16,9 @@
 
 use comet_units::{BitCount, ByteCount, Energy, Time};
 use photonic::OpticalParams;
-use serde::{Deserialize, Serialize};
 
 /// COSMOS timing parameters (paper Table II, corrected variant).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosmosTiming {
     /// Data-bus width, bits.
     pub bus_bits: u32,
@@ -90,7 +89,7 @@ impl Default for CosmosTiming {
 /// assert_eq!(cfg.capacity_bits().value(), 1 << 33);
 /// assert_eq!(cfg.bits_per_cell, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CosmosConfig {
     /// Report name.
     pub name: String,

@@ -23,7 +23,6 @@ use crate::arch::CosmosConfig;
 use comet::LevelCodec;
 use comet_units::{Energy, Transmittance};
 use photonic::CrossbarCrosstalk;
-use serde::{Deserialize, Serialize};
 
 /// Saturation ceiling of the thermo-optic drift, in transmittance units.
 ///
@@ -52,7 +51,7 @@ const REFERENCE_WRITE_PJ: f64 = 750.0;
 /// xb.write_row(1, &[2; 8]);
 /// assert_ne!(xb.ideal_read_row(0), vec![5; 8]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Crossbar {
     rows: u64,
     cols: u64,

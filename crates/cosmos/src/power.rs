@@ -18,10 +18,9 @@ use crate::arch::CosmosConfig;
 use comet::PowerStack;
 use comet_units::{Decibels, Power};
 use photonic::{Laser, OpticalPath, PathElement};
-use serde::{Deserialize, Serialize};
 
 /// Power model of a COSMOS configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CosmosPowerModel {
     /// The architecture being modeled.
     pub config: CosmosConfig,

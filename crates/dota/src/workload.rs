@@ -7,10 +7,9 @@
 
 use comet_units::{ByteCount, Time};
 use memsim::{AccessPattern, MemOp, MemRequest, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 
 /// A transformer model's memory-relevant shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerWorkload {
     /// Model name.
     pub name: String,

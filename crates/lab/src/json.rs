@@ -1,8 +1,8 @@
 //! A minimal, deterministic JSON emitter and parser.
 //!
-//! The workspace builds offline against a `serde` shim whose derives expand
-//! to nothing (see `shims/README.md`), so this module is what actually
-//! moves campaign reports on and off disk. Two properties matter more than
+//! The workspace derives no serde traits (the offline `serde` shim's
+//! derives would expand to nothing; see `shims/README.md`), so this module
+//! is what moves campaign reports on and off disk. Two properties matter more than
 //! generality:
 //!
 //! * **Determinism** — objects keep insertion order and floats print via

@@ -13,8 +13,8 @@
 //! * [`CampaignReport`] exports real [JSON](CampaignReport::to_json) (with
 //!   an exact [parse-back](CampaignReport::from_json)) and
 //!   [CSV](CampaignReport::to_csv), through the crate's own deterministic
-//!   [`Json`] emitter/parser (the offline `serde` shim derives nothing —
-//!   see `shims/README.md`).
+//!   [`Json`] emitter/parser (no crate derives serde traits — see
+//!   `shims/README.md`).
 //!
 //! The `comet-lab` binary runs a campaign from command-line axes — or
 //! from a JSON spec file via `comet-lab run spec.json` (see

@@ -1,16 +1,17 @@
 //! Physical-address decomposition.
 //!
 //! Maps a flat physical byte address onto `{channel, bank, row, column}`
-//! coordinates. The interleaving order decides which address bits move
-//! fastest; cache-line interleaving across channels/banks (the default, and
-//! what COMET does across its MDM banks) spreads consecutive lines over all
-//! parallel resources.
+//! coordinates. Both interleavings move the channel bits fastest, then the
+//! column, bank and row bits: cache-line interleaving across channels (the
+//! default, and what `comet::CometMemory` does across its MDM banks)
+//! spreads consecutive lines over all channels. The XOR variant, which
+//! `Controller` uses, also folds the higher bits into the channel index so
+//! channel-multiple strides spread too.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Decoded device coordinates of an address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodedAddress {
     /// Channel index.
     pub channel: u64,
@@ -23,16 +24,13 @@ pub struct DecodedAddress {
 }
 
 /// Bit-interleaving order for address decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Interleave {
     /// `row : bank : column : channel` (line-interleaved across channels,
     /// then columns within a bank row — maximizes channel/bank parallelism
     /// for streams). The usual high-throughput choice.
     #[default]
     RowBankColumnChannel,
-    /// `row : column : bank : channel` (consecutive lines hit different
-    /// banks first — maximizes bank-level parallelism for strided access).
-    RowColumnBankChannel,
     /// Like [`Interleave::RowBankColumnChannel`] but the channel index is
     /// XOR-folded with the base-C digits of the line quotient, so strided
     /// streams whose stride is a multiple of the channel count still
@@ -106,7 +104,7 @@ impl std::error::Error for AddressMapError {}
 /// assert_eq!(map.encode(d), 0x40); // bijective
 /// # Ok::<(), memsim::AddressMapError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
     // log2 of each dimension.
     channel_bits: u32,
@@ -213,12 +211,6 @@ impl AddressMap {
                 row: rest >> (self.column_bits + self.bank_bits),
                 column: low(rest, self.column_bits),
             },
-            Interleave::RowColumnBankChannel => DecodedAddress {
-                channel,
-                bank: low(rest, self.bank_bits),
-                row: rest >> (self.bank_bits + self.column_bits),
-                column: low(rest >> self.bank_bits, self.column_bits),
-            },
             Interleave::RowBankColumnChannelXor => DecodedAddress {
                 channel: channel ^ xor_fold(rest, self.channel_bits),
                 bank: low(rest >> self.column_bits, self.bank_bits),
@@ -250,9 +242,6 @@ impl AddressMap {
         let (q, channel) = match self.interleave {
             Interleave::RowBankColumnChannel => {
                 (((d.row << bb | d.bank) << cb) | d.column, d.channel)
-            }
-            Interleave::RowColumnBankChannel => {
-                (((d.row << cb | d.column) << bb) | d.bank, d.channel)
             }
             Interleave::RowBankColumnChannelXor => {
                 let q = ((d.row << bb | d.bank) << cb) | d.column;
@@ -299,18 +288,6 @@ mod tests {
                     column,
                 }
             }
-            Interleave::RowColumnBankChannel => {
-                let channel = line % channels;
-                let rest = line / channels;
-                let bank = rest % banks;
-                let rest = rest / banks;
-                DecodedAddress {
-                    channel,
-                    bank,
-                    row: rest / columns,
-                    column: rest % columns,
-                }
-            }
             Interleave::RowBankColumnChannelXor => {
                 let r = line % channels;
                 let q = line / channels;
@@ -333,9 +310,6 @@ mod tests {
             Interleave::RowBankColumnChannel => {
                 ((d.row * banks + d.bank) * columns + d.column) * channels + d.channel
             }
-            Interleave::RowColumnBankChannel => {
-                ((d.row * columns + d.column) * banks + d.bank) * channels + d.channel
-            }
             Interleave::RowBankColumnChannelXor => {
                 let q = (d.row * banks + d.bank) * columns + d.column;
                 q * channels + (d.channel ^ reference_xor_fold(q, channels))
@@ -347,7 +321,6 @@ mod tests {
     fn any_interleave() -> impl Strategy<Value = Interleave> {
         prop_oneof![
             Just(Interleave::RowBankColumnChannel),
-            Just(Interleave::RowColumnBankChannel),
             Just(Interleave::RowBankColumnChannelXor),
         ]
     }
@@ -475,7 +448,6 @@ mod tests {
     fn roundtrip_both_interleaves() {
         for il in [
             Interleave::RowBankColumnChannel,
-            Interleave::RowColumnBankChannel,
             Interleave::RowBankColumnChannelXor,
         ] {
             let m = AddressMap::new(4, 8, 64, 16, 64, il).unwrap();
@@ -528,14 +500,6 @@ mod tests {
             let d = m.decode(k);
             assert_eq!(d.channel, 0);
             assert_eq!(m.encode(m.decode(k & !63)), k & !63);
-        }
-    }
-
-    #[test]
-    fn bank_first_interleave_spreads_banks() {
-        let m = AddressMap::new(1, 8, 64, 16, 64, Interleave::RowColumnBankChannel).unwrap();
-        for i in 0..8u64 {
-            assert_eq!(m.decode(i * 64).bank, i % 8);
         }
     }
 }

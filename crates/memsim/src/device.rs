@@ -9,10 +9,9 @@ use crate::addr::DecodedAddress;
 use crate::data::LineData;
 use crate::request::MemOp;
 use comet_units::{ByteCount, Energy, Power, Time};
-use serde::{Deserialize, Serialize};
 
 /// Static shape of a memory device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Independent channels (each with its own data bus).
     pub channels: u64,
@@ -39,7 +38,7 @@ impl Topology {
 }
 
 /// Timing and energy of one serviced access, as decided by the device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessTiming {
     /// When the bank becomes free for its next access.
     pub bank_free_at: Time,
@@ -186,12 +185,12 @@ pub trait DeviceFactory: Send + Sync {
 /// ```
 /// use memsim::{DeviceFactory, DramConfig, DramDevice, FnFactory};
 ///
-/// let f = FnFactory::new("DDR3-closed-page", || {
+/// let f = FnFactory::new("DDR3-16-bank", || {
 ///     let mut cfg = DramConfig::ddr3_1600_2d();
-///     cfg.row_policy = memsim::RowPolicy::Closed;
+///     cfg.topology.banks = 16;
 ///     Box::new(DramDevice::new(cfg))
 /// });
-/// assert_eq!(f.device_name(), "DDR3-closed-page");
+/// assert_eq!(f.device_name(), "DDR3-16-bank");
 /// let _dev = f.build();
 /// ```
 pub struct FnFactory {

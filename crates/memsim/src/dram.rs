@@ -1,31 +1,22 @@
 //! DRAM timing and energy models (2D and 3D-stacked DDR3/DDR4).
 //!
 //! Bank-state-machine granularity, matching what the paper's NVMain
-//! baseline models: row-buffer hits pay only CAS latency, misses pay
-//! precharge + activate + CAS, refresh windows block banks every tREFI and
-//! cost energy. The 2D presets model the paper's single-device ranks
-//! ("1 rank/channel, 1 device/rank"), which throttles the data bus to the
-//! device's narrow I/O width; the 3D presets model stacked devices with
-//! wide TSV-based internal buses and multiple channels.
+//! baseline models. Every bank runs an open-page policy: an access leaves
+//! its row open, so row-buffer hits pay only CAS latency and misses pay
+//! precharge + activate + CAS; refresh windows block banks every tREFI,
+//! close their rows and cost energy. The 2D presets model the paper's
+//! single-device ranks ("1 rank/channel, 1 device/rank"), which throttles
+//! the data bus to the device's narrow I/O width; the 3D presets model
+//! stacked devices with wide TSV-based internal buses and multiple
+//! channels.
 
 use crate::addr::DecodedAddress;
 use crate::device::{AccessTiming, DeviceFactory, MemoryDevice, Topology};
 use crate::request::MemOp;
 use comet_units::{Energy, Power, Time};
-use serde::{Deserialize, Serialize};
-
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum RowPolicy {
-    /// Keep rows open after access (good for locality).
-    #[default]
-    Open,
-    /// Precharge immediately after each access.
-    Closed,
-}
 
 /// DRAM timing parameters (datasheet style).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramTimings {
     /// Clock period.
     pub t_ck: Time,
@@ -63,7 +54,7 @@ impl DramTimings {
 }
 
 /// DRAM energy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramEnergy {
     /// Energy per row activation (+ implied precharge).
     pub activate: Energy,
@@ -78,7 +69,7 @@ pub struct DramEnergy {
 }
 
 /// A complete DRAM configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Report name (e.g. `"2D_DDR3"`).
     pub name: String,
@@ -88,8 +79,6 @@ pub struct DramConfig {
     pub timings: DramTimings,
     /// Energy parameters.
     pub energy: DramEnergy,
-    /// Row policy.
-    pub row_policy: RowPolicy,
 }
 
 impl DramConfig {
@@ -124,7 +113,6 @@ impl DramConfig {
                 // idle power on a 2D DIMM.
                 background: Power::from_milliwatts(1200.0),
             },
-            row_policy: RowPolicy::Open,
         }
     }
 
@@ -156,7 +144,6 @@ impl DramConfig {
                 refresh_op: Energy::from_nanojoules(12.0),
                 background: Power::from_milliwatts(350.0),
             },
-            row_policy: RowPolicy::Open,
         }
     }
 
@@ -190,7 +177,6 @@ impl DramConfig {
                 refresh_op: Energy::from_nanojoules(35.0),
                 background: Power::from_milliwatts(1000.0),
             },
-            row_policy: RowPolicy::Open,
         }
     }
 
@@ -220,7 +206,6 @@ impl DramConfig {
                 refresh_op: Energy::from_nanojoules(15.0),
                 background: Power::from_milliwatts(300.0),
             },
-            row_policy: RowPolicy::Open,
         }
     }
 
@@ -350,10 +335,7 @@ impl MemoryDevice for DramDevice {
             MemOp::Write => data_ready + transfer + t.cycles(t.t_wr),
         };
 
-        self.open_rows[idx] = match self.config.row_policy {
-            RowPolicy::Open => Some(loc.row),
-            RowPolicy::Closed => None,
-        };
+        self.open_rows[idx] = Some(loc.row);
 
         AccessTiming {
             bank_free_at: bank_free,
@@ -418,17 +400,6 @@ mod tests {
         let a = dev.access(&loc(0, 0), MemOp::Read, Time::ZERO);
         let expect = t.cycles(t.t_rcd + t.cl);
         assert!((a.data_ready_at.as_nanos() - expect.as_nanos()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn closed_policy_never_hits() {
-        let mut cfg = DramConfig::ddr3_1600_2d();
-        cfg.row_policy = RowPolicy::Closed;
-        let mut dev = DramDevice::new(cfg);
-        let a = dev.access(&loc(0, 5), MemOp::Read, Time::ZERO);
-        let b = dev.access(&loc(0, 5), MemOp::Read, a.bank_free_at);
-        // Second access to the same row still pays activation.
-        assert!(b.energy >= dev.config().energy.activate);
     }
 
     #[test]

@@ -12,10 +12,9 @@ use crate::queues::Pending;
 use crate::request::{CompletedRequest, MemRequest};
 use crate::stats::SimStats;
 use comet_units::Time;
-use serde::{Deserialize, Serialize};
 
 /// Request scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// First-come first-served per bank.
     Fcfs,
@@ -34,7 +33,7 @@ impl Default for Scheduler {
 }
 
 /// How arrival timestamps are honoured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayMode {
     /// Respect trace arrival times (requests queue if the device is slow).
     #[default]
@@ -45,7 +44,7 @@ pub enum ReplayMode {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Scheduling policy.
     pub scheduler: Scheduler,

@@ -49,7 +49,7 @@ pub use addr::{AddressMap, AddressMapError, DecodedAddress, Interleave};
 pub use controller::Controller;
 pub use data::{LineData, PricedWrite, WriteCost, WritePricer, MAX_LINE_BYTES};
 pub use device::{AccessTiming, DeviceFactory, FnFactory, MemoryDevice, Topology};
-pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings, RowPolicy};
+pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings};
 pub use engine::{run_simulation, ReplayMode, Scheduler, SimConfig};
 pub use hash::{BuildMixHasher, MixHasher, MixMap};
 pub use pcm::{DataPlaneStats, EpcmConfig, EpcmDevice};

@@ -25,10 +25,9 @@ use crate::device::{AccessTiming, DeviceFactory, MemoryDevice, Topology};
 use crate::hash::MixMap;
 use crate::request::MemOp;
 use comet_units::{Energy, Power, Time};
-use serde::{Deserialize, Serialize};
 
 /// EPCM configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpcmConfig {
     /// Report name.
     pub name: String,

@@ -2,11 +2,10 @@
 
 use crate::data::LineData;
 use comet_units::{ByteCount, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operation type of a memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOp {
     /// Read a cache line.
     Read,
@@ -45,7 +44,7 @@ impl fmt::Display for MemOp {
 /// let req = MemRequest::new(0, Time::from_nanos(10.0), MemOp::Read, 0x4000, ByteCount::new(64));
 /// assert!(req.op.is_read());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemRequest {
     /// Unique id (trace order).
     pub id: u64,
@@ -95,7 +94,7 @@ impl MemRequest {
 }
 
 /// A serviced request with its timing (64 bytes; `Clone`, not `Copy`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedRequest {
     /// The original request.
     pub request: MemRequest,

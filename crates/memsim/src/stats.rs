@@ -2,11 +2,10 @@
 
 use crate::request::CompletedRequest;
 use comet_units::{BitCount, ByteCount, DataRate, Energy, EnergyPerBit, Power, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Energy breakdown of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Per-access energy (activation, array, I/O, laser pulses).
     pub access: Energy,
@@ -111,7 +110,7 @@ fn whole_picos(latency: Time) -> u64 {
 /// assert!(h.percentile(99.0) <= Time::from_nanos(99.0));
 /// assert!(h.percentile(99.0) > Time::from_nanos(99.0 * (1.0 - 1.0 / 128.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencyHistogram {
     /// Bucket index of `counts[0]` (0 while empty).
     first: usize,
@@ -203,7 +202,7 @@ impl LatencyHistogram {
 }
 
 /// Aggregate results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Device name.
     pub device: String,

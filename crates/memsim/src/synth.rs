@@ -14,10 +14,9 @@ use crate::request::{MemOp, MemRequest};
 use comet_units::{ByteCount, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Spatial access pattern of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Sequential streaming through the footprint.
     Stream,
@@ -37,7 +36,7 @@ pub enum AccessPattern {
 }
 
 /// A synthetic workload description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Name used in reports (SPEC-like identifier).
     pub name: String,

@@ -13,7 +13,7 @@ use std::io::{self, BufRead, Write};
 
 /// CPU clock used to convert trace cycles to wall time (NVMain traces are
 /// CPU-cycle-stamped; 2 GHz is its common default).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceClock {
     /// Cycle period.
     pub period: Time,

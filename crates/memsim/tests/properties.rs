@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 fn any_interleave() -> impl Strategy<Value = Interleave> {
     prop_oneof![
         Just(Interleave::RowBankColumnChannel),
-        Just(Interleave::RowColumnBankChannel),
         Just(Interleave::RowBankColumnChannelXor),
     ]
 }

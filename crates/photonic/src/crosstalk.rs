@@ -14,7 +14,6 @@
 //! the model here is what the `cosmos` crate uses to reproduce the failure.
 
 use comet_units::{Decibels, Energy};
-use serde::{Deserialize, Serialize};
 
 /// Crossbar write-crosstalk parameters.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// let shift = xt.fraction_shift(Energy::from_picojoules(750.0));
 /// assert!((shift - 0.08).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarCrosstalk {
     /// Coupling from an aggressor write into an adjacent victim cell.
     /// The paper measures ≈ −18 dB at the COSMOS crossbar (Fig. 1(b)).

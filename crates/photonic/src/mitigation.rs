@@ -26,10 +26,9 @@
 use crate::mr::Microring;
 use crate::readout::LevelBudget;
 use comet_units::{Decibels, Length};
-use serde::{Deserialize, Serialize};
 
 /// Drop-filter order at the interface demux.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterOrder {
     /// A single microring (first-order Lorentzian; the paper's default).
     Single,
@@ -73,7 +72,7 @@ impl FilterOrder {
 /// // Second-order filtering suppresses the aggregate neighbour pickup:
 /// assert!(double.total_crosstalk() < single.total_crosstalk() / 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WdmCrosstalkAnalysis {
     ring: Microring,
     channels: usize,

@@ -8,7 +8,6 @@
 
 use crate::elements::MrTuning;
 use comet_units::{Decibels, Length};
-use serde::{Deserialize, Serialize};
 
 /// A microring resonator used as a wavelength-selective switch/filter.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let off = mr.drop_fraction(Length::from_nanometers(mr.fsr().as_nanometers() / 16.0));
 /// assert!(off < 0.05);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Microring {
     /// Ring radius.
     pub radius: Length,

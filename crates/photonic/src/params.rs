@@ -6,7 +6,6 @@
 //! parameterizes the whole stack, and sensitivity studies can sweep it.
 
 use comet_units::{Decibels, Length, Power};
-use serde::{Deserialize, Serialize};
 
 /// Optical loss and power parameters (paper Table I).
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.coupling_loss.value(), 1.0);
 /// assert_eq!(p.laser_wall_plug_efficiency, 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpticalParams {
     /// Fiber/laser-to-chip coupling loss (1 dB, Batten et al. \[33]).
     pub coupling_loss: Decibels,

@@ -12,7 +12,6 @@
 use crate::elements::PathElement;
 use crate::params::OpticalParams;
 use comet_units::{Decibels, Power};
-use serde::{Deserialize, Serialize};
 
 /// A chain of photonic elements traversed by one wavelength.
 ///
@@ -39,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html#c-builder
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OpticalPath {
     elements: Vec<PathElement>,
 }

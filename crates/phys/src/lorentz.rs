@@ -20,7 +20,6 @@
 
 use crate::Complex;
 use comet_units::Length;
-use serde::{Deserialize, Serialize};
 
 /// Photon energy in electron-volts for a vacuum wavelength.
 ///
@@ -41,7 +40,7 @@ pub fn photon_energy_ev(lambda: Length) -> f64 {
 }
 
 /// A single Lorentz oscillator term.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Oscillator {
     /// Dimensionless oscillator strength `S`.
     pub strength: f64,
@@ -63,7 +62,7 @@ impl Oscillator {
 }
 
 /// The complex refractive index `ñ = n + iκ` of a material at one wavelength.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ComplexIndex {
     /// Real refractive index.
     pub n: f64,
@@ -109,7 +108,7 @@ impl ComplexIndex {
 /// assert!((idx.n - 6.11).abs() < 1e-9);
 /// assert!((idx.kappa - 1.10).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LorentzModel {
     /// High-frequency permittivity ε∞.
     pub eps_inf: f64,

@@ -24,7 +24,6 @@
 
 use crate::thermal::{CellState, CellThermalModel, PulseSpec, PulseSweep};
 use comet_units::{Energy, Power, Time, Transmittance};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -38,7 +37,7 @@ pub const CRYSTALLINE_GUARD: f64 = 0.04;
 pub const LEVEL_TRANSMITTANCE_FLOOR: f64 = 0.05;
 
 /// Which state the cell is erased to before level writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramMode {
     /// Reset = fully crystalline; writes amorphize partially (5 mW pulses).
     CrystallineReset,
@@ -77,7 +76,7 @@ impl fmt::Display for ProgramMode {
 }
 
 /// One programmable level of the MLC table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelSpec {
     /// Level index (0 = highest transmittance = most amorphous).
     pub level: u8,
@@ -102,7 +101,7 @@ impl LevelSpec {
 }
 
 /// The reset (erase) operation of a mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResetSpec {
     /// The erase pulse (valid from any starting state).
     pub pulse: PulseSpec,
@@ -166,7 +165,7 @@ impl std::error::Error for GenerateTableError {}
 /// assert_eq!(table.levels.len(), 16);
 /// # Ok::<(), opcm_phys::GenerateTableError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramTable {
     /// Programming mode.
     pub mode: ProgramMode,

@@ -10,7 +10,6 @@
 use crate::lorentz::ComplexIndex;
 use crate::materials::{PcmKind, Phase};
 use comet_units::Length;
-use serde::{Deserialize, Serialize};
 
 /// Start of the optical C-band.
 pub fn c_band_start() -> Length {
@@ -48,7 +47,7 @@ pub fn c_band_wavelengths(count: usize) -> Vec<Length> {
 }
 
 /// One sample of the Fig. 3 material-spectra sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaterialSpectrumPoint {
     /// Material.
     pub kind: PcmKind,

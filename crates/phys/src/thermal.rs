@@ -46,14 +46,13 @@
 
 use crate::cell_optics::CellOpticalModel;
 use comet_units::{Energy, Length, Power, Temperature, Time};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::materials::Silicon;
 
 /// Tuning constants of the lumped thermal model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalParams {
     /// Total conductance from the hot node to ambient (BOX conduction plus
     /// lateral/fin spreading), W/K.
@@ -94,7 +93,7 @@ impl Default for ThermalParams {
 }
 
 /// The programmable state of one OPCM cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellState {
     /// Crystalline volume fraction of the (solid) film, `[0, 1]`.
     pub crystalline_fraction: f64,
@@ -143,7 +142,7 @@ impl Default for CellState {
 }
 
 /// A rectangular optical programming pulse.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulseSpec {
     /// Optical power delivered at the cell.
     pub power: Power,
@@ -164,7 +163,7 @@ impl PulseSpec {
 }
 
 /// The result of applying one pulse (including the cool-down/quench).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PulseOutcome {
     /// Cell state after the quench completes (back near ambient).
     pub state: CellState,
@@ -179,7 +178,7 @@ pub struct PulseOutcome {
 }
 
 /// One sample of a traced pulse simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSample {
     /// Time since pulse start.
     pub time: Time,

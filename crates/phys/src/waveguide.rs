@@ -14,7 +14,6 @@
 //! of the light while an amorphous one loses ≈0.07 dB/mm (Section III.B).
 
 use comet_units::Length;
-use serde::{Deserialize, Serialize};
 
 use crate::materials::{Silicon, SiliconDioxide};
 
@@ -46,7 +45,7 @@ const CORE_AREA_SCALE_NM2: f64 = 176_000.0;
 /// let neff = wg.effective_index();
 /// assert!(neff > 2.2 && neff < 2.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaveguideGeometry {
     /// Core width.
     pub width: Length,
@@ -104,7 +103,7 @@ impl Default for WaveguideGeometry {
 /// let gamma = cell.confinement_factor();
 /// assert!(gamma > 0.15 && gamma < 0.20);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellGeometry {
     /// Underlying strip waveguide.
     pub waveguide: WaveguideGeometry,

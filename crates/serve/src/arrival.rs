@@ -14,7 +14,6 @@
 use comet_units::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An open-loop arrival process (rates in requests per second).
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// // Same seed, same stream.
 /// assert_eq!(p.clock(42).next_arrival(), a);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Evenly spaced arrivals at a fixed rate (deterministic spacing
     /// `1/rate`; the cleanest probe for saturation sweeps).

@@ -196,7 +196,6 @@ pub fn run_service_with_sources(
     let mut batcher = spec.batch.map(WriteBatcher::new);
 
     let mut next_id: u64 = 0;
-    let mut batched_writes: u64 = 0;
 
     loop {
         let t_release = batcher.as_ref().and_then(WriteBatcher::next_release);
@@ -263,7 +262,6 @@ pub fn run_service_with_sources(
                 next_id += 1;
                 match (&mut batcher, s.op) {
                     (Some(b), MemOp::Write) => {
-                        batched_writes += 1;
                         for mut w in b.admit(q, now) {
                             w.ready = now;
                             ctl.push(w);
@@ -321,7 +319,6 @@ pub fn run_service_with_sources(
         stats,
         tenants,
         channels,
-        batched_writes,
         coalesced_writes: batcher.as_ref().map_or(0, WriteBatcher::coalesced),
     }
 }
@@ -410,7 +407,7 @@ mod tests {
         // Every request still completes.
         assert_eq!(plain.stats.completed, 600);
         assert_eq!(coal.stats.completed, 600);
-        assert_eq!(coal.batched_writes, 600);
+        assert_eq!(coal.stats.writes, 600);
         assert!(coal.coalesced_writes > 0, "hot lines must coalesce");
         // Coalesced runs do less array work: lower access energy.
         assert!(coal.stats.energy.access < plain.stats.energy.access);

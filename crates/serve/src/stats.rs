@@ -45,8 +45,6 @@ pub struct ServeReport {
     pub tenants: Vec<SimStats>,
     /// Per-channel accounting.
     pub channels: Vec<ChannelStats>,
-    /// Writes that entered the batch stage.
-    pub batched_writes: u64,
     /// Same-line writes coalesced away (completed by another access).
     pub coalesced_writes: u64,
 }

@@ -409,7 +409,7 @@ proptest! {
         prop_assert_eq!(report.stats.completed, 300);
         prop_assert_eq!(report.stats.reads + report.stats.writes, 300);
         prop_assert_eq!(report.channel_total(), 300);
-        prop_assert!(report.coalesced_writes <= report.batched_writes);
+        prop_assert!(report.coalesced_writes <= report.stats.writes);
     }
 
     // --- tail accounting -----------------------------------------------------

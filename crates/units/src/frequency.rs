@@ -1,7 +1,6 @@
 //! Frequencies, stored internally in hertz.
 
 use crate::{Length, SPEED_OF_LIGHT};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -18,7 +17,7 @@ use std::ops::{Add, Div, Mul, Sub};
 /// let carrier = Frequency::from_wavelength(Length::from_nanometers(1550.0));
 /// assert!((carrier.as_terahertz() - 193.4).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Frequency(f64);
 
 impl Frequency {

@@ -1,6 +1,5 @@
 //! Temperatures, stored internally in kelvin.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -19,7 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert!((melt.as_kelvin() - 873.15).abs() < 1e-9);
 /// assert!(melt > Temperature::from_celsius(150.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Temperature(f64);
 
 impl Temperature {
@@ -64,7 +63,7 @@ impl Temperature {
 ///
 /// Kept distinct from [`Temperature`] so "add 50 K of heating" cannot be
 /// confused with "the temperature is 50 K".
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TemperatureDelta(pub f64);
 
 impl Add<TemperatureDelta> for Temperature {

@@ -7,6 +7,9 @@
 # files) with `git grep`; it changes nothing. It prints:
 #   * the lines of tracked Rust under crates/ src/ tests/ examples/ shims/
 #     (the source size ROADMAP.md tracks), and perfbench/'s separately;
+#   * the lines of tracked Rust under crates/ src/ tests/ examples/ that
+#     name a serde trait or import serde (the offline shim's derives
+#     expand to nothing, so each such line is dead weight);
 #   * every name that a `pub use` in crates/*/src/lib.rs re-exports and
 #     that no Rust file outside that crate's directory names (a whole-word
 #     match), one `<crate dir> <name>` per line, then their count.
@@ -33,6 +36,10 @@ show() {
 
 echo "rust_lines	$(rust_lines crates src tests examples shims)	crates/ src/ tests/ examples/ shims/"
 echo "perfbench_lines	$(rust_lines perfbench)	perfbench/"
+serde_lines=$({ git grep -cE '\b(Serialize|Deserialize)\b|use serde' "${rev[@]}" \
+    -- 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' || true; } |
+    awk -F: '{ n += $NF } END { print n + 0 }')
+echo "serde_lines	$serde_lines	crates/ src/ tests/ examples/"
 
 count=0
 if [[ ${#rev[@]} -eq 1 ]]; then

@@ -1,11 +1,12 @@
 //! Offline stand-in for the `serde` crate.
 //!
-//! The simulator derives `Serialize`/`Deserialize` on its config and
-//! report types so that downstream tooling can serialize them once the
-//! real `serde` is available, but no code path serializes through a data
-//! format today. This shim provides the two marker traits and re-exports
-//! the pass-through derives so the `use serde::{Deserialize, Serialize}`
-//! + `#[derive(...)]` idiom compiles unchanged in offline builds.
+//! No workspace source derives or imports these traits: the crate
+//! manifests still list `serde` only because `perfbench/Cargo.lock` does,
+//! and both go together. Campaign reports are serialized by
+//! `comet-lab`'s own JSON module. This shim provides the two marker
+//! traits and re-exports pass-through derives, so the
+//! `use serde::{Deserialize, Serialize}` + `#[derive(...)]` idiom would
+//! compile in offline builds.
 //!
 //! To use the real crates.io `serde`, point the `serde` entry in the
 //! workspace `[workspace.dependencies]` table back at the registry.

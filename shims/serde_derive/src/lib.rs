@@ -1,11 +1,10 @@
 //! Offline stand-in for the `serde_derive` proc-macro crate.
 //!
 //! The workspace is built in environments without registry access (see
-//! `shims/README.md`), and the simulator only ever *derives*
-//! `Serialize`/`Deserialize` — nothing serializes through a data format
-//! yet. These derives therefore accept the full attribute syntax and
-//! expand to an empty token stream. Swapping in the real `serde_derive`
-//! is a two-line change in the workspace manifest.
+//! `shims/README.md`). No workspace source uses these derives; they stay
+//! until the lockfiles stop listing them. They accept the full attribute
+//! syntax and expand to an empty token stream. Swapping in the real
+//! `serde_derive` is a two-line change in the workspace manifest.
 
 use proc_macro::TokenStream;
 

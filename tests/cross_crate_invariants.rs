@@ -29,7 +29,6 @@ proptest! {
     fn address_map_bijective(line in 0u64..(1 << 24),
                              scheme in prop_oneof![
                                 Just(Interleave::RowBankColumnChannel),
-                                Just(Interleave::RowColumnBankChannel),
                                 Just(Interleave::RowBankColumnChannelXor)]) {
         let map = AddressMap::new(4, 8, 1 << 14, 32, 64, scheme).unwrap();
         let addr = (line % (map.capacity_bytes() / 64)) * 64;
