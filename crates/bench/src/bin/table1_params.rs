@@ -1,11 +1,20 @@
 //! Table I — optical loss and power parameters used for COMET power
 //! modeling, plus the quantities the architecture derives from them.
+//!
+//! The last table pins published figures the models must reproduce: the
+//! gain LUT's entry counts (Section III.C: 52 entries at b=1, 5 distinct
+//! values per SOA period, 12 at b=2, 46 at b=4) and self-limiting
+//! crystallization writes (1 mW can never melt the film, 5 mW can; Sevison
+//! et al.). The binary exits non-zero if any of them does not match.
 
+use comet::{CometConfig, GainLut};
 use comet_bench::{header, Table};
-use comet_units::Length;
+use comet_units::{Length, Power};
+use opcm_phys::CellThermalModel;
 use photonic::{CellModelMode, LevelBudget, OpticalParams};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     header(
         "table1",
         "optical loss and power parameters",
@@ -127,4 +136,44 @@ fn main() {
          # same contract from opcm-phys (sweep both: comet-lab --devices\n\
          # COMET-paper,COMET-derived)"
     );
+
+    let rows = CometConfig::comet_4b().subarray_rows;
+    let lut = |bits| GainLut::for_bits(bits, rows, &p);
+    let thermal = CellThermalModel::comet_gst();
+    let melts = |mw| thermal.can_melt_at(Power::from_milliwatts(mw)).to_string();
+    let pinned = [
+        (
+            "gain LUT entries b=1",
+            "52",
+            lut(1).total_entries().to_string(),
+        ),
+        (
+            "gain LUT entries per SOA period b=1",
+            "5",
+            lut(1).distinct_entries().to_string(),
+        ),
+        (
+            "gain LUT entries per SOA period b=2",
+            "12",
+            lut(2).distinct_entries().to_string(),
+        ),
+        (
+            "gain LUT entries per SOA period b=4",
+            "46",
+            lut(4).distinct_entries().to_string(),
+        ),
+        ("1 mW write can melt the cell", "false", melts(1.0)),
+        ("5 mW write can melt the cell", "true", melts(5.0)),
+    ];
+    let mut pins = Table::new(vec!["published_figure", "paper", "model"]);
+    for (figure, paper, model) in &pinned {
+        pins.row(vec![figure.to_string(), paper.to_string(), model.clone()]);
+    }
+    pins.print();
+    if pinned.iter().all(|(_, paper, model)| paper == model) {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("table1: a published figure does not match the model");
+        ExitCode::FAILURE
+    }
 }

@@ -361,6 +361,5 @@ mod tests {
         let link = CometConfig::comet_4b().link();
         assert_eq!(link.wavelengths, 256);
         assert_eq!(link.modes, 4);
-        assert!(link.is_practical_mdm());
     }
 }

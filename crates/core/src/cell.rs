@@ -7,7 +7,6 @@
 //! crossbar (paper Fig. 2) run on top of these primitives.
 
 use comet_units::{Decibels, Transmittance};
-use opcm_phys::ProgramTable;
 use photonic::{CellOpticalModel, PaperCellModel};
 
 /// Maps level indices to read-out transmittances and back.
@@ -58,19 +57,6 @@ impl LevelCodec {
                 .transmission_levels(bits)
                 .iter()
                 .map(|t| t.value())
-                .collect(),
-        }
-    }
-
-    /// A codec carrying the exact transmittances of a generated
-    /// physics-layer programming table.
-    pub fn from_table(table: &ProgramTable) -> Self {
-        LevelCodec {
-            bits: table.bits,
-            levels: table
-                .levels
-                .iter()
-                .map(|l| l.transmittance.value())
                 .collect(),
         }
     }
@@ -236,12 +222,6 @@ impl Subarray {
     /// The stored level of one cell.
     pub fn level(&self, row: u64, col: u64) -> u8 {
         self.levels[self.index(row, col)]
-    }
-
-    /// Programs one cell's level.
-    pub fn set_level(&mut self, row: u64, col: u64, level: u8) {
-        let i = self.index(row, col);
-        self.levels[i] = level;
     }
 
     /// Writes a span of levels along a row starting at `col`.

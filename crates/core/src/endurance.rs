@@ -116,11 +116,6 @@ impl WearTracker {
             self.max_wear() as f64 / mean
         }
     }
-
-    /// Fraction of the endurance budget consumed by the most-worn row.
-    pub fn budget_consumed(&self, endurance: &EnduranceModel) -> f64 {
-        self.max_wear() as f64 / endurance.write_endurance as f64
-    }
 }
 
 /// Start-gap wear leveling over a region of `rows` logical rows backed by
@@ -321,9 +316,6 @@ mod tests {
         // 1000 writes/s to the hottest row: 1e9 / 1e3 = 1e6 s ≈ 11.6 days.
         let l = e.lifetime(1000.0);
         assert!((l.as_seconds() - 1e6).abs() < 1.0);
-        let mut w = WearTracker::new(2);
-        w.record(0);
-        assert!((w.budget_consumed(&e) - 1e-9).abs() < 1e-18);
     }
 
     #[test]

@@ -201,16 +201,6 @@ impl LaserPowerManager {
         self.wakeups = wakeups;
         total
     }
-
-    /// Peak (Active) power of the managed stack.
-    pub fn active_power(&self) -> Power {
-        self.state_power(true)
-    }
-
-    /// Idle-state power of the managed stack.
-    pub fn idle_power(&self) -> Power {
-        self.state_power(false)
-    }
 }
 
 #[cfg(test)]
@@ -234,8 +224,8 @@ mod tests {
         let mut m = mgr(1000.0);
         // No accesses at all: first window Active (boot), rest Idle.
         let e = m.finish(Time::from_micros(100.0));
-        let idle = m.idle_power() * Time::from_micros(99.0);
-        let boot = m.active_power() * Time::from_micros(1.0);
+        let idle = m.state_power(false) * Time::from_micros(99.0);
+        let boot = m.state_power(true) * Time::from_micros(1.0);
         assert!((e.as_joules() - (idle + boot).as_joules()).abs() < 1e-12);
     }
 
@@ -247,7 +237,7 @@ mod tests {
             assert_eq!(stall, Time::ZERO, "no wake-ups under steady demand");
         }
         let e = m.finish(Time::from_micros(100.0));
-        let full = m.active_power() * Time::from_micros(100.0);
+        let full = m.state_power(true) * Time::from_micros(100.0);
         assert!((e.as_joules() - full.as_joules()).abs() < 1e-12);
     }
 
@@ -272,8 +262,8 @@ mod tests {
         }
         let end = Time::from_micros(100.0);
         let e = m.finish(end);
-        let min = m.idle_power() * end;
-        let max = m.active_power() * end;
+        let min = m.state_power(false) * end;
+        let max = m.state_power(true) * end;
         assert!(e > min, "above the idle floor");
         assert!(e < max, "below the static stack");
         // Sparse demand should land much closer to idle than to active.

@@ -37,8 +37,6 @@ pub struct CometMemory {
     codec: LevelCodec,
     lut: GainLut,
     subarrays: HashMap<(u64, u64), Subarray>,
-    /// Extra uncompensated loss injected on reads (fault injection).
-    injected_loss: Decibels,
 }
 
 impl CometMemory {
@@ -90,24 +88,12 @@ impl CometMemory {
             codec,
             lut,
             subarrays: HashMap::new(),
-            injected_loss: Decibels::ZERO,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &CometConfig {
         &self.config
-    }
-
-    /// Injects a fixed uncompensated optical loss into every subsequent
-    /// read (fault injection for integrity studies).
-    pub fn inject_read_loss(&mut self, loss: Decibels) {
-        self.injected_loss = loss;
-    }
-
-    /// Number of subarrays materialized so far.
-    pub fn touched_subarrays(&self) -> usize {
-        self.subarrays.len()
     }
 
     fn subarray_entry(&mut self, bank: u64, subarray: u64) -> &mut Subarray {
@@ -137,19 +123,17 @@ impl CometMemory {
     }
 
     /// Reads one cache line through the optical path: per-cell
-    /// transmittances suffer the row's LUT-residual loss (plus any injected
-    /// fault loss), then decode to levels and bytes.
+    /// transmittances suffer the row's LUT-residual loss, then decode to
+    /// levels and bytes.
     pub fn read_line(&mut self, address: u64) -> Vec<u8> {
         let line = self.config.timing.access_bytes() as usize;
         assert_eq!(address % line as u64, 0, "address must be line-aligned");
         let flat = self.addr_map.decode(address);
         let loc = self.mapper.map(flat);
         let cells = self.config.cells_per_line() as usize;
-        // Residual after LUT gain trim, plus injected fault loss. A
-        // *negative* residual (slight overdrive) is clamped: detectors
-        // saturate rather than over-report.
+        // Residual after LUT gain trim. A *negative* residual (slight
+        // overdrive) is clamped: detectors saturate rather than over-report.
         let residual = self.lut.residual_loss(loc.row).max(Decibels::ZERO);
-        let total_loss = residual + self.injected_loss;
         let codec = self.codec.clone();
         let rows = self.config.subarray_rows;
         let cols = self.config.subarray_cols;
@@ -157,7 +141,7 @@ impl CometMemory {
             .subarrays
             .entry((loc.bank, loc.subarray))
             .or_insert_with(|| Subarray::new(rows, cols));
-        let levels = sub.read_span_with_loss(&codec, loc.row, loc.column, cells, total_loss);
+        let levels = sub.read_span_with_loss(&codec, loc.row, loc.column, cells, residual);
         decode_levels(&levels, self.config.bits_per_cell)
     }
 
@@ -218,18 +202,32 @@ mod tests {
         CometMemory::new(CometConfig::comet_4b())
     }
 
+    /// The line at `address` read from its stored cells through `loss` of
+    /// uncompensated optical loss, with no LUT trim.
+    fn read_line_through(mem: &CometMemory, address: u64, loss: Decibels) -> Vec<u8> {
+        let loc = mem.mapper.map(mem.addr_map.decode(address));
+        let cells = mem.config.cells_per_line() as usize;
+        let sub = &mem.subarrays[&(loc.bank, loc.subarray)];
+        let levels = sub.read_span_with_loss(&mem.codec, loc.row, loc.column, cells, loss);
+        decode_levels(&levels, mem.config.bits_per_cell)
+    }
+
     #[test]
     fn derived_cell_model_memory_roundtrips() {
         use photonic::CellModelMode;
         // The physics-derived level grid stores and recovers data just
         // like the paper grid, and still tolerates sub-margin read loss.
         let cfg = CometConfig::comet_4b().with_cell_model(CellModelMode::Derived);
-        let mut mem = CometMemory::new(cfg);
+        let mut mem = CometMemory::new(cfg.clone());
         let data: Vec<u8> = (0..64).map(|i| i * 3).collect();
         mem.write(0x40, &data);
         assert_eq!(mem.read(0x40, data.len()), data);
-        mem.inject_read_loss(Decibels::new(0.05));
-        assert_eq!(mem.read(0x40, data.len()), data);
+        let codec = LevelCodec::from_cell_model(cfg.cell_optics().as_ref(), cfg.bits_per_cell);
+        let levels: Vec<u8> = (0..16).collect();
+        let mut sub = Subarray::new(1, 16);
+        sub.write_span(0, 0, &levels);
+        let read = sub.read_span_with_loss(&codec, 0, 0, 16, Decibels::new(0.05));
+        assert_eq!(read, levels);
     }
 
     #[test]
@@ -288,13 +286,11 @@ mod tests {
         let mut mem = memory();
         let line: Vec<u8> = (0..128).collect();
         mem.write_line(0, &line);
-        mem.inject_read_loss(Decibels::new(2.0));
         assert_ne!(
-            mem.read_line(0),
+            read_line_through(&mem, 0, Decibels::new(2.0)),
             line,
             "2 dB fault must corrupt 4-bit cells"
         );
-        mem.inject_read_loss(Decibels::ZERO);
         assert_eq!(mem.read_line(0), line, "data itself is intact");
     }
 
@@ -304,19 +300,18 @@ mod tests {
         let line: Vec<u8> = (0..128).rev().collect();
         mem.write_line(0, &line);
         // Below half the ~6% level spacing (~0.13 dB): still decodes.
-        mem.inject_read_loss(Decibels::new(0.1));
-        assert_eq!(mem.read_line(0), line);
+        assert_eq!(read_line_through(&mem, 0, Decibels::new(0.1)), line);
     }
 
     #[test]
     fn lazy_materialization() {
         let mut mem = memory();
-        assert_eq!(mem.touched_subarrays(), 0);
+        assert_eq!(mem.subarrays.len(), 0);
         mem.write_line(0, &[1u8; 128]);
-        assert_eq!(mem.touched_subarrays(), 1);
+        assert_eq!(mem.subarrays.len(), 1);
         // A far-away line touches a different subarray.
         mem.write_line(1 << 24, &[2u8; 128]);
-        assert_eq!(mem.touched_subarrays(), 2);
+        assert_eq!(mem.subarrays.len(), 2);
     }
 
     #[test]

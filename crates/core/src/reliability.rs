@@ -122,22 +122,6 @@ impl Default for DriftModel {
 }
 
 impl DriftModel {
-    /// Transmittance shift of a cell at crystalline fraction `p` after
-    /// `elapsed` time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn transmittance_shift(&self, p: f64, elapsed: Time) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "fraction must be in [0,1], got {p}"
-        );
-        let amorphous = 1.0 - p;
-        let decades = (1.0 + elapsed.as_seconds() / self.tau.as_seconds()).log10();
-        self.delta_per_decade * amorphous * decades
-    }
-
     /// How long a fully amorphous (worst-case) cell retains its level
     /// before drift consumes `margin` of transmittance.
     pub fn time_to_shift(&self, margin: f64) -> Time {
@@ -220,23 +204,16 @@ mod tests {
     }
 
     #[test]
-    fn drift_is_zero_for_crystalline_cells() {
-        let d = DriftModel::default();
-        assert_eq!(d.transmittance_shift(1.0, Time::from_seconds(1e9)), 0.0);
-        assert!(d.transmittance_shift(0.0, Time::from_seconds(1e3)) > 0.0);
-    }
-
-    #[test]
     fn drift_grows_logarithmically() {
+        // ΔT = δ·log10(1 + t/τ): each further δ of drift takes ten times
+        // as long (counted from -τ) as the one before.
         let d = DriftModel::default();
-        let s1 = d.transmittance_shift(0.0, Time::from_seconds(10.0));
-        let s2 = d.transmittance_shift(0.0, Time::from_seconds(100.0));
-        let s3 = d.transmittance_shift(0.0, Time::from_seconds(1000.0));
-        assert!(s2 > s1 && s3 > s2);
-        // Per-decade increments are nearly constant (log behaviour).
-        let d21 = s2 - s1;
-        let d32 = s3 - s2;
-        assert!((d21 - d32).abs() / d21 < 0.2);
+        let since =
+            |k: f64| d.time_to_shift(k * d.delta_per_decade).as_seconds() + d.tau.as_seconds();
+        for k in 1..4 {
+            let ratio = since(k as f64 + 1.0) / since(k as f64);
+            assert!((ratio - 10.0).abs() < 1e-9, "decade {k}: {ratio}");
+        }
     }
 
     #[test]
@@ -244,7 +221,8 @@ mod tests {
         let d = DriftModel::default();
         let margin = 0.02;
         let t = d.time_to_shift(margin);
-        let shift = d.transmittance_shift(0.0, t);
+        // The fully amorphous cell's drift, ΔT = δ·log10(1 + t/τ).
+        let shift = d.delta_per_decade * (1.0 + t.as_seconds() / d.tau.as_seconds()).log10();
         assert!((shift - margin).abs() < 1e-9);
     }
 

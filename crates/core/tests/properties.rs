@@ -143,12 +143,14 @@ proptest! {
         let mut x = seed | 1;
         let mut expected = Vec::new();
         for r in 0..rows {
-            for c in 0..cols {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let level = (x % 16) as u8;
-                sa.set_level(r, c, level);
-                expected.push(level);
-            }
+            let row: Vec<u8> = (0..cols)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x % 16) as u8
+                })
+                .collect();
+            sa.write_span(r, 0, &row);
+            expected.extend(row);
         }
         let mut i = 0;
         for r in 0..rows {
@@ -188,16 +190,17 @@ proptest! {
 
     #[test]
     fn memory_survives_loss_within_budget(
-        addr in 0u64..(1 << 16),
         data in prop::collection::vec(any::<u8>(), 1..64),
         loss_centi_db in 0u32..12,
     ) {
         // The paper's 4-bit budget is 0.26 dB = one full 6 % level spacing;
         // nearest-level decode flips at *half* a spacing, so anything below
         // ~0.13 dB must leave data intact.
-        let mut mem = CometMemory::new(CometConfig::comet_4b());
-        mem.write(addr, &data);
-        mem.inject_read_loss(Decibels::new(loss_centi_db as f64 / 100.0));
-        prop_assert_eq!(mem.read(addr, data.len()), data);
+        let levels = encode_bytes(&data, 4);
+        let mut sa = Subarray::new(1, levels.len() as u64);
+        sa.write_span(0, 0, &levels);
+        let loss = Decibels::new(loss_centi_db as f64 / 100.0);
+        let read = sa.read_span_with_loss(&LevelCodec::ideal(4), 0, 0, levels.len(), loss);
+        prop_assert_eq!(decode_levels(&read, 4), data);
     }
 }

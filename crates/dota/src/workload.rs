@@ -38,20 +38,6 @@ impl TransformerWorkload {
         }
     }
 
-    /// DeiT-Small: 22 M parameters, 4.6 GFLOPs (the middle sibling of the
-    /// DeiT family; not in the paper's Fig. 10 but useful for scaling
-    /// studies).
-    pub fn deit_small() -> Self {
-        let params: u64 = 22_000_000;
-        TransformerWorkload {
-            name: "DeiT-S".into(),
-            parameters: params,
-            gflops: 4.6,
-            bytes_per_inference: ByteCount::new((params * 2) * 22 / 10),
-            read_fraction: 0.9,
-        }
-    }
-
     /// DeiT-Base: 86 M parameters, 17.6 GFLOPs.
     pub fn deit_base() -> Self {
         let params: u64 = 86_000_000;
@@ -67,11 +53,6 @@ impl TransformerWorkload {
     /// Both case-study models, paper order.
     pub fn fig10_models() -> Vec<TransformerWorkload> {
         vec![Self::deit_tiny(), Self::deit_base()]
-    }
-
-    /// The whole DeiT family, smallest first (extension past Fig. 10).
-    pub fn deit_family() -> Vec<TransformerWorkload> {
-        vec![Self::deit_tiny(), Self::deit_small(), Self::deit_base()]
     }
 
     /// A batched variant: weights are re-streamed once per batch while
@@ -222,8 +203,7 @@ mod tests {
 
     #[test]
     fn family_is_ordered_by_size() {
-        let family = TransformerWorkload::deit_family();
-        assert_eq!(family.len(), 3);
+        let family = TransformerWorkload::fig10_models();
         for w in family.windows(2) {
             assert!(w[1].parameters > w[0].parameters);
             assert!(w[1].gflops > w[0].gflops);

@@ -22,11 +22,11 @@
 //! `results/<name>.csv`; the `fig9`, `fig_latency_vs_load` and ablation
 //! binaries in `comet-bench` are thin wrappers over campaign specs.
 //!
-//! Engine points cover two engines: trace replay (`memsim`) and the
-//! event-driven `comet-serve` service core ([`EnginePoint::serve`]), whose
-//! open/closed-loop scenarios make arrival rate, tenant mix, client count
-//! and write batching sweepable campaign axes (see
-//! [`serve_load_axis`], [`serve_mix_axis`], [`serve_concurrency_axis`]).
+//! Engine points cover two engines ([`Engine`]): trace replay (`memsim`)
+//! and the event-driven `comet-serve` service core
+//! ([`EnginePoint::serve`]), whose open/closed-loop scenarios make arrival
+//! rate, tenant mix, client count and write batching sweepable campaign
+//! axes (see [`serve_load_axis`] and [`payload_entropy_axis`]).
 //!
 //! # Quick start
 //!
@@ -61,12 +61,10 @@ mod spec_json;
 
 pub use json::{Json, JsonError};
 pub use registry::{
-    cell_model_axis, comet_variant, data_policy_axis, device_by_name, device_names,
-    epcm_data_variant, fig9_device_axis, payload_entropy_axis, serve_concurrency_axis,
-    serve_device_axis, serve_load_axis, serve_mix_axis, workload_names, workloads_by_name,
-    FIG9_DEVICES,
+    comet_variant, data_policy_axis, device_by_name, device_names, fig9_device_axis,
+    payload_entropy_axis, serve_device_axis, serve_load_axis, workload_names, workloads_by_name,
 };
 pub use report::{CampaignReport, CellReport, DeviceSummary, ReportParseError, TenantSummary};
 pub use runner::{default_threads, run_campaign};
-pub use spec::{CampaignSpec, CellCoords, EnginePoint, WorkloadSource};
+pub use spec::{CampaignSpec, CellCoords, Engine, EnginePoint, WorkloadSource};
 pub use spec_json::{spec_from_json, spec_to_json, SpecError};

@@ -7,9 +7,8 @@
 //!
 //! The cross-layer cell-model mode is a first-class axis: `COMET-paper`
 //! and `COMET-derived` are COMET-4b with the transcribed-constants and
-//! physics-derived cell models respectively, so a single grid (see
-//! [`cell_model_axis`]) sweeps derived-vs-paper like any other device
-//! comparison:
+//! physics-derived cell models respectively, so a single grid sweeps
+//! derived-vs-paper like any other device comparison:
 //!
 //! ```text
 //! comet-lab --devices COMET-paper,COMET-derived --workloads all
@@ -19,15 +18,13 @@ use crate::spec::{EnginePoint, WorkloadSource};
 use comet::CometConfig;
 use comet_data::{DataPolicy, DataWriteModel, PayloadSpec};
 use comet_serve::{ArrivalProcess, ServeSpec, TenantSpec};
-use comet_units::Time;
 use cosmos::CosmosConfig;
-use dota::TransformerWorkload;
 use memsim::{spec_like_suite, DeviceFactory, DramConfig, EpcmConfig, EpcmDevice, FnFactory};
 use photonic::CellModelMode;
 
 /// The seven memory systems of the paper's Fig. 9 evaluation, in its
 /// canonical order.
-pub const FIG9_DEVICES: [&str; 7] = [
+const FIG9_DEVICES: [&str; 7] = [
     "2D_DDR3", "3D_DDR3", "2D_DDR4", "3D_DDR4", "EPCM-MM", "COSMOS", "COMET",
 ];
 
@@ -88,7 +85,7 @@ pub fn device_by_name(name: &str) -> Option<Box<dyn DeviceFactory>> {
 
 /// An EPCM-MM factory whose devices price writes content-aware under
 /// `policy` (4-bit GST transition costs; see `comet_data`).
-pub fn epcm_data_variant(label: &str, policy: DataPolicy) -> Box<dyn DeviceFactory> {
+fn epcm_data_variant(label: &str, policy: DataPolicy) -> Box<dyn DeviceFactory> {
     let label = label.to_string();
     Box::new(FnFactory::new(label.clone(), move || {
         let mut cfg = EpcmConfig::epcm_mm();
@@ -132,16 +129,6 @@ pub fn payload_entropy_axis(process: ArrivalProcess, requests: usize) -> Vec<Eng
                 },
             )
         })
-        .collect()
-}
-
-/// The derived-vs-paper device axis: COMET-4b under both cell-model
-/// providers, for campaigns that measure how far transcribed constants
-/// drift from the physics layer.
-pub fn cell_model_axis() -> Vec<Box<dyn DeviceFactory>> {
-    ["COMET-paper", "COMET-derived"]
-        .iter()
-        .map(|n| device_by_name(n).expect("registry covers its own names"))
         .collect()
 }
 
@@ -190,37 +177,6 @@ pub fn serve_load_axis(rates_rps: &[f64], requests: usize) -> Vec<EnginePoint> {
             )
         })
         .collect()
-}
-
-/// The closed-loop concurrency engine axis: one serve point per client
-/// count at a fixed think time (labels `serve-closed-<clients>`).
-pub fn serve_concurrency_axis(clients: &[usize], think: Time, requests: usize) -> Vec<EnginePoint> {
-    clients
-        .iter()
-        .map(|&n| {
-            EnginePoint::serve(
-                format!("serve-closed-{n}"),
-                ServeSpec::closed_loop(n, think, requests),
-            )
-        })
-        .collect()
-}
-
-/// The tenant-mix engine axis: the cell's workload alone
-/// (`serve-solo`), and the same stream sharing the memory with a DOTA
-/// DeiT-Base inference tenant (`serve-dota-mix`) — the multi-tenant QoS
-/// scenario where a latency-sensitive stream contends with an
-/// accelerator's weight stream. Both tenants offer `process` arrivals and
-/// issue `requests` requests each.
-pub fn serve_mix_axis(process: ArrivalProcess, requests: usize) -> Vec<EnginePoint> {
-    let solo = EnginePoint::serve("serve-solo", ServeSpec::open_loop(process, requests));
-    let dota_tenant = TenantSpec::open("dota", process, requests)
-        .with_profile(TransformerWorkload::deit_base().profile(requests));
-    let mix = EnginePoint::serve(
-        "serve-dota-mix",
-        ServeSpec::open_loop(process, requests).with_tenant(dota_tenant),
-    );
-    vec![solo, mix]
 }
 
 /// Resolves a workload name against the SPEC-like suite sized to
@@ -275,17 +231,7 @@ mod tests {
         let loads = serve_load_axis(&[1.0e7, 1.0e8], 500);
         assert_eq!(loads.len(), 2);
         assert_eq!(loads[0].label, "serve-open-1.000e7");
-        assert!(loads.iter().all(|e| e.serve.is_some()));
-
-        let closed = serve_concurrency_axis(&[1, 8], Time::from_nanos(10.0), 300);
-        assert_eq!(closed[1].label, "serve-closed-8");
-
-        let mixes = serve_mix_axis(ArrivalProcess::poisson(1.0e8), 200);
-        assert_eq!(mixes.len(), 2);
-        let mix_spec = mixes[1].serve.as_ref().unwrap();
-        assert_eq!(mix_spec.tenants.len(), 2);
-        assert_eq!(mix_spec.tenants[1].name, "dota");
-        assert!(mix_spec.tenants[1].profile.is_some());
+        assert!(loads.iter().all(|e| e.serve_spec().is_some()));
     }
 
     #[test]
@@ -309,7 +255,7 @@ mod tests {
         assert_eq!(entropies[0].label, "payload-zero");
         assert_eq!(entropies[4].label, "payload-uniform");
         for point in &entropies {
-            let serve = point.serve.as_ref().expect("entropy axis is serve");
+            let serve = point.serve_spec().expect("entropy axis is serve");
             assert_eq!(serve.tenants.len(), 1);
             assert!(serve.tenants[0].payload.is_some(), "{}", point.label);
         }

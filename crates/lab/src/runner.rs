@@ -10,9 +10,9 @@
 //! identical [`CampaignReport`] (and therefore byte-identical exports).
 
 use crate::report::{CampaignReport, CellReport, TenantSummary};
-use crate::spec::{CampaignSpec, WorkloadSource};
+use crate::spec::{CampaignSpec, Engine, WorkloadSource};
 use crate::spec_json::{check_byte_totals_fit, check_one_shard};
-use memsim::run_simulation;
+use memsim::{run_simulation, SimConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -153,52 +153,59 @@ fn run_cell(spec: &CampaignSpec, index: usize) -> CellReport {
     let engine = &spec.engines[c.engine];
     let seed = spec.cell_seed(c.replicate);
 
-    let (stats, tenants) = if let Some(serve) = &engine.serve {
-        // Service cell: the event-driven comet-serve core. Sources are
-        // generative, so the workload must be a profile (it shapes every
-        // tenant that carries no profile of its own).
-        let profile = match workload {
-            WorkloadSource::Profile(p) => p,
-            WorkloadSource::Trace { name, .. } => panic!(
-                "serve engine point '{}' needs a profile workload, got fixed trace '{name}'",
-                engine.label
-            ),
-        };
-        let (profile, serve) = if spec.normalize_lines {
-            let line = factory.device_topology().line_bytes;
-            (
-                normalize_profile(profile, line),
-                normalize_serve(serve, profile, line),
-            )
-        } else {
-            (profile.clone(), serve.clone())
-        };
-        let report =
-            comet_serve::run_service(factory.as_ref(), &serve, &profile, seed, workload.name());
-        let tenants = report
-            .tenants
-            .iter()
-            .map(TenantSummary::from_stats)
-            .collect();
-        (report.stats, tenants)
-    } else {
-        let mut device = factory.build();
-        let config = engine.sim_config(workload.name());
-        let stats = match workload {
-            WorkloadSource::Profile(profile) => {
-                let profile = if spec.normalize_lines {
-                    normalize_profile(profile, device.topology().line_bytes)
-                } else {
-                    profile.clone()
-                };
-                let trace = profile.generate(seed);
-                run_simulation(device.as_mut(), &trace, &config)
-            }
-            WorkloadSource::Trace { requests, .. } => {
-                run_simulation(device.as_mut(), requests.as_slice(), &config)
-            }
-        };
-        (stats, Vec::new())
+    let (stats, tenants) = match &engine.engine {
+        Engine::Serve(serve) => {
+            // Service cell: the event-driven comet-serve core. Sources are
+            // generative, so the workload must be a profile (it shapes every
+            // tenant that carries no profile of its own).
+            let profile = match workload {
+                WorkloadSource::Profile(p) => p,
+                WorkloadSource::Trace { name, .. } => panic!(
+                    "serve engine point '{}' needs a profile workload, got fixed trace '{name}'",
+                    engine.label
+                ),
+            };
+            let (profile, serve) = if spec.normalize_lines {
+                let line = factory.device_topology().line_bytes;
+                (
+                    normalize_profile(profile, line),
+                    normalize_serve(serve, profile, line),
+                )
+            } else {
+                (profile.clone(), serve.clone())
+            };
+            let report =
+                comet_serve::run_service(factory.as_ref(), &serve, &profile, seed, workload.name());
+            let tenants = report
+                .tenants
+                .iter()
+                .map(TenantSummary::from_stats)
+                .collect();
+            (report.stats, tenants)
+        }
+        &Engine::Replay { scheduler, replay } => {
+            let mut device = factory.build();
+            let config = SimConfig {
+                scheduler,
+                replay,
+                workload: workload.name().into(),
+            };
+            let stats = match workload {
+                WorkloadSource::Profile(profile) => {
+                    let profile = if spec.normalize_lines {
+                        normalize_profile(profile, device.topology().line_bytes)
+                    } else {
+                        profile.clone()
+                    };
+                    let trace = profile.generate(seed);
+                    run_simulation(device.as_mut(), &trace, &config)
+                }
+                WorkloadSource::Trace { requests, .. } => {
+                    run_simulation(device.as_mut(), requests.as_slice(), &config)
+                }
+            };
+            (stats, Vec::new())
+        }
     };
 
     CellReport {

@@ -10,20 +10,19 @@
 //! Any configuration knob a device factory captures becomes a sweepable
 //! axis by registering one factory per setting. The cross-layer cell-model
 //! mode works exactly this way: the registry's `COMET-paper` and
-//! `COMET-derived` names (see [`cell_model_axis`](crate::cell_model_axis))
-//! put the transcribed-constants and physics-derived level grids side by
-//! side on the device axis, so a single campaign measures
-//! derived-vs-paper divergence under identical workloads, seeds and
-//! engine points:
+//! `COMET-derived` names put the transcribed-constants and physics-derived
+//! level grids side by side on the device axis, so a single campaign
+//! measures derived-vs-paper divergence under identical workloads, seeds
+//! and engine points:
 //!
 //! ```
-//! use comet_lab::{cell_model_axis, run_campaign, CampaignSpec, WorkloadSource};
+//! use comet_lab::{device_by_name, run_campaign, CampaignSpec, WorkloadSource};
 //! use memsim::spec_like_suite;
 //!
 //! let spec = CampaignSpec::new(
 //!     "derived-vs-paper",
 //!     42,
-//!     cell_model_axis(),
+//!     ["COMET-paper", "COMET-derived"].map(|n| device_by_name(n).unwrap()).into(),
 //!     spec_like_suite(200).into_iter().take(1).map(WorkloadSource::Profile).collect(),
 //! );
 //! let report = run_campaign(&spec, 2);
@@ -31,7 +30,7 @@
 //! ```
 
 use comet_serve::ServeSpec;
-use memsim::{DeviceFactory, MemRequest, ReplayMode, Scheduler, SimConfig, WorkloadProfile};
+use memsim::{DeviceFactory, MemRequest, ReplayMode, Scheduler, WorkloadProfile};
 use std::fmt;
 use std::sync::Arc;
 
@@ -68,53 +67,54 @@ impl WorkloadSource {
     }
 }
 
-/// One point on the engine-configuration axis: a trace-replay engine
-/// (scheduler × replay mode), or — when [`EnginePoint::serve`] is used —
-/// a `comet-serve` service scenario (tenant mix × arrival process ×
-/// batching) run through the event-driven core instead.
+/// One point on the engine-configuration axis: a report label and the
+/// engine its cells run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePoint {
     /// Report label (e.g. `"frfcfs8-paced"`).
     pub label: String,
-    /// Scheduling policy (replay engine; serve points carry their own).
-    pub scheduler: Scheduler,
-    /// Arrival pacing (replay engine only).
-    pub replay: ReplayMode,
-    /// When set, the cell runs this service scenario through
+    /// The engine and its configuration.
+    pub engine: Engine,
+}
+
+/// The engine a cell runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Engine {
+    /// Trace replay through [`memsim::run_simulation`].
+    Replay {
+        /// Scheduling policy.
+        scheduler: Scheduler,
+        /// Arrival pacing.
+        replay: ReplayMode,
+    },
+    /// A `comet-serve` service scenario (tenant mix × arrival process ×
+    /// batching, under the spec's own scheduler) run through
     /// [`comet_serve::run_service`], shaping profile-less tenants with the
-    /// cell's workload profile. `None` replays the cell's trace.
-    pub serve: Option<ServeSpec>,
+    /// cell's workload profile.
+    Serve(ServeSpec),
 }
 
 impl EnginePoint {
     /// The default high-performance point: FR-FCFS(8), paced arrivals —
     /// what `SimConfig::paced` builds.
     pub fn paced() -> Self {
-        EnginePoint {
-            label: "frfcfs8-paced".into(),
-            scheduler: Scheduler::default(),
-            replay: ReplayMode::Paced,
-            serve: None,
-        }
+        Self::new("frfcfs8-paced", Scheduler::default(), ReplayMode::Paced)
     }
 
     /// FR-FCFS(8) with saturation replay (throughput measurement).
     pub fn saturation() -> Self {
-        EnginePoint {
-            label: "frfcfs8-saturation".into(),
-            scheduler: Scheduler::default(),
-            replay: ReplayMode::Saturation,
-            serve: None,
-        }
+        Self::new(
+            "frfcfs8-saturation",
+            Scheduler::default(),
+            ReplayMode::Saturation,
+        )
     }
 
     /// A custom replay point under an explicit report label.
     pub fn new(label: impl Into<String>, scheduler: Scheduler, replay: ReplayMode) -> Self {
         EnginePoint {
             label: label.into(),
-            scheduler,
-            replay,
-            serve: None,
+            engine: Engine::Replay { scheduler, replay },
         }
     }
 
@@ -123,18 +123,15 @@ impl EnginePoint {
     pub fn serve(label: impl Into<String>, spec: ServeSpec) -> Self {
         EnginePoint {
             label: label.into(),
-            scheduler: spec.scheduler,
-            replay: ReplayMode::Paced,
-            serve: Some(spec),
+            engine: Engine::Serve(spec),
         }
     }
 
-    /// The engine configuration for a cell of this point.
-    pub fn sim_config(&self, workload: &str) -> SimConfig {
-        SimConfig {
-            scheduler: self.scheduler,
-            replay: self.replay,
-            workload: workload.into(),
+    /// The service scenario of a serve point; `None` for replay.
+    pub(crate) fn serve_spec(&self) -> Option<&ServeSpec> {
+        match &self.engine {
+            Engine::Serve(spec) => Some(spec),
+            Engine::Replay { .. } => None,
         }
     }
 }
@@ -278,6 +275,7 @@ pub struct CellCoords {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::SimConfig;
     use memsim::{DramConfig, EpcmConfig};
 
     fn spec() -> CampaignSpec {
@@ -333,10 +331,14 @@ mod tests {
 
     #[test]
     fn engine_point_matches_sim_config_constructors() {
-        assert_eq!(EnginePoint::paced().sim_config("w"), SimConfig::paced("w"));
+        let replay = |c: SimConfig| Engine::Replay {
+            scheduler: c.scheduler,
+            replay: c.replay,
+        };
+        assert_eq!(EnginePoint::paced().engine, replay(SimConfig::paced("w")));
         assert_eq!(
-            EnginePoint::saturation().sim_config("w"),
-            SimConfig::saturation("w")
+            EnginePoint::saturation().engine,
+            replay(SimConfig::saturation("w"))
         );
     }
 }

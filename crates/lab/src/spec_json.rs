@@ -19,7 +19,7 @@
 
 use crate::json::{f64_field, field, schema, str_field, u64_field, Json, JsonError, SchemaError};
 use crate::registry::{device_by_name, device_names};
-use crate::spec::{CampaignSpec, EnginePoint, WorkloadSource};
+use crate::spec::{CampaignSpec, Engine, EnginePoint, WorkloadSource};
 use comet_data::PayloadSpec;
 use comet_serve::{ArrivalProcess, BatchConfig, ServeSpec, TenantLoad, TenantSpec};
 use comet_units::{ByteCount, Time};
@@ -190,17 +190,17 @@ fn serve_to_json(s: &ServeSpec) -> Json {
 }
 
 fn engine_to_json(e: &EnginePoint) -> Json {
-    match &e.serve {
-        Some(serve) => Json::object([
+    match &e.engine {
+        Engine::Serve(serve) => Json::object([
             ("label", Json::string(&e.label)),
             ("serve", serve_to_json(serve)),
         ]),
-        None => Json::object([
+        &Engine::Replay { scheduler, replay } => Json::object([
             ("label", Json::string(&e.label)),
-            ("scheduler", scheduler_to_json(e.scheduler)),
+            ("scheduler", scheduler_to_json(scheduler)),
             (
                 "replay",
-                Json::string(match e.replay {
+                Json::string(match replay {
                     ReplayMode::Paced => "paced",
                     ReplayMode::Saturation => "saturation",
                 }),
@@ -571,7 +571,7 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 /// cell runs.
 pub(crate) fn check_one_shard(spec: &CampaignSpec) -> Result<(), SpecError> {
     for engine in &spec.engines {
-        match &engine.serve {
+        match engine.serve_spec() {
             Some(serve) if serve.shards != 1 => {
                 return Err(schema(format!(
                     "serve engine '{}': 'shards' is {}, but channel sharding was removed \
@@ -613,7 +613,7 @@ pub(crate) fn check_byte_totals_fit(spec: &CampaignSpec) -> Result<(), SpecError
     });
     for w in profiles {
         for engine in &spec.engines {
-            let Some(serve) = &engine.serve else {
+            let Some(serve) = engine.serve_spec() else {
                 let total = w.requests as u128 * w.line_bytes as u128;
                 if total > MAX_BYTES {
                     let owner = format!(
@@ -648,7 +648,7 @@ fn check_payload_lines_fit(spec: &CampaignSpec) -> Result<(), SpecError> {
     let tenants = spec
         .engines
         .iter()
-        .filter_map(|e| e.serve.as_ref())
+        .filter_map(EnginePoint::serve_spec)
         .flat_map(|s| &s.tenants)
         .filter(|t| t.payload.is_some());
     for tenant in tenants {
@@ -700,7 +700,7 @@ fn check_footprints_hold_a_line(spec: &CampaignSpec) -> Result<(), SpecError> {
     let tenant_profiles = spec
         .engines
         .iter()
-        .filter_map(|e| e.serve.as_ref())
+        .filter_map(EnginePoint::serve_spec)
         .flat_map(|s| &s.tenants)
         .filter_map(|t| t.profile.as_ref().map(|p| ("tenant profile", p)));
     for (owner, p) in workload_profiles.chain(tenant_profiles) {
@@ -720,11 +720,42 @@ fn check_footprints_hold_a_line(spec: &CampaignSpec) -> Result<(), SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{
-        device_names, payload_entropy_axis, serve_concurrency_axis, serve_load_axis,
-        serve_mix_axis, workloads_by_name,
-    };
+    use crate::registry::{device_names, payload_entropy_axis, serve_load_axis, workloads_by_name};
     use crate::runner::run_campaign;
+    use dota::TransformerWorkload;
+
+    /// The service scenarios of a spec's serve points.
+    fn serve_specs(spec: &mut CampaignSpec) -> impl Iterator<Item = &mut ServeSpec> {
+        spec.engines.iter_mut().filter_map(|e| match &mut e.engine {
+            Engine::Serve(serve) => Some(serve),
+            Engine::Replay { .. } => None,
+        })
+    }
+
+    /// A closed-loop point per client count.
+    fn closed_loop_points(clients: &[usize], think: Time, requests: usize) -> Vec<EnginePoint> {
+        clients
+            .iter()
+            .map(|&n| {
+                let serve = ServeSpec::closed_loop(n, think, requests);
+                EnginePoint::serve(format!("serve-closed-{n}"), serve)
+            })
+            .collect()
+    }
+
+    /// The cell's workload alone, and the same stream sharing the memory
+    /// with a DOTA DeiT-Base tenant that carries its own profile.
+    fn dota_mix_points(process: ArrivalProcess, requests: usize) -> Vec<EnginePoint> {
+        let dota = TenantSpec::open("dota", process, requests)
+            .with_profile(TransformerWorkload::deit_base().profile(requests));
+        vec![
+            EnginePoint::serve("serve-solo", ServeSpec::open_loop(process, requests)),
+            EnginePoint::serve(
+                "serve-dota-mix",
+                ServeSpec::open_loop(process, requests).with_tenant(dota),
+            ),
+        ]
+    }
 
     fn sample_spec() -> CampaignSpec {
         let mut spec = CampaignSpec::new(
@@ -744,10 +775,10 @@ mod tests {
         spec.engines = vec![EnginePoint::paced()];
         spec.engines.extend(serve_load_axis(&[2.0e7], 100));
         spec.engines
-            .extend(serve_mix_axis(ArrivalProcess::poisson(1.5e7), 80));
+            .extend(dota_mix_points(ArrivalProcess::poisson(1.5e7), 80));
         spec.engines
-            .extend(serve_concurrency_axis(&[4], Time::from_nanos(30.0), 60));
-        spec.engines[1].serve.as_mut().unwrap().batch =
+            .extend(closed_loop_points(&[4], Time::from_nanos(30.0), 60));
+        serve_specs(&mut spec).next().unwrap().batch =
             Some(BatchConfig::new(Time::from_seconds(1.5e-7), 4));
         // Every payload kind, so the round trip covers the data plane.
         spec.engines
@@ -898,13 +929,10 @@ mod tests {
             WorkloadSource::Trace { .. } => unreachable!("sample workloads are profiles"),
         };
         let shrink_tenant = |spec: &mut CampaignSpec| {
-            let p = spec
-                .engines
-                .iter_mut()
-                .filter_map(|e| e.serve.as_mut())
+            let p = serve_specs(spec)
                 .flat_map(|s| s.tenants.iter_mut())
                 .find_map(|t| t.profile.as_mut())
-                .expect("the mix axis carries a DOTA tenant profile");
+                .expect("the DOTA mix carries a tenant profile");
             p.line_bytes = 64;
             p.footprint = ByteCount::new(64);
             format!("tenant profile '{}': 'footprint_bytes' (64)", p.name)
@@ -1056,13 +1084,10 @@ mod tests {
         // Serve ignores a tenant profile's own `requests`, so a profile
         // built in code may leave it at 0; such specs must round-trip.
         let mut spec = sample_spec();
-        let tenant = spec
-            .engines
-            .iter_mut()
-            .filter_map(|e| e.serve.as_mut())
+        let tenant = serve_specs(&mut spec)
             .flat_map(|s| s.tenants.iter_mut())
             .find(|t| t.profile.is_some())
-            .expect("the mix axis carries a DOTA tenant profile");
+            .expect("the DOTA mix carries a tenant profile");
         tenant.profile.as_mut().unwrap().requests = 0;
         let text = spec_to_json(&spec).unwrap();
         let back = spec_from_json(&text).expect("a zero profile count parses");
@@ -1071,7 +1096,8 @@ mod tests {
 
     #[test]
     fn every_registered_spec_roundtrips() {
-        // Every registered device and workload under every registry axis.
+        // Every registered device and workload under every registry axis,
+        // plus closed-loop and DOTA-mix serve points.
         let mut spec = CampaignSpec::new(
             "registered",
             3,
@@ -1084,9 +1110,9 @@ mod tests {
         spec.engines = vec![EnginePoint::paced(), EnginePoint::saturation()];
         spec.engines.extend(serve_load_axis(&[1.0e7, 2.0e7], 30));
         spec.engines
-            .extend(serve_concurrency_axis(&[1, 8], Time::from_nanos(25.0), 30));
+            .extend(closed_loop_points(&[1, 8], Time::from_nanos(25.0), 30));
         spec.engines
-            .extend(serve_mix_axis(ArrivalProcess::poisson(1.0e7), 30));
+            .extend(dota_mix_points(ArrivalProcess::poisson(1.0e7), 30));
         spec.engines
             .extend(payload_entropy_axis(ArrivalProcess::poisson(1.0e7), 30));
         let text = spec_to_json(&spec).expect("serializes");

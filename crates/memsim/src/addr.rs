@@ -188,11 +188,6 @@ impl AddressMap {
         1 << self.line_bits
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        1 << (self.line_index_bits() + self.line_bits)
-    }
-
     /// Width of a line index: log2 of the number of lines.
     fn line_index_bits(&self) -> u32 {
         self.channel_bits + self.bank_bits + self.row_bits + self.column_bits
@@ -271,10 +266,15 @@ mod tests {
         acc
     }
 
+    /// The number of lines a map holds, as the product of its sizes.
+    fn lines(m: &AddressMap) -> u64 {
+        m.channels() * m.banks() * m.rows() * m.columns()
+    }
+
     /// [`AddressMap::decode`] in its division form, over the map's sizes.
     fn reference_decode(m: &AddressMap, address: u64) -> DecodedAddress {
         let (channels, banks, columns) = (m.channels(), m.banks(), m.columns());
-        let line = (address / m.line_bytes()) % (m.capacity_bytes() / m.line_bytes());
+        let line = (address / m.line_bytes()) % lines(m);
         match m.interleave {
             Interleave::RowBankColumnChannel => {
                 let channel = line % channels;
@@ -349,7 +349,7 @@ mod tests {
             // Arbitrary u64s lie far beyond the capacity, so most of them
             // exercise the wrap; the first few stay inside it.
             for (i, &address) in addresses.iter().enumerate() {
-                let address = if i < 4 { address % m.capacity_bytes() } else { address };
+                let address = if i < 4 { address % (lines(&m) * m.line_bytes()) } else { address };
                 let d = m.decode(address);
                 let r = reference_decode(&m, address);
                 prop_assert_eq!(d.channel, r.channel);
@@ -415,14 +415,17 @@ mod tests {
             Interleave::default(),
         )
         .unwrap();
-        assert_eq!(m.capacity_bytes(), 1 << 63);
+        assert_eq!(m.decode(1 << 63), m.decode(0));
+        assert_ne!(m.decode((1 << 63) - 128), m.decode(0));
         assert_eq!(m.decode(u64::MAX).row, (1 << 16) - 1);
     }
 
     #[test]
     fn capacity() {
-        // 4 * 8 * 4096 * 128 * 64 B = 1 GiB.
-        assert_eq!(map().capacity_bytes(), 1 << 30);
+        // 4 * 8 * 4096 * 128 * 64 B = 1 GiB: addresses wrap there.
+        let m = map();
+        assert_eq!(m.decode(1 << 30), m.decode(0));
+        assert_ne!(m.decode((1 << 30) - 64), m.decode(0));
     }
 
     #[test]
@@ -437,7 +440,7 @@ mod tests {
     #[test]
     fn decode_encode_roundtrip_exhaustive_small() {
         let m = AddressMap::new(2, 4, 16, 8, 64, Interleave::RowBankColumnChannel).unwrap();
-        for line in 0..(m.capacity_bytes() / 64) {
+        for line in 0..lines(&m) {
             let addr = line * 64;
             let d = m.decode(addr);
             assert_eq!(m.encode(d), addr, "line {line}");
@@ -451,7 +454,7 @@ mod tests {
             Interleave::RowBankColumnChannelXor,
         ] {
             let m = AddressMap::new(4, 8, 64, 16, 64, il).unwrap();
-            for addr in (0..m.capacity_bytes()).step_by(64 * 97) {
+            for addr in (0..lines(&m) * 64).step_by(64 * 97) {
                 let d = m.decode(addr);
                 assert_eq!(m.encode(d), addr, "{il:?} addr {addr:#x}");
             }
@@ -469,7 +472,7 @@ mod tests {
     #[test]
     fn addresses_wrap_modulo_capacity() {
         let m = map();
-        let cap = m.capacity_bytes();
+        let cap = lines(&m) * m.line_bytes();
         assert_eq!(m.decode(0x40), m.decode(cap + 0x40));
     }
 
@@ -495,7 +498,7 @@ mod tests {
         // Regression: the division-form xor_fold(q, 1) looped forever (`q /= 1`), which
         // hung every single-channel device on its first nonzero address.
         let m = AddressMap::new(1, 8, 4096, 128, 64, Interleave::RowBankColumnChannelXor).unwrap();
-        let last_line = m.capacity_bytes() - 64;
+        let last_line = (lines(&m) - 1) * 64;
         for k in [1u64, 7, 1 << 20, last_line] {
             let d = m.decode(k);
             assert_eq!(d.channel, 0);

@@ -208,16 +208,6 @@ impl DramConfig {
             },
         }
     }
-
-    /// All four DRAM baselines of Fig. 9.
-    pub fn all_baselines() -> Vec<DramConfig> {
-        vec![
-            Self::ddr3_1600_2d(),
-            Self::ddr3_3d(),
-            Self::ddr4_2400_2d(),
-            Self::ddr4_3d(),
-        ]
-    }
 }
 
 /// A stateful DRAM device (open rows + refresh bookkeeping).
@@ -455,10 +445,15 @@ mod tests {
 
     #[test]
     fn presets_are_distinct_and_named() {
-        let names: Vec<String> = DramConfig::all_baselines()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
+        let names: Vec<String> = [
+            DramConfig::ddr3_1600_2d(),
+            DramConfig::ddr3_3d(),
+            DramConfig::ddr4_2400_2d(),
+            DramConfig::ddr4_3d(),
+        ]
+        .iter()
+        .map(|c| c.name.clone())
+        .collect();
         assert_eq!(names, ["2D_DDR3", "3D_DDR3", "2D_DDR4", "3D_DDR4"]);
         // 3D variants have wider TSV buses, more banks and cheaper reads.
         assert!(

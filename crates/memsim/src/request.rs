@@ -109,16 +109,6 @@ impl CompletedRequest {
     pub fn latency(&self) -> Time {
         self.finished - self.request.arrival
     }
-
-    /// Queueing delay before issue (issue − arrival).
-    pub fn queue_delay(&self) -> Time {
-        self.issued - self.request.arrival
-    }
-
-    /// Device service time (finish − issue).
-    pub fn service_time(&self) -> Time {
-        self.finished - self.issued
-    }
 }
 
 #[cfg(test)]
@@ -140,14 +130,9 @@ mod tests {
             finished: Time::from_nanos(300.0),
         };
         assert!((done.latency().as_nanos() - 200.0).abs() < 1e-9);
-        assert!((done.queue_delay().as_nanos() - 50.0).abs() < 1e-9);
-        assert!((done.service_time().as_nanos() - 150.0).abs() < 1e-9);
-        assert!(
-            (done.queue_delay() + done.service_time() - done.latency())
-                .as_nanos()
-                .abs()
-                < 1e-9
-        );
+        // Queueing delay (issue - arrival) plus service (finish - issue).
+        let parts = (done.issued - done.request.arrival) + (done.finished - done.issued);
+        assert!((parts - done.latency()).as_nanos().abs() < 1e-9);
     }
 
     #[test]

@@ -402,7 +402,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let m = AddressMap::new(channels, banks, rows, columns, 64, interleave).unwrap();
-        let lines = m.capacity_bytes() / 64;
+        let lines = channels * banks * rows * columns;
         // Sample pseudo-random lines rather than sweeping the whole space.
         let mut x = seed | 1;
         for _ in 0..64 {
@@ -468,7 +468,7 @@ proptest! {
         let stride = 1u64 << stride_log2;
         let m = AddressMap::new(channels, 8, 4096, 128, 64, Interleave::RowBankColumnChannelXor)
             .unwrap();
-        let lines = m.capacity_bytes() / 64;
+        let lines = channels * 8 * 4096 * 128;
         let window = 4 * channels;
         let seen: std::collections::HashSet<u64> = (0..window)
             .map(|k| m.decode(((start + k * stride) % lines) * 64).channel)

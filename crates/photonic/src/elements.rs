@@ -122,11 +122,6 @@ impl PathElement {
             PathElement::Soa { gain } => -gain,
         }
     }
-
-    /// Whether this element amplifies rather than attenuates.
-    pub fn is_gain(&self) -> bool {
-        matches!(self, PathElement::Soa { .. })
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +172,6 @@ mod tests {
         let soa = PathElement::Soa {
             gain: Decibels::new(15.2),
         };
-        assert!(soa.is_gain());
         assert_eq!(soa.net_loss(&p).value(), -15.2);
     }
 

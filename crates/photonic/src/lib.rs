@@ -89,4 +89,4 @@ pub use mitigation::{FilterOrder, WdmCrosstalkAnalysis};
 pub use mr::Microring;
 pub use params::OpticalParams;
 pub use path::OpticalPath;
-pub use readout::{erfc, LevelBudget, Photodetector};
+pub use readout::{LevelBudget, Photodetector};

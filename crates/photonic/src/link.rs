@@ -109,12 +109,6 @@ impl WdmMdmLink {
     pub fn worst_mode_loss(&self) -> Decibels {
         self.mode_penalty.worst_mode_loss(self.modes)
     }
-
-    /// Whether this MDM degree is practical by the paper's criterion
-    /// (≤ 4 modes; beyond that losses and waveguide width grow quickly).
-    pub fn is_practical_mdm(&self) -> bool {
-        self.modes <= 4
-    }
 }
 
 #[cfg(test)]
@@ -146,13 +140,6 @@ mod tests {
             assert!(l > last);
             last = l;
         }
-    }
-
-    #[test]
-    fn practicality_check() {
-        let f = Frequency::from_gigahertz(1.0);
-        assert!(WdmMdmLink::new(256, 4, f).is_practical_mdm());
-        assert!(!WdmMdmLink::new(256, 16, f).is_practical_mdm());
     }
 
     #[test]

@@ -93,41 +93,11 @@ impl Microring {
         (half_width * half_width) / (d * d + half_width * half_width)
     }
 
-    /// Fraction of power continuing on the through port at detuning
-    /// `delta` (complement of the drop fraction, lossless-ring idealization;
-    /// insertion losses are accounted separately via Table I).
-    pub fn through_fraction(&self, delta: Length) -> f64 {
-        1.0 - self.drop_fraction(delta)
-    }
-
     /// Crosstalk (in dB below the intended signal) that a channel spaced
     /// `spacing` away suffers from this ring's drop port.
     pub fn adjacent_channel_crosstalk(&self, spacing: Length) -> Decibels {
         let leak = self.drop_fraction(spacing).max(1e-30);
         Decibels::from_linear(leak)
-    }
-
-    /// The maximum number of WDM channels on one bus such that
-    /// adjacent-channel crosstalk stays below `floor` (e.g. −20 dB ⇒
-    /// `Decibels::new(20.0)`).
-    pub fn max_wdm_channels(&self, floor: Decibels) -> usize {
-        let fsr = self.fsr().as_meters();
-        let mut channels = 2usize;
-        loop {
-            let spacing = Length::from_meters(fsr / channels as f64);
-            if self.adjacent_channel_crosstalk(spacing).value() < floor.value() {
-                return (channels - 1).max(1);
-            }
-            channels += 1;
-            if channels > 4096 {
-                return 4096;
-            }
-        }
-    }
-
-    /// Access latency implied by the tuning mechanism.
-    pub fn access_latency(&self) -> comet_units::Time {
-        self.tuning.latency()
     }
 }
 
@@ -161,16 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_plus_through_is_unity() {
-        let m = mr();
-        for frac in [0.0, 0.1, 0.5, 2.0] {
-            let delta = Length::from_nanometers(m.fwhm().as_nanometers() * frac);
-            let sum = m.drop_fraction(delta) + m.through_fraction(delta);
-            assert!((sum - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn crosstalk_falls_with_spacing() {
         let m = mr();
         let near = m.adjacent_channel_crosstalk(Length::from_nanometers(0.1));
@@ -180,22 +140,13 @@ mod tests {
     }
 
     #[test]
-    fn channel_count_monotone_in_floor() {
-        let m = mr();
-        let strict = m.max_wdm_channels(Decibels::new(30.0));
-        let loose = m.max_wdm_channels(Decibels::new(15.0));
-        assert!(loose >= strict);
-        assert!(strict >= 1);
-    }
-
-    #[test]
     fn eo_access_is_nanoseconds() {
-        assert!(mr().access_latency().as_nanos() <= 5.0);
+        assert!(mr().tuning.latency().as_nanos() <= 5.0);
         let thermal = Microring {
             tuning: MrTuning::Thermal,
             ..mr()
         };
-        assert!(thermal.access_latency().as_micros() >= 1.0);
+        assert!(thermal.tuning.latency().as_micros() >= 1.0);
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl OpticalPath {
         self
     }
 
-    /// Appends all elements of another path.
-    pub fn extend_from(&mut self, other: &OpticalPath) -> &mut Self {
-        self.elements.extend_from_slice(&other.elements);
-        self
-    }
-
     /// Appends a memory cell in its most transmissive state, taking the
     /// insertion loss from a cell model — the cross-layer hook through
     /// which device physics enters a circuit-level loss budget.
@@ -105,16 +99,6 @@ impl OpticalPath {
         self.elements.iter().map(|e| e.net_loss(params)).sum()
     }
 
-    /// Loss counting only attenuating elements (ignores SOAs) — the
-    /// figure SOA placement must cover.
-    pub fn passive_loss(&self, params: &OpticalParams) -> Decibels {
-        self.elements
-            .iter()
-            .filter(|e| !e.is_gain())
-            .map(|e| e.net_loss(params))
-            .sum()
-    }
-
     /// The running signal level relative to the input, element by element;
     /// `out[i]` is the level after traversing element `i`.
     pub fn level_profile(&self, params: &OpticalParams) -> Vec<Decibels> {
@@ -128,22 +112,9 @@ impl OpticalPath {
             .collect()
     }
 
-    /// The lowest signal level (relative to input, dB) reached anywhere
-    /// along the path — the worst point for SNR.
-    pub fn worst_level(&self, params: &OpticalParams) -> Decibels {
-        self.level_profile(params)
-            .into_iter()
-            .fold(Decibels::ZERO, Decibels::min)
-    }
-
     /// Input power required so the path output is `target`.
     pub fn required_input(&self, target: Power, params: &OpticalParams) -> Power {
         target.amplify(self.total_loss(params))
-    }
-
-    /// Output power for a given input power.
-    pub fn output_power(&self, input: Power, params: &OpticalParams) -> Power {
-        input.attenuate(self.total_loss(params))
     }
 }
 
@@ -176,8 +147,6 @@ mod tests {
         let p = OpticalPath::new();
         assert!(p.is_empty());
         assert_eq!(p.total_loss(&params()), Decibels::ZERO);
-        let one_mw = Power::from_milliwatts(1.0);
-        assert_eq!(p.output_power(one_mw, &params()), one_mw);
     }
 
     #[test]
@@ -198,7 +167,6 @@ mod tests {
                 gain: Decibels::new(15.2),
             });
         assert!(p.total_loss(&params()).value().abs() < 1e-12);
-        assert!((p.passive_loss(&params()).value() - 15.2).abs() < 1e-12);
     }
 
     #[test]
@@ -209,8 +177,12 @@ mod tests {
                 gain: Decibels::new(10.0),
             })
             .push(PathElement::Fixed(Decibels::new(3.0)));
-        let worst = p.worst_level(&params());
-        assert!((worst.value() + 10.0).abs() < 1e-12);
+        let profile: Vec<f64> = p
+            .level_profile(&params())
+            .iter()
+            .map(|l| l.value())
+            .collect();
+        assert_eq!(profile, [-10.0, 0.0, -3.0]);
     }
 
     #[test]
@@ -222,7 +194,7 @@ mod tests {
             .push(PathElement::GstSwitch);
         let target = Power::from_milliwatts(1.0);
         let input = p.required_input(target, &params());
-        let back = p.output_power(input, &params());
+        let back = input.attenuate(p.total_loss(&params()));
         assert!((back.as_watts() - target.as_watts()).abs() < 1e-18);
         assert!(input > target);
     }

@@ -58,15 +58,6 @@ impl LevelBudget {
             loss_tolerance: Decibels::from_linear(1.0 - fractional_tolerance),
         }
     }
-
-    /// How many cascaded elements of loss `per_element` a signal can absorb
-    /// before decoding becomes ambiguous.
-    pub fn elements_within_budget(&self, per_element: Decibels) -> usize {
-        if per_element.value() <= 0.0 {
-            return usize::MAX;
-        }
-        (self.loss_tolerance.value() / per_element.value()).floor() as usize
-    }
 }
 
 /// A p-i-n photodetector read-out chain.
@@ -101,14 +92,6 @@ impl Photodetector {
         let photocurrent = self.responsivity * received.as_watts();
         let shot = (2.0 * Q * photocurrent * self.bandwidth).sqrt();
         (shot * shot + self.noise_current * self.noise_current).sqrt()
-    }
-
-    /// Electrical SNR (power ratio, not dB) of a *full-scale* signal at
-    /// `received` power.
-    pub fn snr(&self, received: Power) -> f64 {
-        let signal = self.responsivity * received.as_watts();
-        let noise = self.total_noise_current(received);
-        (signal / noise) * (signal / noise)
     }
 
     /// Probability that one read of a `2^bits`-level cell decodes to the
@@ -160,21 +143,6 @@ impl Photodetector {
         let z = spacing / (2.0 * std::f64::consts::SQRT_2 * sigma);
         erfc(z)
     }
-
-    /// Minimum received power for the level-error probability to drop
-    /// below `target` at `bits` per cell (binary search over power).
-    pub fn min_power_for_error(&self, bits: u8, target: f64) -> Power {
-        let (mut lo, mut hi) = (1e-9f64, 1.0f64); // 1 nW .. 1 W
-        for _ in 0..80 {
-            let mid = (lo * hi).sqrt();
-            if self.level_error_probability(Power::from_watts(mid), bits) > target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Power::from_watts(hi)
-    }
 }
 
 impl Default for Photodetector {
@@ -185,7 +153,7 @@ impl Default for Photodetector {
 
 /// Complementary error function (Abramowitz–Stegun 7.1.26 rational
 /// approximation; max absolute error ≈ 1.5e-7 — ample for BER estimates).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -220,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_element_counts() {
-        // b=1 signals survive ~9 EO-MR rows (paper Section IV.A).
-        let b1 = LevelBudget::for_bits(1);
-        let rows = b1.elements_within_budget(Decibels::new(0.33));
-        assert_eq!(rows, 9);
-    }
-
-    #[test]
     fn more_bits_less_tolerance() {
         let mut last = f64::INFINITY;
         for bits in 1..=6 {
@@ -246,37 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn snr_grows_with_power() {
-        let d = Photodetector::ge_10ghz();
-        let low = d.snr(Power::from_microwatts(1.0));
-        let high = d.snr(Power::from_microwatts(100.0));
-        assert!(high > low * 10.0);
-    }
-
-    #[test]
     fn error_probability_falls_with_power() {
         let d = Photodetector::ge_10ghz();
         let high_p = d.level_error_probability(Power::from_microwatts(100.0), 4);
         let low_p = d.level_error_probability(Power::from_microwatts(1.0), 4);
         assert!(high_p < low_p);
-    }
-
-    #[test]
-    fn min_power_ordering_with_bits() {
-        // More bits per cell need more received power for the same BER.
-        let d = Photodetector::ge_10ghz();
-        let p1 = d.min_power_for_error(1, 1e-12);
-        let p4 = d.min_power_for_error(4, 1e-12);
-        assert!(p4 > p1);
-        // Sanity: microwatt-scale received power suffices for b=4.
-        assert!(p4 < Power::from_milliwatts(1.0));
-    }
-
-    #[test]
-    fn min_power_meets_target() {
-        let d = Photodetector::ge_10ghz();
-        let target = 1e-9;
-        let p = d.min_power_for_error(4, target);
-        assert!(d.level_error_probability(p, 4) <= target * 1.01);
     }
 }

@@ -54,11 +54,6 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// The complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex::new(self.re, -self.im)
-    }
-
     /// The principal square root (non-negative real part).
     ///
     /// For permittivity → refractive-index conversion the principal branch
@@ -174,8 +169,8 @@ mod tests {
         assert!((n * n - eps).norm() < 1e-9);
 
         // Negative-imaginary input keeps the conjugate symmetry.
-        let m = eps.conj().sqrt();
-        assert!((m - n.conj()).norm() < 1e-12);
+        let m = Complex::new(eps.re, -eps.im).sqrt();
+        assert!((m - Complex::new(n.re, -n.im)).norm() < 1e-12);
     }
 
     #[test]

@@ -68,19 +68,14 @@ mod waveguide;
 
 pub use cell_optics::{CellOpticalModel, GeometryContrast};
 pub use complex::Complex;
-pub use lorentz::{photon_energy_ev, ComplexIndex, LorentzModel, Oscillator};
+pub use lorentz::{ComplexIndex, LorentzModel, Oscillator};
 pub use materials::{
-    reference_wavelength, PcmKind, PcmMaterial, Phase, Silicon, SiliconDioxide, ThermalProperties,
+    reference_wavelength, PcmKind, PcmMaterial, Phase, Silicon, ThermalProperties,
 };
 pub use mixing::{effective_index, lorentz_lorenz_mix};
-pub use program::{
-    GenerateTableError, LevelSpec, ProgramMode, ProgramTable, ResetSpec, CRYSTALLINE_GUARD,
-    LEVEL_TRANSMITTANCE_FLOOR,
-};
+pub use program::{GenerateTableError, LevelSpec, ProgramMode, ProgramTable, ResetSpec};
 pub use spectra::{
     c_band_end, c_band_start, c_band_wavelengths, material_spectra, MaterialSpectrumPoint,
 };
-pub use thermal::{
-    CellState, CellThermalModel, PulseOutcome, PulseSpec, ThermalParams, TraceSample,
-};
+pub use thermal::{CellState, CellThermalModel, PulseOutcome, PulseSpec, ThermalParams};
 pub use waveguide::{CellGeometry, WaveguideGeometry};

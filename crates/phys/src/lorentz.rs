@@ -24,17 +24,7 @@ use comet_units::Length;
 /// Photon energy in electron-volts for a vacuum wavelength.
 ///
 /// `E[eV] = hc / λ ≈ 1239.84 / λ[nm]`.
-///
-/// # Examples
-///
-/// ```
-/// use comet_units::Length;
-/// use opcm_phys::photon_energy_ev;
-///
-/// let e = photon_energy_ev(Length::from_nanometers(1550.0));
-/// assert!((e - 0.7999).abs() < 1e-3);
-/// ```
-pub fn photon_energy_ev(lambda: Length) -> f64 {
+pub(crate) fn photon_energy_ev(lambda: Length) -> f64 {
     const HC_EV_NM: f64 = 1_239.841_984;
     HC_EV_NM / lambda.as_nanometers()
 }
@@ -86,11 +76,6 @@ impl ComplexIndex {
     pub fn from_permittivity(eps: Complex) -> Self {
         let nh = eps.sqrt();
         ComplexIndex::new(nh.re, nh.im)
-    }
-
-    /// The intensity absorption coefficient `α = 4πκ/λ` in 1/m.
-    pub fn absorption_coefficient(self, lambda: Length) -> f64 {
-        4.0 * std::f64::consts::PI * self.kappa / lambda.as_meters()
     }
 }
 
@@ -248,14 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn absorption_coefficient_scale() {
-        // kappa = 1.0 at 1550 nm -> alpha = 4*pi/1.55um ~ 8.1e6 /m.
-        let idx = ComplexIndex::new(6.0, 1.0);
-        let alpha = idx.absorption_coefficient(anchor());
-        assert!((alpha - 8.106e6).abs() / 8.106e6 < 1e-3);
-    }
-
-    #[test]
     #[should_panic(expected = "non-physical eps_inf")]
     fn anchored_rejects_bad_resonance_choice() {
         // Large kappa anchored with a far-away resonance and tiny damping
@@ -266,6 +243,7 @@ mod tests {
     #[test]
     fn photon_energy_values() {
         assert!((photon_energy_ev(Length::from_nanometers(1530.0)) - 0.8104).abs() < 1e-3);
+        assert!((photon_energy_ev(Length::from_nanometers(1550.0)) - 0.7999).abs() < 1e-3);
         assert!((photon_energy_ev(Length::from_nanometers(1565.0)) - 0.7922).abs() < 1e-3);
     }
 }

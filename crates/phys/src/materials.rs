@@ -242,19 +242,13 @@ impl Silicon {
     }
 }
 
-/// Optical/thermal constants of the buried-oxide (SiO₂) cladding.
+/// Optical constants of the buried-oxide (SiO₂) cladding.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiliconDioxide;
+pub(crate) struct SiliconDioxide;
 
 impl SiliconDioxide {
     /// Refractive index at 1550 nm.
     pub const REFRACTIVE_INDEX: f64 = 1.444;
-    /// Thermal conductivity, W/(m·K).
-    pub const CONDUCTIVITY: f64 = 1.4;
-    /// Density, kg/m³.
-    pub const DENSITY: f64 = 2203.0;
-    /// Specific heat, J/(kg·K).
-    pub const SPECIFIC_HEAT: f64 = 730.0;
 }
 
 #[cfg(test)]

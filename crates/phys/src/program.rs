@@ -31,10 +31,10 @@ use std::sync::{Mutex, OnceLock};
 /// Transmittance added above the fully crystalline state before placing
 /// the deepest level (the programming guard band — see
 /// [`ProgramTable::usable_transmittance_range`]).
-pub const CRYSTALLINE_GUARD: f64 = 0.04;
+const CRYSTALLINE_GUARD: f64 = 0.04;
 
 /// The floor under the deepest level's transmittance.
-pub const LEVEL_TRANSMITTANCE_FLOOR: f64 = 0.05;
+const LEVEL_TRANSMITTANCE_FLOOR: f64 = 0.05;
 
 /// Which state the cell is erased to before level writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -237,18 +237,13 @@ impl ProgramTable {
         Ok(table)
     }
 
-    /// The number of memoized tables (diagnostics/tests).
-    pub fn cached_tables() -> usize {
-        table_cache().lock().expect("cache lock").len()
-    }
-
     /// The usable transmittance range `(t_min, t_max)` level grids are
     /// sliced from, with a guard band at the crystalline end: fully
     /// crystalline levels are asymptotically slow to program and suffer
     /// the worst read-out loss, so — like the paper's COSMOS remodeling,
     /// which avoids "the high losses at high crystalline fractions" — the
-    /// deepest level stops short of `p = 1`
-    /// ([`CRYSTALLINE_GUARD`]/[`LEVEL_TRANSMITTANCE_FLOOR`]).
+    /// deepest level stops short of `p = 1`: `t_min` is the crystalline
+    /// transmittance plus a 0.04 guard band, and never below 0.05.
     ///
     /// This is the single authority on the range: both the programming
     /// tables generated here and the circuit layer's derived cell model
@@ -645,7 +640,7 @@ mod tests {
         let second = ProgramTable::generate(m, ProgramMode::AmorphousReset, 2).expect("generate");
         assert_eq!(first, uncached);
         assert_eq!(second, uncached);
-        assert!(ProgramTable::cached_tables() >= 1);
+        assert!(!table_cache().lock().expect("cache lock").is_empty());
     }
 
     #[test]

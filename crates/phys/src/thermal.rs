@@ -47,7 +47,6 @@
 use crate::cell_optics::CellOpticalModel;
 use comet_units::{Energy, Length, Power, Temperature, Time};
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use crate::materials::Silicon;
 
@@ -177,19 +176,6 @@ pub struct PulseOutcome {
     pub melted: bool,
 }
 
-/// One sample of a traced pulse simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSample {
-    /// Time since pulse start.
-    pub time: Time,
-    /// Node temperature.
-    pub temperature: Temperature,
-    /// Crystalline fraction of the unmelted material.
-    pub crystalline_fraction: f64,
-    /// Melt fraction.
-    pub melt_fraction: f64,
-}
-
 /// Lumped transient thermal model of one OPCM cell.
 ///
 /// # Examples
@@ -312,31 +298,13 @@ impl CellThermalModel {
 
     /// Applies one programming pulse (plus quench) to a cell state.
     pub fn apply_pulse(&self, state: CellState, pulse: PulseSpec) -> PulseOutcome {
-        self.simulate(state, pulse, None)
-    }
-
-    /// Like [`apply_pulse`](Self::apply_pulse) but records a time trace
-    /// sampled every `sample_every` steps.
-    pub fn apply_pulse_traced(
-        &self,
-        state: CellState,
-        pulse: PulseSpec,
-        sample_every: usize,
-        trace: &mut Vec<TraceSample>,
-    ) -> PulseOutcome {
-        self.simulate(state, pulse, Some((sample_every.max(1), trace)))
-    }
-
-    fn simulate(
-        &self,
-        state: CellState,
-        pulse: PulseSpec,
-        mut trace: Option<(usize, &mut Vec<TraceSample>)>,
-    ) -> PulseOutcome {
-        let steps = self.pulse_steps(pulse.duration);
         let mut node = Node::at(state);
-        self.heat(&mut node, self.drive(pulse.power), 0..steps, &mut trace);
-        self.cool_down(node, steps, trace)
+        self.heat(
+            &mut node,
+            self.drive(pulse.power),
+            self.pulse_steps(pulse.duration),
+        );
+        self.cool_down(node)
     }
 
     /// The number of heating steps a pulse of `duration` integrates: a
@@ -420,39 +388,24 @@ impl CellThermalModel {
         node.peak_mu = node.peak_mu.max(node.mu);
     }
 
-    /// Integrates the heating steps `steps` (global step indices, which
-    /// only the trace reads) of a pulse.
-    fn heat(
-        &self,
-        node: &mut Node,
-        drive: Drive,
-        steps: Range<usize>,
-        trace: &mut Option<(usize, &mut Vec<TraceSample>)>,
-    ) {
-        for step in steps {
+    /// Integrates `steps` heating steps of a pulse.
+    fn heat(&self, node: &mut Node, drive: Drive, steps: usize) {
+        for _ in 0..steps {
             self.step(node, Some(drive));
-            self.record(trace, step, node);
         }
     }
 
-    /// Quenches `node` after a pulse of `pulse_steps` heating steps: cools
-    /// it until it falls well below the kinetics window (or the budget of
-    /// several time constants runs out), then re-solidifies the melt
-    /// amorphous.
-    fn cool_down(
-        &self,
-        mut node: Node,
-        pulse_steps: usize,
-        mut trace: Option<(usize, &mut Vec<TraceSample>)>,
-    ) -> PulseOutcome {
+    /// Quenches `node` after a pulse: cools it until it falls well below
+    /// the kinetics window (or the budget of several time constants runs
+    /// out), then re-solidifies the melt amorphous.
+    fn cool_down(&self, mut node: Node) -> PulseOutcome {
         let dt = self.params.time_step.as_seconds();
         let th = &self.optics.material.thermal;
         let t_onset = th.crystallization_onset.as_kelvin();
         let cooldown_steps =
             ((8.0 * self.time_constant().as_seconds() / dt).ceil() as usize).min(200_000);
-        for step in pulse_steps..pulse_steps + cooldown_steps {
+        for _ in 0..cooldown_steps {
             self.step(&mut node, None);
-            self.record(&mut trace, step, &node);
             // Early exit once quenched well below the kinetics window.
             if node.temp < t_onset - 20.0 {
                 break;
@@ -470,20 +423,6 @@ impl CellThermalModel {
             absorbed_energy: Energy::from_joules(node.absorbed),
             peak_melt_fraction: node.peak_mu,
             melted: node.melted,
-        }
-    }
-
-    /// Samples `node` into the trace, if any, on every `every`-th step.
-    fn record(&self, trace: &mut Option<(usize, &mut Vec<TraceSample>)>, step: usize, node: &Node) {
-        if let Some((every, samples)) = trace {
-            if step % *every == 0 {
-                samples.push(TraceSample {
-                    time: Time::from_seconds(step as f64 * self.params.time_step.as_seconds()),
-                    temperature: Temperature::from_kelvin(node.temp),
-                    crystalline_fraction: node.p,
-                    melt_fraction: node.mu,
-                });
-            }
         }
     }
 
@@ -594,8 +533,8 @@ impl<'a> PulseSweep<'a> {
             Some((&k, &(node, _))) => (k, node),
             None => (0, self.start),
         };
-        self.model.heat(&mut node, self.drive, from..n, &mut None);
-        let outcome = self.model.cool_down(node, n, None);
+        self.model.heat(&mut node, self.drive, n - from);
+        let outcome = self.model.cool_down(node);
         self.probes.insert(n, (node, outcome));
         outcome
     }
@@ -759,31 +698,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_pulse_records_profile() {
-        let m = model();
-        let mut trace = Vec::new();
-        let _ = m.apply_pulse_traced(
-            CellState::crystalline(),
-            PulseSpec::new(mw(5.0), ns(60.0)),
-            10,
-            &mut trace,
-        );
-        assert!(trace.len() > 10);
-        // Temperature must rise from ambient and eventually hit the plateau.
-        let max_t = trace
-            .iter()
-            .map(|s| s.temperature.as_kelvin())
-            .fold(0.0, f64::max);
-        assert!(max_t >= 873.0 - 1.0);
-        assert!(trace[0].temperature.as_kelvin() < 350.0);
-    }
-
-    #[test]
     fn pulse_outcomes_are_pinned_exactly() {
         // FNV-1a over the `Debug` rendering (shortest round-trip floats)
-        // of untraced outcomes across both write regimes and of one traced
-        // pulse, recorded before the integrator was split into its step
-        // and cool-down parts.
+        // of outcomes across both write regimes, recorded before the
+        // integrator was split into its step and cool-down parts (and
+        // recomputed on that integrator when the traced pulse left the input).
         let m = model();
         let mut text = String::new();
         for start in [0.0, 0.35, 1.0] {
@@ -797,20 +716,17 @@ mod tests {
                 }
             }
         }
-        let mut trace = Vec::new();
-        let out = m.apply_pulse_traced(
+        let out = m.apply_pulse(
             CellState::at_fraction(0.5),
             PulseSpec::new(mw(5.0), ns(30.0)),
-            7,
-            &mut trace,
         );
-        text.push_str(&format!("{out:?}\n{trace:?}\n"));
+        text.push_str(&format!("{out:?}\n"));
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in text.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        assert_eq!(h, 0xcb88_dec7_9552_1f9c, "{h:#018x}");
+        assert_eq!(h, 0x463a_c610_6038_87d5, "{h:#018x}");
     }
 
     /// Asserts two outcomes are equal bit for bit, field by field.

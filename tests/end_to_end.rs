@@ -1,7 +1,10 @@
 //! End-to-end integration tests spanning the whole stack: device physics →
 //! photonic circuit → architecture → trace-driven simulation.
 
-use comet::{CometConfig, CometDevice, CometMemory, CometPowerModel, CometTiming, LevelCodec};
+use comet::{
+    decode_levels, encode_bytes, CometConfig, CometDevice, CometMemory, CometPowerModel,
+    CometTiming, LevelCodec, Subarray,
+};
 use comet_units::{ByteCount, Decibels, Time};
 use memsim::{run_simulation, MemOp, MemRequest, MemoryDevice, SimConfig};
 use opcm_phys::{CellThermalModel, ProgramMode, ProgramTable};
@@ -26,7 +29,12 @@ fn physics_layer_feeds_architecture_layer() {
     // Functional memory running on the physics-derived codec.
     let mut config = CometConfig::comet_4b();
     config.timing = timing;
-    let mut memory = CometMemory::with_codec(config, LevelCodec::from_table(&table));
+    let levels = table
+        .levels
+        .iter()
+        .map(|l| l.transmittance.value())
+        .collect();
+    let mut memory = CometMemory::with_codec(config, LevelCodec::from_levels(levels));
     let data: Vec<u8> = (0..4096).map(|i| (i * 37 % 251) as u8).collect();
     memory.write(0x1_0000, &data);
     assert_eq!(memory.read(0x1_0000, data.len()), data);
@@ -51,17 +59,23 @@ fn data_integrity_across_all_lut_buckets() {
 /// Fault injection: the margin boundary sits where the level budget says.
 #[test]
 fn loss_margin_boundary_matches_level_budget() {
-    let mut memory = CometMemory::new(CometConfig::comet_4b());
+    let codec = LevelCodec::ideal(4);
     let line: Vec<u8> = (0..128).collect();
-    memory.write_line(0, &line);
+    let levels = encode_bytes(&line, 4);
+    let mut cells = Subarray::new(1, levels.len() as u64);
+    cells.write_span(0, 0, &levels);
+    let read = |loss| {
+        decode_levels(
+            &cells.read_span_with_loss(&codec, 0, 0, levels.len(), loss),
+            4,
+        )
+    };
 
     // Half a 6% level spacing is ~0.13 dB; well inside: fine.
-    memory.inject_read_loss(Decibels::new(0.05));
-    assert_eq!(memory.read_line(0), line);
+    assert_eq!(read(Decibels::new(0.05)), line);
 
     // Far beyond: corrupted.
-    memory.inject_read_loss(Decibels::new(3.0));
-    assert_ne!(memory.read_line(0), line);
+    assert_ne!(read(Decibels::new(3.0)), line);
 }
 
 /// The timing device and the functional memory agree on capacity.
